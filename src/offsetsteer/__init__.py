@@ -16,8 +16,7 @@ from .bicycle import (HatPathState, VehicleParams, earth_derivatives,
 from .errors import (ConfigError, DomainError, OffsetSteerError,
                      ProjectionError, SingularityError)
 from .paths import (EarthState, Path, PathSpec, PathState, build_path,
-                    curvature_at, load_curvature_table, path_to_earth,
-                    project_to_earth_errors, wrap_angle_error)
+                    load_curvature_table, wrap_angle_error)
 from .sim import (ComparisonReport, ScenarioConfig, TrackingMetrics,
                   Trajectory, compare_controllers, run_scenario, step_rk4,
                   write_metrics, write_trajectory_csv)
@@ -35,12 +34,11 @@ __all__ = [
     "ScenarioConfig", "SingularityError", "StabilityMap", "StabilityVerdict",
     "SteeringDecision", "TrackingMetrics", "Trajectory", "VARIANTS",
     "VehicleParams", "amplification", "build_path", "compare_controllers",
-    "control", "curvature_at", "desired_heading", "desired_yaw_error",
-    "earth_derivatives", "eigenvalues", "feedback", "feedforward",
-    "feedforward_error", "frequency_response", "hat_path_derivatives",
-    "is_stable", "kappa_bar", "lambdas", "linearize", "load_curvature_table",
-    "max_allowable_steer", "path_derivatives", "path_to_earth",
-    "peak_amplification", "project_to_earth_errors", "rear_axle_lateral_accel",
+    "control", "desired_heading", "desired_yaw_error", "earth_derivatives",
+    "eigenvalues", "feedback", "feedforward", "feedforward_error",
+    "frequency_response", "hat_path_derivatives", "is_stable", "kappa_bar",
+    "lambdas", "linearize", "load_curvature_table", "max_allowable_steer",
+    "path_derivatives", "peak_amplification", "rear_axle_lateral_accel",
     "run_scenario", "stability_region_scan", "step_rk4", "wrap_angle_error",
     "wrapper", "write_metrics", "write_trajectory_csv",
 ]

@@ -1,0 +1,27 @@
+"""Plain-text table writer behind every artifact the package emits.
+
+Numbers are written with 17 significant digits, enough for every double to
+read back exactly, so one format serves lossless re-reading and byte-wise
+determinism checks alike.
+"""
+
+from __future__ import annotations
+
+_FORMATS = {"g": "%.17g", "d": "%d", "s": "%s"}
+
+
+def write_rows(path, header, rows, kinds: str | None = None, sep: str = ",") -> None:
+    """Stream ``rows`` (an iterable of tuples) to ``path``, one line each.
+
+    ``header`` names the columns; ``None`` writes no header line. ``kinds``
+    gives one letter per column, ``g`` number, ``d`` integer or ``s`` text,
+    and defaults to numbers throughout. Rows are formatted as they are
+    consumed, so a lazy ``rows`` never holds more than its source arrays.
+    """
+    if kinds is None:
+        kinds = "g" * len(header)
+    line = sep.join(_FORMATS[k] for k in kinds) + "\n"
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        fh.writelines(line % row for row in rows)

@@ -10,12 +10,14 @@ curvature perturbations [1/m] to lateral deviation [m], hence carries m^2.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._writer import write_rows
 from .bicycle import VehicleParams
 from .errors import DomainError
 
@@ -33,7 +35,10 @@ OMEGA_POINTS = 400
 
 @dataclass(frozen=True)
 class Lambdas:
-    """Recurring coefficient bundle of the linearized closed loop."""
+    """Recurring coefficient bundle of the linearized closed loop.
+
+    lam3 and lam4 are arrays when :func:`lambdas` is given gain arrays.
+    """
 
     lam1: float  # sqrt(1 - d^2 kappa0^2), in (0, 1]
     lam2: float  # 1 + (l^2 - d^2) kappa0^2, positive for trackable curvatures
@@ -93,8 +98,12 @@ def _check_kappa0(kappa0: float, params: VehicleParams) -> None:
             "no heading keeps the guidance point on this curvature")
 
 
-def lambdas(kappa0: float, k1: float, k2: float, params: VehicleParams) -> Lambdas:
-    """Coefficient bundle (lam1..lam4) at a nominal curvature and gain pair."""
+def lambdas(kappa0: float, k1, k2, params: VehicleParams) -> Lambdas:
+    """Coefficient bundle (lam1..lam4) at a nominal curvature and gain pair.
+
+    ``kappa0`` is a scalar; ``k1`` and ``k2`` may be numpy arrays, which
+    broadcast against each other.
+    """
     _check_kappa0(kappa0, params)
     l = params.wheelbase
     d = params.sensor_offset
@@ -135,23 +144,22 @@ def linearize(kappa0: float, k1: float, k2: float, params: VehicleParams) -> Lin
     return LinearModel(a, b, c, kappa0, k1, k2, params)
 
 
-def _char_coeffs(lam: Lambdas, k1: float, k2: float,
-                 params: VehicleParams) -> tuple[float, float]:
-    """Coefficients (b1, b0) of the characteristic polynomial s^2 + b1*s + b0."""
+def _roots(lam: Lambdas, k1: float, k2: float,
+           params: VehicleParams) -> tuple[complex, complex]:
+    """Roots of the characteristic polynomial s^2 + b1*s + b0."""
     l = params.wheelbase
     d = params.sensor_offset
     v = params.speed
     b1 = -v * k1 * lam.lam2 / (l * lam.lam1) * (lam.lam1 + d * k2)
     b0 = -v * v * lam.lam3 / (l * lam.lam1 * lam.lam1)
-    return b1, b0
+    disc = complex(b1 * b1 - 4.0 * b0) ** 0.5
+    return (0.5 * (-b1 + disc), 0.5 * (-b1 - disc))
 
 
 def eigenvalues(model: LinearModel) -> tuple[complex, complex]:
     """Closed-loop eigenvalues from the characteristic polynomial."""
     lam = lambdas(model.kappa0, model.k1, model.k2, model.params)
-    b1, b0 = _char_coeffs(lam, model.k1, model.k2, model.params)
-    disc = complex(b1 * b1 - 4.0 * b0) ** 0.5
-    return (0.5 * (-b1 + disc), 0.5 * (-b1 - disc))
+    return _roots(lam, model.k1, model.k2, model.params)
 
 
 def prop1_k2_threshold(params: VehicleParams) -> float:
@@ -159,6 +167,28 @@ def prop1_k2_threshold(params: VehicleParams) -> float:
     t = math.tan(params.max_steer)
     return (params.sensor_offset / params.wheelbase) * t * t / math.hypot(
         params.wheelbase, params.sensor_offset * t)
+
+
+def _sign_conditions(lam: Lambdas, k1, k2, params: VehicleParams, boundary_tol: float):
+    """(stable, marginal): the sign conditions and their boundary flag, elementwise."""
+    first = k1 * (lam.lam1 + params.sensor_offset * k2)
+    stable = (first < 0.0) & (lam.lam3 < 0.0)
+    marginal = (abs(first) <= boundary_tol) | (abs(lam.lam3) <= boundary_tol)
+    return stable, marginal
+
+
+def _peak(lam: Lambdas, k1, k2, params: VehicleParams):
+    """(M_max [m^2], omega_m [rad/s]) elementwise; M_max is inf where unbounded."""
+    l = params.wheelbase
+    d = params.sensor_offset
+    omega_m = params.speed / lam.lam1 * np.sqrt(abs(lam.lam3) / l)
+    num = d / lam.lam1 * abs(l + d * lam.lam2 * k1)
+    den_sq = (2.0 * l * (lam.lam3 + abs(lam.lam3))
+              + lam.lam2 ** 2 * k1 ** 2 * (lam.lam1 + d * k2) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_max = np.where(num == 0.0, 0.0,
+                         np.where(den_sq <= 0.0, np.inf, num / np.sqrt(den_sq)))
+    return m_max, omega_m
 
 
 def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams,
@@ -171,9 +201,7 @@ def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams,
     can physically follow.
     """
     lam = lambdas(kappa0, k1, k2, params)
-    first = k1 * (lam.lam1 + params.sensor_offset * k2)
-    stable = first < 0.0 and lam.lam3 < 0.0
-    marginal = abs(first) <= boundary_tol or abs(lam.lam3) <= boundary_tol
+    stable, marginal = _sign_conditions(lam, k1, k2, params, boundary_tol)
 
     condition: int | None = None
     if k1 < 0.0 and k2 > prop1_k2_threshold(params):
@@ -181,10 +209,8 @@ def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams,
     elif k1 > 0.0 and params.sensor_offset > 0.0 and k2 < -1.0 / params.sensor_offset:
         condition = 2
 
-    b1, b0 = _char_coeffs(lam, k1, k2, params)
-    disc = complex(b1 * b1 - 4.0 * b0) ** 0.5
-    eig = (0.5 * (-b1 + disc), 0.5 * (-b1 - disc))
-    return StabilityVerdict(stable, marginal, condition is not None, condition, eig)
+    return StabilityVerdict(bool(stable), bool(marginal), condition is not None, condition,
+                            _roots(lam, k1, k2, params))
 
 
 def amplification(omega, kappa0: float, k1: float, k2: float, params: VehicleParams):
@@ -210,20 +236,11 @@ def amplification(omega, kappa0: float, k1: float, k2: float, params: VehiclePar
 def peak_amplification(kappa0: float, k1: float, k2: float,
                        params: VehicleParams) -> tuple[float, float]:
     """Peak (M_max [m^2], omega_m [rad/s]) of the amplification ratio."""
-    lam = lambdas(kappa0, k1, k2, params)
-    l = params.wheelbase
-    d = params.sensor_offset
-    omega_m = params.speed / lam.lam1 * math.sqrt(abs(lam.lam3) / l)
-    num = d / lam.lam1 * abs(l + d * lam.lam2 * k1)
-    den_sq = (2.0 * l * (lam.lam3 + abs(lam.lam3))
-              + lam.lam2 ** 2 * k1 * k1 * (lam.lam1 + d * k2) ** 2)
-    if num == 0.0:
-        return 0.0, omega_m
-    if den_sq <= 0.0:
+    m_max, omega_m = _peak(lambdas(kappa0, k1, k2, params), k1, k2, params)
+    if math.isinf(m_max):
         logger.warning("amplification unbounded at kappa0=%.6g, k1=%.6g, k2=%.6g",
                        kappa0, k1, k2)
-        return math.inf, omega_m
-    return num / math.sqrt(den_sq), omega_m
+    return float(m_max), float(omega_m)
 
 
 def default_omega_grid(omega_m: float | None = None) -> np.ndarray:
@@ -265,9 +282,6 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
     kappa0_values = np.asarray(list(kappa0_values), dtype=float)
     nk = kappa0_values.size
 
-    l = params.wheelbase
-    d = params.sensor_offset
-    v = params.speed
     grid_k1 = k1_vals[:, None]
     grid_k2 = k2_vals[None, :]
 
@@ -278,23 +292,12 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
     valid = np.zeros((nk, n1, n2), dtype=bool)
 
     for i, kappa0 in enumerate(kappa0_values):
-        if abs(d * kappa0) >= 1.0:
+        try:
+            lam = lambdas(kappa0, grid_k1, grid_k2, params)
+        except DomainError:
             continue  # entire slice untrackable; left invalid
-        k0sq = kappa0 * kappa0
-        lam1 = math.sqrt(1.0 - d * d * k0sq)
-        lam2 = 1.0 + (l * l - d * d) * k0sq
-        lam3 = lam1 * lam2 * grid_k1 * grid_k2 - d * k0sq * lam2 * grid_k1 - l * k0sq
-        first = grid_k1 * (lam1 + d * grid_k2)
-        stable[i] = (first < 0.0) & (lam3 < 0.0)
-        marginal[i] = (np.abs(first) <= boundary_tol) | (np.abs(lam3) <= boundary_tol)
-        num = d / lam1 * np.abs(l + d * lam2 * grid_k1)
-        den_sq = (2.0 * l * (lam3 + np.abs(lam3))
-                  + lam2 ** 2 * grid_k1 ** 2 * (lam1 + d * grid_k2) ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mm = np.where(num == 0.0, 0.0, num / np.sqrt(den_sq))
-        mm = np.where((den_sq <= 0.0) & (num != 0.0), np.inf, mm)
-        m_max[i] = np.broadcast_to(mm, (n1, n2))
-        omega_m[i] = v / lam1 * np.sqrt(np.abs(lam3) / l)
+        stable[i], marginal[i] = _sign_conditions(lam, grid_k1, grid_k2, params, boundary_tol)
+        m_max[i], omega_m[i] = _peak(lam, grid_k1, grid_k2, params)
         valid[i] = True
 
     return StabilityMap(k1_vals, k2_vals, kappa0_values,
@@ -303,25 +306,19 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
 
 # -- CSV emission -------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_stability_csv(result: StabilityMap, path) -> None:
     """Emit the scan as rows of k1,k2,kappa0,stable,marginal,M_max,omega_m."""
-    with open(path, "w", newline="") as fh:
-        fh.write("k1,k2,kappa0,stable,marginal,M_max,omega_m\n")
-        for i, kappa0 in enumerate(result.kappa0_values):
-            for j, k1 in enumerate(result.k1_values):
-                for k, k2 in enumerate(result.k2_values):
-                    fh.write(f"{_fmt(k1)},{_fmt(k2)},{_fmt(kappa0)},"
-                             f"{int(result.stable[i, j, k])},{int(result.marginal[i, j, k])},"
-                             f"{_fmt(result.m_max[i, j, k])},{_fmt(result.omega_m[i, j, k])}\n")
+    n1, n2 = result.k1_values.size, result.k2_values.size
+    k1 = np.repeat(result.k1_values, n2)
+    k2 = np.tile(result.k2_values, n1)
+    slices = (zip(k1, k2, itertools.repeat(kappa0), result.stable[i].ravel(),
+                  result.marginal[i].ravel(), result.m_max[i].ravel(),
+                  result.omega_m[i].ravel())
+              for i, kappa0 in enumerate(result.kappa0_values))
+    write_rows(path, ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
+               itertools.chain.from_iterable(slices), "gggddgg")
 
 
 def write_freq_csv(response: FreqResponse, path) -> None:
     """Emit the sampled response as rows of omega_rad_s,M (M in m^2)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("omega_rad_s,M\n")
-        for w, m in zip(response.omega, response.magnitude):
-            fh.write(f"{_fmt(w)},{_fmt(m)}\n")
+    write_rows(path, ("omega_rad_s", "M"), zip(response.omega, response.magnitude))

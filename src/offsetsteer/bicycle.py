@@ -28,10 +28,12 @@ class VehicleParams:
     speed: float           # constant longitudinal speed, forward [m/s]
 
     def __post_init__(self):
-        if self.wheelbase <= 0.0:
-            raise ConfigError(f"wheelbase must be positive, got {self.wheelbase}")
-        if self.speed <= 0.0:
-            raise ConfigError(f"speed must be positive (forward motion), got {self.speed}")
+        # Written so that NaN fails each check.
+        if not 0.0 < self.wheelbase < math.inf:
+            raise ConfigError(f"wheelbase must be positive and finite, got {self.wheelbase}")
+        if not 0.0 < self.speed < math.inf:
+            raise ConfigError(
+                f"speed must be positive and finite (forward motion), got {self.speed}")
         if not 0.0 < self.max_steer < _HALF_PI:
             raise ConfigError(f"max_steer must lie in (0, pi/2), got {self.max_steer}")
 

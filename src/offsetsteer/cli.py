@@ -24,8 +24,9 @@ from pathlib import Path as FsPath
 import numpy as np
 import yaml
 
-from .analysis import (frequency_response, kappa_bar, stability_region_scan,
-                       write_freq_csv, write_stability_csv)
+from ._writer import write_rows
+from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
+                       stability_region_scan, write_freq_csv, write_stability_csv)
 from .bicycle import VehicleParams
 from .errors import (ConfigError, DomainError, OffsetSteerError,
                      ProjectionError, SingularityError)
@@ -43,6 +44,17 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 _REQUIRED = object()
+
+
+def _number(value, what: str) -> float:
+    """The finite number a config value must be; ``what`` names it in the error."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond double range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -103,9 +115,7 @@ class _Section:
         value = self.take(key, default)
         if value is default and default is not _REQUIRED:
             return value
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{self.name}: key '{key}' must be a number, got {value!r}")
-        return float(value)
+        return _number(value, f"{self.name}: key '{key}'")
 
     def take_angle(self, base: str, default=_REQUIRED) -> float:
         """Angles require an explicit unit suffix: <base>_deg or <base>_rad."""
@@ -150,10 +160,8 @@ def _parse_control(section: _Section) -> ControlConfig:
     k1 = section.take_number("k1")
     k2 = section.take_number("k2_per_m")
     a_max = section.take_number("max_lat_accel_mps2")
-    variant = section.take("variant", "full")
+    variant = section.take("variant", ControlConfig.variant)
     section.finish()
-    if variant not in VARIANTS:
-        raise ConfigError(f"control: unknown variant {variant!r}; expected one of {VARIANTS}")
     return ControlConfig(k1=k1, k2=k2, max_lat_accel=a_max, variant=variant)
 
 
@@ -182,7 +190,9 @@ def _parse_path(section: _Section, base_dir: FsPath) -> PathSpec:
             table_sec.finish()
             if not isinstance(s_vals, list) or not isinstance(k_vals, list):
                 raise ConfigError("path.table: s_m and kappa_per_m must be lists")
-            spec = PathSpec.sampled(s_vals, k_vals, x0, y0, psi0)
+            spec = PathSpec.sampled([_number(v, "path.table.s_m") for v in s_vals],
+                                    [_number(v, "path.table.kappa_per_m") for v in k_vals],
+                                    x0, y0, psi0)
         else:
             csv_name = section.take("csv")
             csv_path = FsPath(csv_name)
@@ -203,10 +213,9 @@ def _parse_kappa0(raw, vehicle: VehicleParams) -> tuple[float, ...]:
     if raw == "auto" or raw is None:
         kb = kappa_bar(vehicle)
         return (0.0, 0.5 * kb, kb)
-    if not isinstance(raw, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list):
         raise ConfigError("kappa0_per_m must be 'auto' or a list of numbers")
-    return tuple(float(v) for v in raw)
+    return tuple(_number(v, "kappa0_per_m") for v in raw)
 
 
 def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig, dict]:
@@ -230,15 +239,13 @@ def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig
         initial = PathState(init.take_number("s_m"), init.take_number("e_m"),
                             init.take_angle("theta"))
         init.finish()
-        sim = top.subsection("sim", None)
-        dt, t_end, frame, control_dt, settle = 1e-3, None, "both", None, 0.01
-        if sim is not None:
-            dt = sim.take_number("dt_s", 1e-3)
-            t_end = sim.take_number("t_end_s", None)
-            frame = sim.take("frame", "both")
-            control_dt = sim.take_number("control_dt_s", None)
-            settle = sim.take_number("settle_threshold_m", 0.01)
-            sim.finish()
+        sim = _Section("config.sim", top.take("sim", None))
+        dt = sim.take_number("dt_s", ScenarioConfig.dt)
+        t_end = sim.take_number("t_end_s", None)
+        frame = sim.take("frame", ScenarioConfig.frame)
+        control_dt = sim.take_number("control_dt_s", None)
+        settle = sim.take_number("settle_threshold_m", ScenarioConfig.settle_threshold)
+        sim.finish()
         variants = top.take("variants", None)
         if variants is not None:
             if (not isinstance(variants, list) or not variants
@@ -273,9 +280,9 @@ def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig
             gains = tuple(parsed)
         omega_sec = top.subsection("omega", None)
         if omega_sec is not None:
-            omega = (omega_sec.take_number("min_rad_s", 1e-3),
-                     omega_sec.take_number("max_rad_s", 1e3),
-                     int(omega_sec.take_number("points", 400)))
+            omega = (omega_sec.take_number("min_rad_s", OMEGA_MIN),
+                     omega_sec.take_number("max_rad_s", OMEGA_MAX),
+                     int(omega_sec.take_number("points", OMEGA_POINTS)))
             omega_sec.finish()
         top.finish()
         return AnalysisConfig(vehicle=vehicle, kappa0=kappa0, grid=grid,
@@ -422,11 +429,10 @@ def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) ->
             write_metrics(metrics, sub / "metrics.txt", sub / "metrics.json")
             names += [f"{variant}/trajectory.csv", f"{variant}/metrics.txt",
                       f"{variant}/metrics.json"]
-        with open(target / "deltas.csv", "w", newline="") as fh:
-            fh.write("variant,signal,max_abs_delta\n")
-            for variant, sig_deltas in report.deltas.items():
-                for signal, value in sig_deltas.items():
-                    fh.write(f"{variant},{signal},{format(value, '.17g')}\n")
+        write_rows(target / "deltas.csv", ("variant", "signal", "max_abs_delta"),
+                   ((variant, signal, value)
+                    for variant, sig_deltas in report.deltas.items()
+                    for signal, value in sig_deltas.items()), "ssg")
         names.append("deltas.csv")
         if report.failures:
             with open(target / "failures.json", "w") as fh:
@@ -482,20 +488,18 @@ def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
             omega = np.logspace(math.log10(lo), math.log10(hi), pts)
         else:
             omega = None
-        names = []
-        with open(target / "points.csv", "w", newline="") as fh:
-            fh.write("index,k1,k2_per_m,kappa0_per_m,stable,m_max_m2,omega_m_rad_s\n")
-            index = 0
-            for k1, k2 in cfg.gains:
-                for kappa0 in cfg.kappa0:
-                    resp = frequency_response(kappa0, k1, k2, cfg.vehicle, omega)
-                    name = f"freq_response_{index:02d}.csv"
-                    write_freq_csv(resp, target / name)
-                    names.append(name)
-                    fh.write(f"{index},{format(k1, '.17g')},{format(k2, '.17g')},"
-                             f"{format(kappa0, '.17g')},{int(resp.stable)},"
-                             f"{format(resp.m_max, '.17g')},{format(resp.omega_m, '.17g')}\n")
-                    index += 1
+        names, points = [], []
+        for k1, k2 in cfg.gains:
+            for kappa0 in cfg.kappa0:
+                resp = frequency_response(kappa0, k1, k2, cfg.vehicle, omega)
+                name = f"freq_response_{len(points):02d}.csv"
+                write_freq_csv(resp, target / name)
+                names.append(name)
+                points.append((len(points), k1, k2, kappa0, resp.stable,
+                               resp.m_max, resp.omega_m))
+        write_rows(target / "points.csv", ("index", "k1", "k2_per_m", "kappa0_per_m",
+                                           "stable", "m_max_m2", "omega_m_rad_s"),
+                   points, "dgggdgg")
         names.append("points.csv")
         return names
 
@@ -520,44 +524,28 @@ def preset_text(name: str) -> str:
 
 def _write_sweep_csvs(target: FsPath, vehicle: VehicleParams) -> list[str]:
     """Static characteristic curves of the steering law (plot-ready)."""
-    names = []
-    kappas = np.linspace(0.0, 0.2, 401)
-    with open(target / "steering_offset_curves.csv", "w", newline="") as fh:
-        fh.write("d_m,kappa_per_m,feedforward_error_rad,desired_heading_offset_rad\n")
-        for d in (2.0, 3.0, 4.0):
-            p = replace(vehicle, sensor_offset=d)
-            for kap in kappas:
-                if abs(d * kap) >= 1.0:
-                    continue
-                fh.write(f"{format(d, '.17g')},{format(kap, '.17g')},"
-                         f"{format(feedforward_error(kap, p), '.17g')},"
-                         f"{format(desired_yaw_error(kap, d), '.17g')}\n")
-    names.append("steering_offset_curves.csv")
+    offsets = [replace(vehicle, sensor_offset=d) for d in (2.0, 3.0, 4.0)]
+    write_rows(target / "steering_offset_curves.csv",
+               ("d_m", "kappa_per_m", "feedforward_error_rad", "desired_heading_offset_rad"),
+               ((p.sensor_offset, kap, feedforward_error(kap, p),
+                 desired_yaw_error(kap, p.sensor_offset))
+                for p in offsets for kap in np.linspace(0.0, 0.2, 401)
+                if abs(p.sensor_offset * kap) < 1.0))
 
-    with open(target / "desired_heading_curves.csv", "w", newline="") as fh:
-        fh.write("e_m,nonlinear_rad,linear_rad\n")
-        for e in np.linspace(-250.0, 250.0, 1001):
-            fh.write(f"{format(e, '.17g')},"
-                     f"{format(desired_heading(e, 0.02, 'full'), '.17g')},"
-                     f"{format(desired_heading(e, 0.02, 'linear'), '.17g')}\n")
-    names.append("desired_heading_curves.csv")
+    write_rows(target / "desired_heading_curves.csv", ("e_m", "nonlinear_rad", "linear_rad"),
+               ((e, desired_heading(e, 0.02, "full"), desired_heading(e, 0.02, "linear"))
+                for e in np.linspace(-250.0, 250.0, 1001)))
 
     g_sat = max_allowable_steer(vehicle, 4.0)
-    with open(target / "wrapper_curve.csv", "w", newline="") as fh:
-        fh.write("x_rad,g_rad\n")
-        for x in np.linspace(-0.5, 0.5, 1001):
-            fh.write(f"{format(x, '.17g')},{format(wrapper(x, g_sat), '.17g')}\n")
-    names.append("wrapper_curve.csv")
+    write_rows(target / "wrapper_curve.csv", ("x_rad", "g_rad"),
+               ((x, wrapper(x, g_sat)) for x in np.linspace(-0.5, 0.5, 1001)))
 
-    with open(target / "max_steer_vs_speed.csv", "w", newline="") as fh:
-        fh.write("max_lat_accel_mps2,speed_mps,gamma_sat_rad\n")
-        for a_max in (2.0, 4.0, 6.0):
-            for v in np.linspace(1.0, 40.0, 391):
-                p = replace(vehicle, speed=float(v))
-                fh.write(f"{format(a_max, '.17g')},{format(v, '.17g')},"
-                         f"{format(max_allowable_steer(p, a_max), '.17g')}\n")
-    names.append("max_steer_vs_speed.csv")
-    return names
+    write_rows(target / "max_steer_vs_speed.csv",
+               ("max_lat_accel_mps2", "speed_mps", "gamma_sat_rad"),
+               ((a_max, v, max_allowable_steer(replace(vehicle, speed=float(v)), a_max))
+                for a_max in (2.0, 4.0, 6.0) for v in np.linspace(1.0, 40.0, 391)))
+    return ["steering_offset_curves.csv", "desired_heading_curves.csv",
+            "wrapper_curve.csv", "max_steer_vs_speed.csv"]
 
 
 def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:

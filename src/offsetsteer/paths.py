@@ -99,14 +99,15 @@ class PathSpec:
         if self.kind == "straight":
             return
         if self.kind == "circular":
-            if self.radius is None or self.radius <= 0.0:
-                raise ConfigError(f"circular path needs radius > 0, got {self.radius}")
+            if self.radius is None or not 0.0 < self.radius < math.inf:
+                raise ConfigError(f"circular path needs a finite radius > 0, got {self.radius}")
             return
         if self.kind == "cosine":
-            if self.period is None or self.period <= 0.0:
-                raise ConfigError(f"cosine path needs period > 0, got {self.period}")
-            if self.kappa_max is None or self.kappa_max < 0.0:
-                raise ConfigError(f"cosine path needs kappa_max >= 0, got {self.kappa_max}")
+            if self.period is None or not 0.0 < self.period < math.inf:
+                raise ConfigError(f"cosine path needs a finite period > 0, got {self.period}")
+            if self.kappa_max is None or not 0.0 <= self.kappa_max < math.inf:
+                raise ConfigError(
+                    f"cosine path needs a finite kappa_max >= 0, got {self.kappa_max}")
             if self.periods < 1:
                 raise ConfigError(f"cosine path needs periods >= 1, got {self.periods}")
             return
@@ -366,20 +367,6 @@ class Path:
             f"(seed s_hint={s_hint:.6g})")
 
 
-# Operation-style wrappers around Path methods.
-
 def build_path(spec: PathSpec) -> Path:
     """Construct an evaluable path, validating the specification."""
     return Path(spec)
-
-
-def curvature_at(path: Path, s: float) -> tuple[float, float]:
-    return path.curvature(s)
-
-
-def path_to_earth(path: Path, ps: PathState) -> EarthState:
-    return path.to_earth(ps)
-
-
-def project_to_earth_errors(path: Path, es: EarthState, s_hint: float) -> PathState:
-    return path.project(es, s_hint)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._writer import write_rows
 from .bicycle import VehicleParams, earth_derivatives, path_derivatives
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, build_path, wrap_angle_error
@@ -44,15 +45,17 @@ class ScenarioConfig:
     settle_threshold: float = SETTLE_THRESHOLD  # [m]
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        # Written so that NaN fails each check.
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.frame not in ("path", "earth", "both"):
             raise ConfigError(f"frame must be path|earth|both, got {self.frame!r}")
-        if self.t_end is not None and self.t_end <= self.dt:
-            raise ConfigError(f"t_end must exceed dt, got {self.t_end}")
+        if self.t_end is not None and not self.dt < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be finite and exceed dt, got {self.t_end}")
         if self.control_dt is not None:
             ratio = self.control_dt / self.dt
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            if not (math.isfinite(ratio) and round(ratio) >= 1
+                    and abs(ratio - round(ratio)) <= 1e-9):
                 raise ConfigError(
                     f"control_dt ({self.control_dt}) must be a positive integer "
                     f"multiple of dt ({self.dt})")
@@ -103,8 +106,10 @@ class Trajectory:
         if self.earth_x is None:
             return None
         pos = np.hypot(self.earth_x - self.x_a, self.earth_y - self.y_a)
-        psi = np.abs(self.earth_psi - self.psi)
-        return float(pos.max()), float(psi.max())
+        # Headings are compared modulo 2*pi: the mapped heading re-wraps with
+        # the path-frame error while the earth-frame one accumulates.
+        psi = max(abs(wrap_angle_error(a, b)) for a, b in zip(self.earth_psi, self.psi))
+        return float(pos.max()), psi
 
 
 @dataclass(frozen=True)
@@ -317,26 +322,15 @@ def compare_controllers(cfg: ScenarioConfig, variants) -> ComparisonReport:
 
 # -- artifact emission ----------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Emit the run with the fixed column set, SI units and radians."""
-    signals = traj.signals()
-    columns = [signals[name] for name in TRAJECTORY_COLUMNS]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_rows(path, TRAJECTORY_COLUMNS, zip(*traj.signals().values()))
 
 
 def write_metrics(metrics: TrackingMetrics, txt_path, json_path) -> None:
     """Emit metrics as flat key=value text plus JSON."""
     data = metrics.as_dict()
-    with open(txt_path, "w") as fh:
-        for key, value in data.items():
-            fh.write(f"{key}={_fmt(value)}\n")
+    write_rows(txt_path, None, data.items(), "sg", sep="=")
     with open(json_path, "w") as fh:
         json.dump({k: (v if math.isfinite(v) else None) for k, v in data.items()},
                   fh, indent=2, sort_keys=True)

@@ -40,10 +40,11 @@ class ControlConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown controller variant {self.variant!r}; "
                               f"expected one of {VARIANTS}")
-        if self.max_lat_accel <= 0.0:
-            raise ConfigError(f"max_lat_accel must be positive, got {self.max_lat_accel}")
-        if self.g_sat is not None and self.g_sat <= 0.0:
-            raise ConfigError(f"g_sat must be positive, got {self.g_sat}")
+        if not 0.0 < self.max_lat_accel < math.inf:
+            raise ConfigError(
+                f"max_lat_accel must be positive and finite, got {self.max_lat_accel}")
+        if self.g_sat is not None and not 0.0 < self.g_sat < math.inf:
+            raise ConfigError(f"g_sat must be positive and finite, got {self.g_sat}")
 
     def resolved(self, params: VehicleParams) -> "ControlConfig":
         """Copy with the feedback bound computed for this vehicle and speed."""
@@ -126,49 +127,42 @@ def desired_heading(e: float, k2: float, variant: str = "full") -> float:
     return -math.atan(k2 * e)
 
 
-def _feedback_input(e: float, theta: float, kappa: float, cfg: ControlConfig,
-                    params: VehicleParams) -> tuple[float, float]:
-    """Pre-wrapper feedback command and the desired heading error it uses."""
+def _feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
+              params: VehicleParams) -> tuple[float, float, float]:
+    """Feedback correction, its pre-wrapper command and the desired heading error used."""
     if cfg.variant == "full":
         theta_0 = desired_yaw_error(kappa, params.sensor_offset)
-        return cfg.k1 * (theta - theta_0 + math.atan(cfg.k2 * e)), theta_0
-    if cfg.variant == "linear":
-        return cfg.k1 * theta + cfg.k1 * cfg.k2 * e, 0.0
-    # naive / unwrapped
-    return cfg.k1 * (theta + math.atan(cfg.k2 * e)), 0.0
+        raw = cfg.k1 * (theta - theta_0 + math.atan(cfg.k2 * e))
+    elif cfg.variant == "linear":
+        theta_0, raw = 0.0, cfg.k1 * theta + cfg.k1 * cfg.k2 * e
+    else:  # naive / unwrapped
+        theta_0, raw = 0.0, cfg.k1 * (theta + math.atan(cfg.k2 * e))
+    if cfg.variant not in _WRAPPED_VARIANTS:
+        # Degraded variants stay unbounded on purpose: reproducing their
+        # pathologies is the point of simulating them.
+        return raw, raw, theta_0
+    if cfg.g_sat is None:
+        raise ConfigError("feedback bound not resolved; call ControlConfig.resolved() first")
+    return wrapper(raw, cfg.g_sat), raw, theta_0
 
 
 def feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
              params: VehicleParams) -> float:
     """Feedback steering correction for the configured variant."""
-    raw, _ = _feedback_input(e, theta, kappa, cfg, params)
-    if cfg.variant in _WRAPPED_VARIANTS:
-        if cfg.g_sat is None:
-            raise ConfigError("feedback bound not resolved; call ControlConfig.resolved() first")
-        return wrapper(raw, cfg.g_sat)
-    return raw
+    return _feedback(e, theta, kappa, cfg, params)[0]
 
 
 def control(state: PathState, kappa: float, cfg: ControlConfig,
             params: VehicleParams) -> SteeringDecision:
     """Full steering command for the current path-frame state."""
     gamma_ff = feedforward(kappa, params, cfg.variant)
-    raw, theta_0 = _feedback_input(state.e, state.theta, kappa, cfg, params)
-    if cfg.variant in _WRAPPED_VARIANTS:
-        if cfg.g_sat is None:
-            raise ConfigError("feedback bound not resolved; call ControlConfig.resolved() first")
-        gamma_fb = wrapper(raw, cfg.g_sat)
-        gamma_des = gamma_ff + gamma_fb
-        if abs(gamma_des) > params.max_steer:
-            # The wrapper bounds only the feedback; clamp the total so the
-            # plant's tan() stays off its singularity.
-            logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
-                           gamma_des, params.max_steer)
-            gamma_des = math.copysign(params.max_steer, gamma_des)
-    else:
-        # Degraded variants stay unbounded on purpose: reproducing their
-        # pathologies is the point of simulating them.
-        gamma_fb = raw
-        gamma_des = gamma_ff + gamma_fb
+    gamma_fb, raw, theta_0 = _feedback(state.e, state.theta, kappa, cfg, params)
+    gamma_des = gamma_ff + gamma_fb
+    if cfg.variant in _WRAPPED_VARIANTS and abs(gamma_des) > params.max_steer:
+        # The wrapper bounds only the feedback; clamp the total so the
+        # plant's tan() stays off its singularity.
+        logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
+                       gamma_des, params.max_steer)
+        gamma_des = math.copysign(params.max_steer, gamma_des)
     return SteeringDecision(gamma_des, gamma_ff, gamma_fb, theta_0,
                             desired_heading(state.e, cfg.k2, cfg.variant), raw)

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 import textwrap
 
 import pytest
@@ -123,6 +124,18 @@ def test_parse_rejects_unknown_variant():
     bad = SCENARIO_YAML.replace("variant: full", "variant: fancy")
     with pytest.raises(ConfigError, match="fancy"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dt_s", ".nan"), ("speed_mps", ".nan"), ("wheelbase_m", ".nan"), ("k1", ".nan"),
+    ("e_m", ".nan"), ("max_lat_accel_mps2", ".inf"),
+    pytest.param("speed_mps", "1" + "0" * 400, id="speed_mps-int-beyond-double"),
+])
+def test_non_finite_numbers_exit_config(tmp_path, key, value):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(re.sub(rf"(?m)^(\s*{key}): .*$", rf"\1: {value}", SCENARIO_YAML))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
 def test_parse_warns_on_negative_offset(caplog):

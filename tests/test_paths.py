@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from offsetsteer import (ConfigError, DomainError, EarthState, PathSpec,
-                         PathState, build_path, curvature_at,
-                         load_curvature_table, path_to_earth,
-                         project_to_earth_errors, wrap_angle_error)
+                         PathState, build_path, load_curvature_table,
+                         wrap_angle_error)
 
 from conftest import COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS
 
@@ -19,24 +18,24 @@ from conftest import COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS
 def test_straight_curvature_is_zero():
     path = build_path(PathSpec.straight())
     for s in (0.0, 1.0, 57.3, 1e4):
-        assert curvature_at(path, s) == (0.0, 0.0)
+        assert path.curvature(s) == (0.0, 0.0)
 
 
 def test_circular_curvature_is_inverse_radius():
     path = build_path(PathSpec.circular(200.0))
     for s in (0.0, 10.0, 5000.0):
-        kappa, dkappa = curvature_at(path, s)
+        kappa, dkappa = path.curvature(s)
         assert kappa == pytest.approx(0.005, abs=0.0)
         assert dkappa == 0.0
 
 
 def test_cosine_curvature_values():
     path = build_path(PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS))
-    assert curvature_at(path, 0.0) == (0.0, 0.0)
-    kappa, dkappa = curvature_at(path, 125.0)
+    assert path.curvature(0.0) == (0.0, 0.0)
+    kappa, dkappa = path.curvature(125.0)
     assert kappa == pytest.approx(0.012566370614359173, rel=1e-14)
     assert dkappa == pytest.approx(0.0, abs=1e-17)
-    kappa, dkappa = curvature_at(path, 62.5)
+    kappa, dkappa = path.curvature(62.5)
     assert kappa == pytest.approx(0.006283185307179586, rel=1e-14)
     assert dkappa == pytest.approx(1.5791367041742974e-4, rel=1e-13)
 
@@ -150,19 +149,19 @@ def test_pose_positions_match_quadrature_of_heading():
 def test_to_earth_identity_on_path():
     path = build_path(PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS))
     for s in (0.0, 100.0, 700.0):
-        es = path_to_earth(path, PathState(s, 0.0, 0.0))
+        es = path.to_earth(PathState(s, 0.0, 0.0))
         assert es == pytest.approx(path.pose(s))
 
 
 def test_to_earth_straight_translation():
     path = build_path(PathSpec.straight())
-    es = path_to_earth(path, PathState(5.0, -10.0, 0.0))
+    es = path.to_earth(PathState(5.0, -10.0, 0.0))
     assert es == pytest.approx((5.0, -10.0, 0.0))
 
 
 def test_to_earth_circular_anchor():
     path = build_path(PathSpec.circular(200.0))
-    es = path_to_earth(path, PathState(0.0, -10.0, 0.1))
+    es = path.to_earth(PathState(0.0, -10.0, 0.1))
     assert es.x == pytest.approx(0.0, abs=1e-12)
     assert es.y == pytest.approx(-10.0, rel=1e-12)
     assert es.psi == pytest.approx(0.1, rel=1e-12)
@@ -171,7 +170,7 @@ def test_to_earth_circular_anchor():
 def test_projection_of_on_path_point():
     path = build_path(PathSpec.circular(200.0))
     xd, yd, psid = path.pose(80.0)
-    ps = project_to_earth_errors(path, EarthState(xd, yd, psid), s_hint=75.0)
+    ps = path.project(EarthState(xd, yd, psid), s_hint=75.0)
     assert ps.s == pytest.approx(80.0, abs=1e-8)
     assert ps.e == pytest.approx(0.0, abs=1e-9)
     assert ps.theta == pytest.approx(0.0, abs=1e-12)
@@ -179,7 +178,7 @@ def test_projection_of_on_path_point():
 
 def test_projection_straight_offset_point():
     path = build_path(PathSpec.straight())
-    ps = project_to_earth_errors(path, EarthState(5.0, -10.0, 0.0), s_hint=0.0)
+    ps = path.project(EarthState(5.0, -10.0, 0.0), s_hint=0.0)
     assert ps == pytest.approx((5.0, -10.0, 0.0))
 
 
@@ -187,7 +186,7 @@ def test_projection_ambiguous_outside_tube():
     # Point further left than the curvature center of a tight circle.
     path = build_path(PathSpec.circular(10.0))
     with pytest.raises(DomainError):
-        project_to_earth_errors(path, EarthState(0.0, 11.0, 0.0), s_hint=0.0)
+        path.project(EarthState(0.0, 11.0, 0.0), s_hint=0.0)
 
 
 @pytest.mark.parametrize("spec, e_max", [
@@ -202,8 +201,8 @@ def test_projection_round_trip(spec, e_max):
         e = rng.uniform(-e_max, e_max)
         theta = rng.uniform(-math.pi, math.pi)
         ps = PathState(s, e, wrap_angle_error(theta, 0.0))
-        es = path_to_earth(path, ps)
-        back = project_to_earth_errors(path, es, s_hint=s + rng.uniform(-2.0, 2.0))
+        es = path.to_earth(ps)
+        back = path.project(es, s_hint=s + rng.uniform(-2.0, 2.0))
         assert back.s == pytest.approx(ps.s, abs=1e-9)
         assert back.e == pytest.approx(ps.e, abs=1e-9)
         assert back.theta == pytest.approx(ps.theta, abs=1e-9)
@@ -217,8 +216,8 @@ def test_lateral_deviation_matches_cross_product():
     for _ in range(200):
         ps = PathState(rng.uniform(10.0, 900.0), rng.uniform(-25.0, 25.0),
                        rng.uniform(-1.0, 1.0))
-        es = path_to_earth(path, ps)
-        back = project_to_earth_errors(path, es, s_hint=ps.s)
+        es = path.to_earth(ps)
+        back = path.project(es, s_hint=ps.s)
         xd, yd, psid = path.pose(back.s)
         tx, ty = math.cos(psid), math.sin(psid)
         cross = tx * (es.y - yd) - ty * (es.x - xd)

@@ -99,6 +99,19 @@ def test_frame_consistency_for_standard_runs(runs):
         assert psi_err < 1e-7, name
 
 
+def test_frame_heading_gap_ignores_full_turns():
+    # Facing backwards on the ring road, the path-frame heading error wraps
+    # by 2*pi while the earth-frame heading does not; the headings still
+    # agree modulo 2*pi.
+    cfg = make_scenario(PathSpec.circular(CIRCLE_RADIUS), t_end=3.0,
+                        initial=PathState(0.0, 10.0, math.radians(179.0)))
+    traj, _ = run_scenario(cfg)
+    pos_err, psi_err = traj.frame_mismatch()
+    assert np.abs(traj.earth_psi - traj.psi).max() > 6.0  # the columns do differ by 2*pi
+    assert pos_err < 1e-6
+    assert psi_err < 1e-7
+
+
 def test_small_perturbations_follow_linear_model(params):
     # Matrix-exponential oracle for the reduced linear model on a constant
     # curvature; the nonlinear run must track it to 1% of the perturbation.
