@@ -17,9 +17,11 @@ import math
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -57,6 +59,14 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _count(value, what: str) -> int:
+    """The whole number >= 1 a count (resolution, points, periods) must be."""
+    number = _number(value, what)
+    if number < 1.0 or number != int(number):
+        raise ConfigError(f"{what} must be a whole number >= 1, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Resolved inputs for the stability-map and freq-response workflows."""
@@ -79,131 +89,154 @@ class RunManifest:
     seedless: bool = False
 
     def write(self, path) -> None:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "outputs": self.outputs,
-            "wall_clock_s": self.wall_clock_s,
-            "exit_status": self.exit_status,
-            "seedless": self.seedless,
-        }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-class _Section:
-    """Mapping view that tracks consumption and rejects unknown keys."""
+# -- config schema: one table per section drives parsing, echo and help ------
 
-    def __init__(self, name: str, data):
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigError(f"section '{name}' must be a mapping, got {type(data).__name__}")
-        self.name = name
-        self.data = dict(data)
-
-    def take(self, key: str, default=_REQUIRED):
-        if key not in self.data:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self.name}: missing required key '{key}'")
-            return default
-        return self.data.pop(key)
-
-    def take_number(self, key: str, default=_REQUIRED) -> float:
-        value = self.take(key, default)
-        if value is default and default is not _REQUIRED:
-            return value
-        return _number(value, f"{self.name}: key '{key}'")
-
-    def take_angle(self, base: str, default=_REQUIRED) -> float:
-        """Angles require an explicit unit suffix: <base>_deg or <base>_rad."""
-        deg_key, rad_key = f"{base}_deg", f"{base}_rad"
-        if base in self.data:
-            raise ConfigError(
-                f"{self.name}: key '{base}' needs a unit suffix ('{deg_key}' or '{rad_key}')")
-        if deg_key in self.data and rad_key in self.data:
-            raise ConfigError(f"{self.name}: give only one of '{deg_key}' and '{rad_key}'")
-        if deg_key in self.data:
-            return math.radians(self.take_number(deg_key))
-        if rad_key in self.data:
-            return self.take_number(rad_key)
-        if default is _REQUIRED:
-            raise ConfigError(f"{self.name}: missing required key '{deg_key}' (or '{rad_key}')")
-        return default
-
-    def subsection(self, key: str, default=_REQUIRED) -> "_Section | None":
-        if key not in self.data and default is not _REQUIRED:
-            return None
-        return _Section(f"{self.name}.{key}", self.take(key))
-
-    def finish(self) -> None:
-        if self.data:
-            raise ConfigError(f"{self.name}: unknown keys {sorted(self.data)}")
+class _Key(NamedTuple):
+    key: str           # YAML key; an angle's base name, given as <key>_deg or <key>_rad
+    field: str | int   # dataclass field, or tuple slot, that the value fills
+    kind: str = "number"  # number | count (whole number >= 1) | angle | text
+    default: object = _REQUIRED
 
 
-def _parse_vehicle(section: _Section) -> VehicleParams:
-    wheelbase = section.take_number("wheelbase_m")
-    offset = section.take_number("sensor_offset_m")
-    max_steer = section.take_angle("max_steer")
-    speed = section.take_number("speed_mps")
-    section.finish()
-    if offset < 0.0:
-        logger.warning("sensor offset %.4g m is negative (behind the rear axle); "
-                       "the model remains valid but no standard scenario uses it", offset)
-    return VehicleParams(wheelbase=wheelbase, sensor_offset=offset,
-                         max_steer=max_steer, speed=speed)
+_VEHICLE = (_Key("wheelbase_m", "wheelbase"), _Key("sensor_offset_m", "sensor_offset"),
+            _Key("max_steer", "max_steer", "angle"), _Key("speed_mps", "speed"))
+_CONTROL = (_Key("k1", "k1"), _Key("k2_per_m", "k2"),
+            _Key("max_lat_accel_mps2", "max_lat_accel"),
+            _Key("variant", "variant", "text", ControlConfig.variant))
+_INITIAL = (_Key("s_m", "s"), _Key("e_m", "e"), _Key("theta", "theta", "angle"))
+_SIM = (_Key("dt_s", "dt", default=ScenarioConfig.dt),
+        _Key("t_end_s", "t_end", default=None),
+        _Key("frame", "frame", "text", ScenarioConfig.frame),
+        _Key("control_dt_s", "control_dt", default=None),
+        _Key("settle_threshold_m", "settle_threshold", default=ScenarioConfig.settle_threshold))
+_ANCHOR = (_Key("x_m", "x0", default=0.0), _Key("y_m", "y0", default=0.0),
+           _Key("heading", "psi0", "angle", 0.0))
+# The sampled kind's csv / inline table is read in code (``_sampled_table``).
+_PATH_KINDS = {"straight": (),
+               "circular": (_Key("radius_m", "radius"),),
+               "cosine": (_Key("kappa_max_per_m", "kappa_max"), _Key("period_m", "period"),
+                          _Key("periods", "periods", "count")),
+               "sampled": None}
+_GRID = (_Key("k1_min", 0), _Key("k1_max", 1), _Key("k2_min", 2), _Key("k2_max", 3),
+         _Key("resolution", 4, "count", 200))
+_GAIN = (_Key("k1", 0), _Key("k2_per_m", 1))
+_OMEGA = (_Key("min_rad_s", 0, default=OMEGA_MIN), _Key("max_rad_s", 1, default=OMEGA_MAX),
+          _Key("points", 2, "count", OMEGA_POINTS))
 
 
-def _parse_control(section: _Section) -> ControlConfig:
-    k1 = section.take_number("k1")
-    k2 = section.take_number("k2_per_m")
-    a_max = section.take_number("max_lat_accel_mps2")
-    variant = section.take("variant", ControlConfig.variant)
-    section.finish()
-    return ControlConfig(k1=k1, k2=k2, max_lat_accel=a_max, variant=variant)
+def _mapping(name: str, data) -> dict:
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{name}' must be a mapping, got {type(data).__name__}")
+    return dict(data)
 
 
-def _parse_path(section: _Section, base_dir: FsPath) -> PathSpec:
-    kind = section.take("kind")
-    anchor = section.subsection("anchor", None)
-    x0 = y0 = psi0 = 0.0
-    if anchor is not None:
-        x0 = anchor.take_number("x_m", 0.0)
-        y0 = anchor.take_number("y_m", 0.0)
-        psi0 = anchor.take_angle("heading", 0.0)
-        anchor.finish()
-    if kind == "straight":
-        spec = PathSpec.straight(x0, y0, psi0)
-    elif kind == "circular":
-        spec = PathSpec.circular(section.take_number("radius_m"), x0, y0, psi0)
-    elif kind == "cosine":
-        spec = PathSpec.cosine(section.take_number("kappa_max_per_m"),
-                               section.take_number("period_m"),
-                               int(section.take_number("periods")), x0, y0, psi0)
-    elif kind == "sampled":
-        if "table" in section.data:
-            table_sec = section.subsection("table")
-            s_vals = table_sec.take("s_m")
-            k_vals = table_sec.take("kappa_per_m")
-            table_sec.finish()
-            if not isinstance(s_vals, list) or not isinstance(k_vals, list):
-                raise ConfigError("path.table: s_m and kappa_per_m must be lists")
-            spec = PathSpec.sampled([_number(v, "path.table.s_m") for v in s_vals],
-                                    [_number(v, "path.table.kappa_per_m") for v in k_vals],
-                                    x0, y0, psi0)
+def _pop(data: dict, name: str, key: str, default=_REQUIRED):
+    if key in data:
+        return data.pop(key)
+    if default is _REQUIRED:
+        raise ConfigError(f"{name}: missing required key '{key}'")
+    return default
+
+
+def _finish(name: str, data: dict) -> None:
+    if data:
+        raise ConfigError(f"{name}: unknown keys {sorted(data)}")
+
+
+def _take(data: dict, name: str, schema) -> dict:
+    """Pop the schema's keys from the mapping ``data``: {field: value}."""
+    values = {}
+    for k in schema:
+        key = k.key
+        if k.kind == "angle":
+            deg_key, rad_key = f"{key}_deg", f"{key}_rad"
+            if key in data:
+                raise ConfigError(
+                    f"{name}: key '{key}' needs a unit suffix ('{deg_key}' or '{rad_key}')")
+            if deg_key in data and rad_key in data:
+                raise ConfigError(f"{name}: give only one of '{deg_key}' and '{rad_key}'")
+            if deg_key not in data and rad_key not in data and k.default is _REQUIRED:
+                raise ConfigError(f"{name}: missing required key '{deg_key}' (or '{rad_key}')")
+            key = deg_key if deg_key in data else rad_key
+        if key not in data:
+            values[k.field] = _pop(data, name, key, k.default)  # default, or missing-key error
+        elif k.kind == "text":
+            values[k.field] = data.pop(key)
+        elif k.kind == "count":
+            values[k.field] = _count(data.pop(key), f"{name}: key '{key}'")
         else:
-            csv_name = section.take("csv")
-            csv_path = FsPath(csv_name)
-            if not csv_path.is_absolute():
-                csv_path = base_dir / csv_path
-            table = load_curvature_table(csv_path)
-            spec = PathSpec.sampled(table.table_s, table.table_kappa, x0, y0, psi0)
+            number = _number(data.pop(key), f"{name}: key '{key}'")
+            values[k.field] = math.radians(number) if key == f"{k.key}_deg" else number
+    return values
+
+
+def _read(name: str, data, schema) -> dict:
+    """Read a whole section: {field: value}; unknown keys are an error."""
+    data = _mapping(name, data)
+    values = _take(data, name, schema)
+    _finish(name, data)
+    return values
+
+
+def _section(top: dict, key: str, schema, default=_REQUIRED) -> dict:
+    return _read(f"config.{key}", _pop(top, "config", key, default), schema)
+
+
+def _echo(schema, source) -> dict:
+    """Re-parseable view of one section: angles in radians, unset (None) values left out."""
+    echo = {}
+    for k in schema:
+        value = getattr(source, k.field) if isinstance(k.field, str) else source[k.field]
+        if value is not None:
+            echo[f"{k.key}_rad" if k.kind == "angle" else k.key] = value
+    return echo
+
+
+def _needs(name: str, schema) -> str:
+    """'name(key, ...)' with the section's required keys, for the empty-config help."""
+    keys = (f"{k.key}_deg|_rad" if k.kind == "angle" else k.key
+            for k in schema if k.default is _REQUIRED)
+    return f"{name}({', '.join(keys)})"
+
+
+def _sampled_table(data: dict, name: str, base_dir: FsPath):
+    """(s, kappa) of a sampled path: an inline ``table`` or a ``csv`` file."""
+    if "table" in data:
+        table_name = f"{name}.table"
+        table = _mapping(table_name, data.pop("table"))
+        s_vals = _pop(table, table_name, "s_m")
+        k_vals = _pop(table, table_name, "kappa_per_m")
+        _finish(table_name, table)
+        if not isinstance(s_vals, list) or not isinstance(k_vals, list):
+            raise ConfigError("path.table: s_m and kappa_per_m must be lists")
+        return ([_number(v, "path.table.s_m") for v in s_vals],
+                [_number(v, "path.table.kappa_per_m") for v in k_vals])
+    csv_name = _pop(data, name, "csv")
+    if not isinstance(csv_name, str):
+        raise ConfigError(f"{name}: key 'csv' must be a file name, got {csv_name!r}")
+    table = load_curvature_table(base_dir / csv_name)  # an absolute name replaces base_dir
+    return table.table_s, table.table_kappa
+
+
+def _read_path(data, base_dir: FsPath) -> PathSpec:
+    name = "config.path"
+    data = _mapping(name, data)
+    kind = _pop(data, name, "kind")
+    anchor = _read(f"{name}.anchor", data.pop("anchor", None), _ANCHOR)
+    if not isinstance(kind, str) or kind not in _PATH_KINDS:
+        raise ConfigError(f"path: unknown kind {kind!r}; expected {'|'.join(_PATH_KINDS)}")
+    if kind == "sampled":
+        spec = PathSpec.sampled(*_sampled_table(data, name, base_dir), **anchor)
     else:
-        raise ConfigError(f"path: unknown kind {kind!r}; "
-                          "expected straight|circular|cosine|sampled")
-    section.finish()
+        spec = PathSpec(kind, **_take(data, name, _PATH_KINDS[kind]), **anchor)
+    _finish(name, data)
     spec.validate()
     return spec
 
@@ -213,8 +246,8 @@ def _parse_kappa0(raw, vehicle: VehicleParams) -> tuple[float, ...]:
     if raw == "auto" or raw is None:
         kb = kappa_bar(vehicle)
         return (0.0, 0.5 * kb, kb)
-    if not isinstance(raw, list):
-        raise ConfigError("kappa0_per_m must be 'auto' or a list of numbers")
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("kappa0_per_m must be 'auto' or a non-empty list of numbers")
     return tuple(_number(v, "kappa0_per_m") for v in raw)
 
 
@@ -225,71 +258,57 @@ def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig
         raise ConfigError(f"malformed YAML: {exc}") from None
     if doc is None:
         raise ConfigError(
-            "empty config; a scenario needs sections vehicle(wheelbase_m, sensor_offset_m, "
-            "max_steer_deg|_rad, speed_mps), control(k1, k2_per_m, max_lat_accel_mps2), "
-            "path(kind, ...), initial(s_m, e_m, theta_deg|_rad); an analysis config needs "
-            "vehicle plus grid(...) or gains[...]")
-    top = _Section("config", doc)
+            f"empty config; a scenario needs sections {_needs('vehicle', _VEHICLE)}, "
+            f"{_needs('control', _CONTROL)}, path(kind, ...), {_needs('initial', _INITIAL)}; "
+            f"an analysis config needs vehicle plus {_needs('grid', _GRID)} "
+            f"or a list of {_needs('gains', _GAIN)}")
+    top = _mapping("config", doc)
+    scenario = "path" in top or "initial" in top
+    if not scenario and "grid" not in top and "gains" not in top:
+        raise ConfigError("config must contain either a scenario ('path' and 'initial' "
+                          "sections) or an analysis ('grid' or 'gains')")
+    vehicle = VehicleParams(**_section(top, "vehicle", _VEHICLE))
+    if vehicle.sensor_offset < 0.0:
+        logger.warning("sensor offset %.4g m is negative (behind the rear axle); "
+                       "the model remains valid but no standard scenario uses it",
+                       vehicle.sensor_offset)
 
-    if "path" in top.data or "initial" in top.data:
-        vehicle = _parse_vehicle(top.subsection("vehicle"))
-        control = _parse_control(top.subsection("control"))
-        path_spec = _parse_path(top.subsection("path"), base_dir)
-        init = top.subsection("initial")
-        initial = PathState(init.take_number("s_m"), init.take_number("e_m"),
-                            init.take_angle("theta"))
-        init.finish()
-        sim = _Section("config.sim", top.take("sim", None))
-        dt = sim.take_number("dt_s", ScenarioConfig.dt)
-        t_end = sim.take_number("t_end_s", None)
-        frame = sim.take("frame", ScenarioConfig.frame)
-        control_dt = sim.take_number("control_dt_s", None)
-        settle = sim.take_number("settle_threshold_m", ScenarioConfig.settle_threshold)
-        sim.finish()
-        variants = top.take("variants", None)
+    if scenario:
+        control = ControlConfig(**_section(top, "control", _CONTROL))
+        path_spec = _read_path(_pop(top, "config", "path"), base_dir)
+        initial = PathState(**_section(top, "initial", _INITIAL))
+        sim = _section(top, "sim", _SIM, None)
+        variants = top.pop("variants", None)
         if variants is not None:
             if (not isinstance(variants, list) or not variants
                     or any(v not in VARIANTS for v in variants)):
                 raise ConfigError(f"variants must be a non-empty list drawn from {VARIANTS}")
             variants = tuple(variants)
-        top.finish()
+        _finish("config", top)
         cfg = ScenarioConfig(path_spec=path_spec, vehicle=vehicle, control=control,
-                             initial=initial, dt=dt, t_end=t_end, frame=frame,
-                             control_dt=control_dt, settle_threshold=settle)
+                             initial=initial, **sim)
         return cfg, {"variants": variants}
 
-    if "grid" in top.data or "gains" in top.data:
-        vehicle = _parse_vehicle(top.subsection("vehicle"))
-        kappa0 = _parse_kappa0(top.take("kappa0_per_m", None), vehicle)
-        grid = gains = omega = None
-        grid_sec = top.subsection("grid", None)
-        if grid_sec is not None:
-            grid = ((grid_sec.take_number("k1_min"), grid_sec.take_number("k1_max")),
-                    (grid_sec.take_number("k2_min"), grid_sec.take_number("k2_max")),
-                    int(grid_sec.take_number("resolution", 200)))
-            grid_sec.finish()
-        raw_gains = top.take("gains", None)
-        if raw_gains is not None:
-            if not isinstance(raw_gains, list) or not raw_gains:
-                raise ConfigError("gains must be a non-empty list of {k1, k2_per_m} maps")
-            parsed = []
-            for idx, item in enumerate(raw_gains):
-                sec = _Section(f"gains[{idx}]", item)
-                parsed.append((sec.take_number("k1"), sec.take_number("k2_per_m")))
-                sec.finish()
-            gains = tuple(parsed)
-        omega_sec = top.subsection("omega", None)
-        if omega_sec is not None:
-            omega = (omega_sec.take_number("min_rad_s", OMEGA_MIN),
-                     omega_sec.take_number("max_rad_s", OMEGA_MAX),
-                     int(omega_sec.take_number("points", OMEGA_POINTS)))
-            omega_sec.finish()
-        top.finish()
-        return AnalysisConfig(vehicle=vehicle, kappa0=kappa0, grid=grid,
-                              gains=gains, omega=omega), {}
-
-    raise ConfigError("config must contain either a scenario ('path' and 'initial' "
-                      "sections) or an analysis ('grid' or 'gains')")
+    kappa0 = _parse_kappa0(top.pop("kappa0_per_m", None), vehicle)
+    grid = gains = omega = None
+    if "grid" in top:
+        g = _section(top, "grid", _GRID)
+        grid = ((g[0], g[1]), (g[2], g[3]), g[4])
+    raw_gains = top.pop("gains", None)
+    if raw_gains is not None:
+        if not isinstance(raw_gains, list) or not raw_gains:
+            raise ConfigError("gains must be a non-empty list of {k1, k2_per_m} maps")
+        items = [_read(f"gains[{idx}]", item, _GAIN) for idx, item in enumerate(raw_gains)]
+        gains = tuple((g[0], g[1]) for g in items)
+    if "omega" in top:
+        w = _section(top, "omega", _OMEGA)
+        if not (w[0] > 0.0 and w[1] > 0.0):
+            raise ConfigError(f"config.omega: min_rad_s and max_rad_s must be > 0, "
+                              f"got {w[0]!r} and {w[1]!r}")
+        omega = (w[0], w[1], w[2])
+    _finish("config", top)
+    return AnalysisConfig(vehicle=vehicle, kappa0=kappa0, grid=grid,
+                          gains=gains, omega=omega), {}
 
 
 def parse_config(text: str, base_dir=".") -> ScenarioConfig | AnalysisConfig:
@@ -300,57 +319,33 @@ def parse_config(text: str, base_dir=".") -> ScenarioConfig | AnalysisConfig:
 
 # -- config echoes (re-parseable resolved views) --------------------------
 
-def _echo_vehicle(p: VehicleParams) -> dict:
-    return {"wheelbase_m": p.wheelbase, "sensor_offset_m": p.sensor_offset,
-            "max_steer_rad": p.max_steer, "speed_mps": p.speed}
-
-
 def _echo_scenario(cfg: ScenarioConfig, variants=None) -> dict:
     spec = cfg.path_spec
-    path: dict = {"kind": spec.kind}
-    if spec.kind == "circular":
-        path["radius_m"] = spec.radius
-    elif spec.kind == "cosine":
-        path.update(kappa_max_per_m=spec.kappa_max, period_m=spec.period,
-                    periods=spec.periods)
-    elif spec.kind == "sampled":
+    if spec.kind == "sampled":
         # Echo the resolved table inline so the echo re-parses anywhere.
-        path["table"] = {"s_m": list(spec.table_s),
-                         "kappa_per_m": list(spec.table_kappa)}
+        path = {"kind": spec.kind, "table": {"s_m": list(spec.table_s),
+                                             "kappa_per_m": list(spec.table_kappa)}}
+    else:
+        path = {"kind": spec.kind, **_echo(_PATH_KINDS[spec.kind], spec)}
     if spec.x0 or spec.y0 or spec.psi0:
-        path["anchor"] = {"x_m": spec.x0, "y_m": spec.y0, "heading_rad": spec.psi0}
-    echo = {
-        "vehicle": _echo_vehicle(cfg.vehicle),
-        "control": {"k1": cfg.control.k1, "k2_per_m": cfg.control.k2,
-                    "max_lat_accel_mps2": cfg.control.max_lat_accel,
-                    "variant": cfg.control.variant},
-        "path": path,
-        "initial": {"s_m": cfg.initial.s, "e_m": cfg.initial.e,
-                    "theta_rad": cfg.initial.theta},
-        "sim": {"dt_s": cfg.dt, "frame": cfg.frame,
-                "settle_threshold_m": cfg.settle_threshold},
-    }
-    if cfg.t_end is not None:
-        echo["sim"]["t_end_s"] = cfg.t_end
-    if cfg.control_dt is not None:
-        echo["sim"]["control_dt_s"] = cfg.control_dt
+        path["anchor"] = _echo(_ANCHOR, spec)
+    echo = {"vehicle": _echo(_VEHICLE, cfg.vehicle), "control": _echo(_CONTROL, cfg.control),
+            "path": path, "initial": _echo(_INITIAL, cfg.initial), "sim": _echo(_SIM, cfg)}
     if variants:
         echo["variants"] = list(variants)
     return echo
 
 
 def _echo_analysis(cfg: AnalysisConfig) -> dict:
-    echo: dict = {"vehicle": _echo_vehicle(cfg.vehicle),
+    echo: dict = {"vehicle": _echo(_VEHICLE, cfg.vehicle),
                   "kappa0_per_m": list(cfg.kappa0)}
     if cfg.grid is not None:
         (k1_lo, k1_hi), (k2_lo, k2_hi), res = cfg.grid
-        echo["grid"] = {"k1_min": k1_lo, "k1_max": k1_hi,
-                        "k2_min": k2_lo, "k2_max": k2_hi, "resolution": res}
+        echo["grid"] = _echo(_GRID, (k1_lo, k1_hi, k2_lo, k2_hi, res))
     if cfg.gains is not None:
-        echo["gains"] = [{"k1": k1, "k2_per_m": k2} for k1, k2 in cfg.gains]
+        echo["gains"] = [_echo(_GAIN, gain) for gain in cfg.gains]
     if cfg.omega is not None:
-        lo, hi, pts = cfg.omega
-        echo["omega"] = {"min_rad_s": lo, "max_rad_s": hi, "points": pts}
+        echo["omega"] = _echo(_OMEGA, cfg.omega)
     return echo
 
 
@@ -360,20 +355,35 @@ def _digest(path) -> str:
     return hashlib.sha256(FsPath(path).read_bytes()).hexdigest()
 
 
-def _assert_deterministic(render, out_dir: FsPath, outputs: list[str]) -> None:
-    """Re-render into a scratch directory and require byte-identical files."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_dir = FsPath(tmp)
-        render(tmp_dir)
-        for name in outputs:
-            if _digest(out_dir / name) != _digest(tmp_dir / name):
-                raise OffsetSteerError(f"determinism check failed for {name}")
+def _load(config_path, expected: type, dt=None) -> tuple:
+    """(config, extras, input digests) of the config file, which must be of ``expected`` type."""
+    config_path = FsPath(config_path)
+    cfg, extras = _parse(config_path.read_text(), config_path.parent)
+    if not isinstance(cfg, expected):
+        what = "a scenario" if expected is ScenarioConfig else "an analysis"
+        raise ConfigError(f"{config_path}: expected {what} config")
+    if dt is not None:
+        cfg = replace(cfg, dt=dt)
+    return cfg, extras, {str(config_path): _digest(config_path)}
 
 
-def _finalize(command: str, echo: dict, digests: dict, out_dir: FsPath,
-              outputs: list[str], started: float, render, seedless: bool) -> RunManifest:
+def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
+         render, seedless: bool) -> RunManifest:
+    """Render into ``out_dir`` and write the manifest.
+
+    ``render(target)`` writes the artifacts under ``target`` and returns their
+    names. With ``seedless`` it runs a second time into a scratch directory and
+    every artifact must come out byte-identical.
+    """
+    out_dir = FsPath(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = render(out_dir)
     if seedless:
-        _assert_deterministic(render, out_dir, outputs)
+        with tempfile.TemporaryDirectory() as tmp:
+            render(FsPath(tmp))
+            for name in outputs:
+                if _digest(out_dir / name) != _digest(FsPath(tmp) / name):
+                    raise OffsetSteerError(f"determinism check failed for {name}")
     manifest = RunManifest(command=command, config=echo, input_digests=digests,
                            outputs=sorted(outputs + ["manifest.json"]),
                            wall_clock_s=time.perf_counter() - started,
@@ -382,24 +392,11 @@ def _finalize(command: str, echo: dict, digests: dict, out_dir: FsPath,
     return manifest
 
 
-def _load_scenario(config_path, dt=None, variant=None) -> tuple[ScenarioConfig, tuple | None, dict]:
-    config_path = FsPath(config_path)
-    text = config_path.read_text()
-    cfg, extras = _parse(text, config_path.parent)
-    if not isinstance(cfg, ScenarioConfig):
-        raise ConfigError(f"{config_path}: expected a scenario config")
-    if dt is not None:
-        cfg = replace(cfg, dt=dt)
-    if variant is not None:
-        cfg = replace(cfg, control=replace(cfg.control, variant=variant))
-    return cfg, extras.get("variants"), {str(config_path): _digest(config_path)}
-
-
 def cmd_simulate(config_path, out_dir, dt=None, variant=None, seedless=False) -> RunManifest:
     started = time.perf_counter()
-    cfg, _, digests = _load_scenario(config_path, dt, variant)
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, _, digests = _load(config_path, ScenarioConfig, dt)
+    if variant is not None:
+        cfg = replace(cfg, control=replace(cfg.control, variant=variant))
 
     def render(target: FsPath):
         traj, metrics = run_scenario(cfg)
@@ -407,17 +404,13 @@ def cmd_simulate(config_path, out_dir, dt=None, variant=None, seedless=False) ->
         write_metrics(metrics, target / "metrics.txt", target / "metrics.json")
         return ["trajectory.csv", "metrics.txt", "metrics.json"]
 
-    outputs = render(out_dir)
-    return _finalize("simulate", _echo_scenario(cfg), digests, out_dir, outputs,
-                     started, render, seedless)
+    return _run("simulate", started, _echo_scenario(cfg), digests, out_dir, render, seedless)
 
 
 def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) -> RunManifest:
     started = time.perf_counter()
-    cfg, cfg_variants, digests = _load_scenario(config_path, dt)
-    variants = tuple(variants) if variants else (cfg_variants or ("naive", "full"))
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, extras, digests = _load(config_path, ScenarioConfig, dt)
+    variants = tuple(variants) if variants else (extras["variants"] or ("naive", "full"))
 
     def render(target: FsPath):
         report = compare_controllers(cfg, variants)
@@ -441,26 +434,15 @@ def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) ->
             names.append("failures.json")
         return names
 
-    outputs = render(out_dir)
-    return _finalize("compare", _echo_scenario(cfg, variants), digests, out_dir,
-                     outputs, started, render, seedless)
-
-
-def _load_analysis(config_path) -> tuple[AnalysisConfig, dict]:
-    config_path = FsPath(config_path)
-    cfg, _ = _parse(config_path.read_text(), config_path.parent)
-    if not isinstance(cfg, AnalysisConfig):
-        raise ConfigError(f"{config_path}: expected an analysis config")
-    return cfg, {str(config_path): _digest(config_path)}
+    return _run("compare", started, _echo_scenario(cfg, variants), digests, out_dir,
+                render, seedless)
 
 
 def cmd_stability_map(config_path, out_dir, seedless=False) -> RunManifest:
     started = time.perf_counter()
-    cfg, digests = _load_analysis(config_path)
+    cfg, _, digests = _load(config_path, AnalysisConfig)
     if cfg.grid is None:
         raise ConfigError("stability-map needs a 'grid' section")
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def render(target: FsPath):
         k1_range, k2_range, resolution = cfg.grid
@@ -469,18 +451,15 @@ def cmd_stability_map(config_path, out_dir, seedless=False) -> RunManifest:
         write_stability_csv(result, target / "stability_map.csv")
         return ["stability_map.csv"]
 
-    outputs = render(out_dir)
-    return _finalize("stability-map", _echo_analysis(cfg), digests, out_dir,
-                     outputs, started, render, seedless)
+    return _run("stability-map", started, _echo_analysis(cfg), digests, out_dir,
+                render, seedless)
 
 
 def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
     started = time.perf_counter()
-    cfg, digests = _load_analysis(config_path)
+    cfg, _, digests = _load(config_path, AnalysisConfig)
     if cfg.gains is None:
         raise ConfigError("freq-response needs a 'gains' list")
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def render(target: FsPath):
         if cfg.omega is not None:
@@ -503,19 +482,11 @@ def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
         names.append("points.csv")
         return names
 
-    outputs = render(out_dir)
-    return _finalize("freq-response", _echo_analysis(cfg), digests, out_dir,
-                     outputs, started, render, seedless)
+    return _run("freq-response", started, _echo_analysis(cfg), digests, out_dir,
+                render, seedless)
 
 
 # -- preset bundle ---------------------------------------------------------
-
-_PRESET_SIMULATE = ("optimal_gain", "positive_feedback")
-_PRESET_COMPARE = ("straight_compare", "circular_compare", "varying_curvature_compare")
-_PRESET_ANALYSIS = (("stability_map_d2", cmd_stability_map),
-                    ("stability_map_d3", cmd_stability_map),
-                    ("freq_response", cmd_freq_response))
-
 
 def preset_text(name: str) -> str:
     """Contents of a bundled preset config."""
@@ -553,27 +524,18 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
     started = time.perf_counter()
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    compare, simulate = partial(cmd_compare, dt=dt), partial(cmd_simulate, dt=dt)
+    runs = (("straight_compare", compare), ("circular_compare", compare),
+            ("varying_curvature_compare", compare), ("optimal_gain", simulate),
+            ("positive_feedback", simulate), ("stability_map_d2", cmd_stability_map),
+            ("stability_map_d3", cmd_stability_map), ("freq_response", cmd_freq_response))
     outputs: list[str] = []
     digests: dict[str, str] = {}
-
     with tempfile.TemporaryDirectory() as tmp:
-        def materialize(name: str) -> FsPath:
-            target = FsPath(tmp) / f"{name}.yaml"
-            target.write_text(preset_text(name))
-            return target
-
-        for name in _PRESET_COMPARE:
-            manifest = cmd_compare(materialize(name), out_dir / name, dt=dt,
-                                   seedless=seedless)
-            digests[f"preset:{name}"] = next(iter(manifest.input_digests.values()))
-            outputs += [f"{name}/{out}" for out in manifest.outputs]
-        for name in _PRESET_SIMULATE:
-            manifest = cmd_simulate(materialize(name), out_dir / name, dt=dt,
-                                    seedless=seedless)
-            digests[f"preset:{name}"] = next(iter(manifest.input_digests.values()))
-            outputs += [f"{name}/{out}" for out in manifest.outputs]
-        for name, command in _PRESET_ANALYSIS:
-            manifest = command(materialize(name), out_dir / name, seedless=seedless)
+        for name, command in runs:
+            config = FsPath(tmp) / f"{name}.yaml"
+            config.write_text(preset_text(name))
+            manifest = command(config, out_dir / name, seedless=seedless)
             digests[f"preset:{name}"] = next(iter(manifest.input_digests.values()))
             outputs += [f"{name}/{out}" for out in manifest.outputs]
 
@@ -581,11 +543,11 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
                            max_steer=math.radians(30.0), speed=20.0)
     outputs += _write_sweep_csvs(out_dir, table1)
 
-    manifest = RunManifest(command="figs-repro", config={"presets": sorted(
-        [*_PRESET_COMPARE, *_PRESET_SIMULATE, *(n for n, _ in _PRESET_ANALYSIS)])},
-        input_digests=digests, outputs=sorted(outputs + ["manifest.json"]),
-        wall_clock_s=time.perf_counter() - started, exit_status=EXIT_OK,
-        seedless=seedless)
+    manifest = RunManifest(command="figs-repro",
+                           config={"presets": sorted(name for name, _ in runs)},
+                           input_digests=digests, outputs=sorted(outputs + ["manifest.json"]),
+                           wall_clock_s=time.perf_counter() - started, exit_status=EXIT_OK,
+                           seedless=seedless)
     manifest.write(out_dir / "manifest.json")
     return manifest
 

@@ -119,6 +119,8 @@ class PathSpec:
             if len(self.table_s) < 2:
                 raise ConfigError("sampled path table needs at least two rows")
             s = np.asarray(self.table_s)
+            if not np.all(np.isfinite(s)) or not np.all(np.isfinite(self.table_kappa)):
+                raise ConfigError("sampled path table must hold finite numbers only")
             if not np.all(np.diff(s) > 0.0):
                 raise ConfigError("sampled path table must be strictly increasing in s")
             return

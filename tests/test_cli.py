@@ -8,11 +8,14 @@ import textwrap
 
 import pytest
 import yaml
+from hypothesis import assume, example, given, settings, strategies as st
 
-from offsetsteer import ConfigError, ScenarioConfig, amplification, is_stable
+from offsetsteer import (VARIANTS, ConfigError, ControlConfig, PathSpec, PathState,
+                         ScenarioConfig, VehicleParams, amplification, is_stable)
 from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
-                             AnalysisConfig, cmd_freq_response, cmd_simulate,
-                             cmd_stability_map, main, parse_config, preset_text)
+                             AnalysisConfig, _echo_analysis, _echo_scenario,
+                             cmd_freq_response, cmd_simulate, cmd_stability_map, main,
+                             parse_config, preset_text)
 
 SCENARIO_YAML = textwrap.dedent("""\
     vehicle:
@@ -138,6 +141,39 @@ def test_non_finite_numbers_exit_config(tmp_path, key, value):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "periods", "2.5"),
+    ("stability-map", "resolution", "-1"), ("stability-map", "resolution", "0"),
+    ("stability-map", "resolution", "2.7"),
+    ("freq-response", "points", "-1"), ("freq-response", "points", "0"),
+    ("freq-response", "min_rad_s", "0.0"), ("freq-response", "min_rad_s", "-1.0e-3"),
+    ("freq-response", "max_rad_s", "0.0"),
+    ("stability-map", "kappa0_per_m", "[]"), ("freq-response", "kappa0_per_m", "[]"),
+])
+def test_counts_and_ranges_exit_config(tmp_path, command, key, value):
+    text = SCENARIO_YAML if command == "simulate" else (
+        ANALYSIS_YAML + "omega:\n  min_rad_s: 0.01\n  max_rad_s: 100.0\n  points: 50\n")
+    parse_config(text)  # valid before the one edit
+    config = tmp_path / "config.yaml"
+    config.write_text(re.sub(rf"(?m)^(\s*{key}): .*$", rf"\1: {value}", text))
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("csv, kappa", [("table.csv", "nan"), ("5", "0.002"), ("", "0.002")],
+                         ids=["nan-cell", "csv-number", "csv-empty"])
+def test_bad_sampled_path_exits_config(tmp_path, csv, kappa):
+    (tmp_path / "table.csv").write_text(
+        f"s_meters,kappa_per_meter\n0.0,0.0\n500.0,{kappa}\n1000.0,0.0\n")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
+        "  period_m: 250.0\n  periods: 4",
+        f"  kind: sampled\n  csv: {csv}"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
 def test_parse_warns_on_negative_offset(caplog):
     text = SCENARIO_YAML.replace("sensor_offset_m: 2.0", "sensor_offset_m: -0.4")
     with caplog.at_level(logging.WARNING):
@@ -163,6 +199,74 @@ def test_parse_sampled_path_from_csv(tmp_path):
     cfg = parse_config(text, base_dir=tmp_path)
     assert cfg.path_spec.kind == "sampled"
     assert len(cfg.path_spec.table_s) == 3
+
+
+# Generated valid configs: the echo must parse back to the same config.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+_vehicles = st.builds(VehicleParams, wheelbase=_positive, sensor_offset=_finite,
+                      max_steer=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+                      speed=_positive)
+
+
+@st.composite
+def _path_specs(draw):
+    anchor = draw(st.just({}) | st.fixed_dictionaries(
+        {"x0": _finite, "y0": _finite, "psi0": _finite}))
+    kind = draw(st.sampled_from(("straight", "circular", "cosine", "sampled")))
+    if kind == "straight":
+        return PathSpec.straight(**anchor)
+    if kind == "circular":
+        return PathSpec.circular(draw(_positive), **anchor)
+    if kind == "cosine":
+        return PathSpec.cosine(draw(st.floats(0.0, 1e300)), draw(_positive),
+                               draw(st.integers(1, 10**6)), **anchor)
+    s = sorted(draw(st.lists(_finite, min_size=2, max_size=6, unique=True)))
+    kappa = draw(st.lists(_finite, min_size=len(s), max_size=len(s)))
+    return PathSpec.sampled(s, kappa, **anchor)
+
+
+@st.composite
+def _scenarios(draw):
+    dt = draw(st.floats(0.0, 1e3, exclude_min=True))
+    return ScenarioConfig(
+        path_spec=draw(_path_specs()), vehicle=draw(_vehicles),
+        control=draw(st.builds(ControlConfig, k1=_finite, k2=_finite, max_lat_accel=_positive,
+                               variant=st.sampled_from(VARIANTS))),
+        initial=draw(st.builds(PathState, _finite, _finite, _finite)), dt=dt,
+        t_end=draw(st.none() | st.floats(2e3, 1e300)),
+        frame=draw(st.sampled_from(("path", "earth", "both"))),
+        control_dt=draw(st.none() | st.integers(1, 1000).map(lambda n: n * dt)),
+        settle_threshold=draw(_positive))
+
+
+@st.composite
+def _analyses(draw):
+    grid = draw(st.none() | st.tuples(st.tuples(_finite, _finite), st.tuples(_finite, _finite),
+                                      st.integers(1, 10**6)))
+    gains = draw(st.none() | st.lists(st.tuples(_finite, _finite), min_size=1,
+                                      max_size=4).map(tuple))
+    assume(grid is not None or gains is not None)
+    return AnalysisConfig(
+        vehicle=draw(_vehicles),
+        kappa0=tuple(draw(st.lists(_finite, min_size=1, max_size=4))),
+        grid=grid, gains=gains,
+        omega=draw(st.none() | st.tuples(_positive, _positive, st.integers(1, 10**6))))
+
+
+@settings(deadline=None)
+@example(parse_config(preset_text("straight_compare")))
+@example(parse_config(preset_text("circular_compare")))
+@example(parse_config(preset_text("varying_curvature_compare")))
+@example(parse_config(preset_text("optimal_gain")))
+@example(parse_config(preset_text("positive_feedback")))
+@example(parse_config(preset_text("stability_map_d2")))
+@example(parse_config(preset_text("stability_map_d3")))
+@example(parse_config(preset_text("freq_response")))
+@given(_scenarios() | _analyses())
+def test_echo_parses_back_to_the_same_config(cfg):
+    echo = _echo_scenario(cfg) if isinstance(cfg, ScenarioConfig) else _echo_analysis(cfg)
+    assert parse_config(yaml.safe_dump(echo)) == cfg
 
 
 # -- commands ---------------------------------------------------------------

@@ -65,6 +65,15 @@ def test_invalid_specs_rejected():
         build_path(PathSpec.sampled([0.0], [0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sampled_table_must_be_finite(bad):
+    spec = PathSpec.sampled([0.0, 500.0, 1000.0], [0.0, bad, 0.0])
+    with pytest.raises(ConfigError, match="finite"):
+        spec.validate()
+    with pytest.raises(ConfigError, match="finite"):
+        build_path(spec)
+
+
 def test_sampled_tracks_its_source_profile():
     # Tabulate the cosine profile on a 1 m grid; the interpolant must stay
     # close to the analytic curve between the knots.
