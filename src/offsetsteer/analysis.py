@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._writer import write_rows
-from .bicycle import VehicleParams
+from .bicycle import VehicleParams, check_trackable
 from .errors import DomainError
 
 logger = logging.getLogger(__name__)
@@ -91,20 +91,13 @@ class StabilityMap:
     valid: np.ndarray = field(default=None)  # False where |d*kappa0| >= 1
 
 
-def _check_kappa0(kappa0: float, params: VehicleParams) -> None:
-    if abs(params.sensor_offset * kappa0) >= 1.0:
-        raise DomainError(
-            f"|d*kappa0| = {abs(params.sensor_offset * kappa0):.6g} >= 1: "
-            "no heading keeps the guidance point on this curvature")
-
-
 def lambdas(kappa0: float, k1, k2, params: VehicleParams) -> Lambdas:
     """Coefficient bundle (lam1..lam4) at a nominal curvature and gain pair.
 
     ``kappa0`` is a scalar; ``k1`` and ``k2`` may be numpy arrays, which
     broadcast against each other.
     """
-    _check_kappa0(kappa0, params)
+    check_trackable(kappa0, params.sensor_offset)
     l = params.wheelbase
     d = params.sensor_offset
     v = params.speed

@@ -46,6 +46,22 @@ class HatPathState(NamedTuple):
     theta_hat: float  # theta - theta_0 [rad]
 
 
+def check_trackable(kappa: float, sensor_offset: float) -> float:
+    """Return d*kappa after checking that the guidance point can hold curvature kappa.
+
+    A guidance point d ahead of the rear axle can run on a circle of
+    curvature kappa only while |d*kappa| < 1.
+
+    Raises:
+        DomainError: |d*kappa| >= 1.
+    """
+    dk = sensor_offset * kappa
+    if abs(dk) >= 1.0:
+        raise DomainError(
+            f"path untrackable for sensor offset: |d*kappa| = {abs(dk):.6g} >= 1")
+    return dk
+
+
 def _check_steer(steer: float) -> None:
     if abs(steer) >= _HALF_PI:
         raise DomainError(f"steering angle {steer:.6g} rad outside (-pi/2, pi/2)")
@@ -106,10 +122,7 @@ def hat_path_derivatives(state: HatPathState, steer: float, params: VehicleParam
             tracked by a sensor this far from the rear axle.
     """
     d = params.sensor_offset
-    dk = d * kappa
-    if abs(dk) >= 1.0:
-        raise DomainError(
-            f"path untrackable for sensor offset: |d*kappa| = {abs(dk):.6g} >= 1")
+    dk = check_trackable(kappa, d)
     lam = math.sqrt(1.0 - dk * dk)
     theta_0 = -math.asin(dk)
     s_dot, e_dot, theta_dot = path_derivatives(

@@ -55,7 +55,15 @@ def _number(value, what: str) -> float:
     except (TypeError, OverflowError):  # not a number, or an int beyond double range
         finite = False
     if not finite:
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+        hint = ""
+        try:
+            if isinstance(value, str) and math.isfinite(float(value)):
+                # YAML 1.1 reads 1e3 and 1.0e3 as text; only 1.0e+3 is a float.
+                hint = (" (YAML read this as text: write numbers unquoted, and exponents"
+                        " with a dot and a sign, as in 1.0e+2)")
+        except ValueError:
+            pass
+        raise ConfigError(f"{what} must be a finite number, got {value!r}{hint}")
     return float(value)
 
 

@@ -244,7 +244,6 @@ class Path:
         self.spec = spec
         self._grid = None
         self._pchip = None
-        self._pchip_deriv = None
         if spec.kind == "cosine":
             self._omega = TWO_PI / spec.period
             self._s_end = spec.periods * spec.period
@@ -254,7 +253,6 @@ class Path:
             s = np.asarray(spec.table_s)
             k = np.asarray(spec.table_kappa)
             self._pchip = PchipInterpolator(s, k)
-            self._pchip_deriv = self._pchip.derivative()
             self._s_start = float(s[0])
             self._s_end = float(s[-1])
             self._grid = _PoseGrid(self._pchip, self._s_start, self._s_end,
@@ -267,30 +265,24 @@ class Path:
         inside = (s >= 0.0) & (s <= self._s_end)
         return np.where(inside, 0.5 * self.spec.kappa_max * (1.0 - np.cos(self._omega * s)), 0.0)
 
-    def curvature(self, s: float) -> tuple[float, float]:
-        """Curvature and its arc-length derivative at s.
-
-        Returns:
-            (kappa [1/m], dkappa/ds [1/m^2])
-        """
+    def curvature(self, s: float) -> float:
+        """Curvature kappa [1/m] at arc length s."""
         kind = self.spec.kind
         if kind == "straight":
-            return 0.0, 0.0
+            return 0.0
         if kind == "circular":
-            return 1.0 / self.spec.radius, 0.0
+            return 1.0 / self.spec.radius
         if kind == "cosine":
             if s < 0.0 or s > self._s_end:
                 # Constant continuation with the boundary value (zero for
                 # whole periods), so simulations may run past the profile.
-                return 0.0, 0.0
-            half = 0.5 * self.spec.kappa_max
-            return (half * (1.0 - math.cos(self._omega * s)),
-                    half * self._omega * math.sin(self._omega * s))
+                return 0.0
+            return 0.5 * self.spec.kappa_max * (1.0 - math.cos(self._omega * s))
         # sampled
         if s < self._s_start or s > self._s_end:
             raise DomainError(
                 f"s={s:.6g} outside sampled table range [{self._s_start:.6g}, {self._s_end:.6g}]")
-        return float(self._pchip(s)), float(self._pchip_deriv(s))
+        return float(self._pchip(s))
 
     # -- pose ----------------------------------------------------------
 
@@ -350,7 +342,7 @@ class Path:
             rx, ry = es.x - xd, es.y - yd
             f = rx * tx + ry * ty
             e = -rx * ty + ry * tx
-            kappa, _ = self.curvature(s)
+            kappa = self.curvature(s)
             denom = 1.0 - e * kappa
             if denom == 0.0:
                 raise ProjectionError(f"projection stalled at s={s:.6g}: 1 - e*kappa = 0")
@@ -359,7 +351,7 @@ class Path:
             if abs(step) < PROJECTION_TOL:
                 xd, yd, psid = self.pose(s)
                 e = -(es.x - xd) * math.sin(psid) + (es.y - yd) * math.cos(psid)
-                kappa, _ = self.curvature(s)
+                kappa = self.curvature(s)
                 if abs(e * kappa) >= 1.0:
                     raise DomainError(
                         f"ambiguous projection at s={s:.6g}: |e*kappa| = {abs(e * kappa):.3g} >= 1")

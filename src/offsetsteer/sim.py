@@ -204,6 +204,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     Raises:
         DomainError: the path curvature is untrackable for the sensor offset.
         SingularityError: the state approached the curvature-center circle.
+        Either ends with the failing step's "(at t=..., s=...)".
     """
     path = build_path(cfg.path_spec)
     params = cfg.vehicle
@@ -212,7 +213,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     t_end = cfg.resolved_t_end()
     hold = 1 if cfg.control_dt is None else round(cfg.control_dt / dt)
     n = max(1, round(t_end / dt))
-    want_earth = cfg.frame in ("earth", "both")
+    want_earth = cfg.frame != "path"
 
     cols = {name: np.empty(n + 1) for name in
             ("t", "s", "e", "theta", "theta0", "gdes", "gff", "gfb", "kappa")}
@@ -226,58 +227,52 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
         earth_psi = np.empty(n + 1)
 
     def path_field(state, steer):
-        kappa, _ = path.curvature(state[0])
-        return path_derivatives(state, steer, params, kappa)
+        return path_derivatives(state, steer, params, path.curvature(state[0]))
 
     def earth_field(state, steer):
         return earth_derivatives(state, steer, params)
 
-    state = (cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
+    ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
     if want_earth:
-        estate = tuple(path.to_earth(PathState(*state)))
+        estate = tuple(path.to_earth(ps))
 
-    decision = None
-    for i in range(n + 1):
-        s, e, theta = state
-        kappa, _ = path.curvature(s)
-        if abs(params.sensor_offset * kappa) >= 1.0:
-            raise DomainError(
-                f"path untrackable at s={s:.6g}: |d*kappa| >= 1 for this sensor offset")
-        if abs(1.0 - e * kappa) < SINGULARITY_TOL:
-            raise SingularityError(
-                f"curvature-center singularity at t={i * dt:.6g} s "
-                f"(1 - e*kappa = {1.0 - e * kappa:.3g})")
-        if decision is None or i % hold == 0:
-            decision = control(PathState(s, e, theta), kappa, ctl, params)
+    try:
+        for i in range(n + 1):
+            kappa = path.curvature(ps.s)
+            theta_0 = desired_yaw_error(kappa, params.sensor_offset)
+            if abs(1.0 - ps.e * kappa) < SINGULARITY_TOL:
+                raise SingularityError(
+                    f"curvature-center singularity (1 - e*kappa = {1.0 - ps.e * kappa:.3g})")
+            if i % hold == 0:
+                decision = control(ps, kappa, ctl, params)
 
-        cols["t"][i] = i * dt
-        cols["s"][i] = s
-        cols["e"][i] = e
-        cols["theta"][i] = theta
-        cols["theta0"][i] = desired_yaw_error(kappa, params.sensor_offset)
-        cols["gdes"][i] = decision.gamma_des
-        cols["gff"][i] = decision.gamma_ff
-        cols["gfb"][i] = decision.gamma_fb
-        cols["kappa"][i] = kappa
-        sat[i] = abs(decision.fb_input) > ctl.g_sat
-        xd, yd, psid = path.pose(s)
-        map_x[i] = xd - e * math.sin(psid)
-        map_y[i] = yd + e * math.cos(psid)
-        map_psi[i] = psid + theta
-        if want_earth:
-            earth_x[i], earth_y[i], earth_psi[i] = estate
+            cols["t"][i] = i * dt
+            cols["s"][i], cols["e"][i], cols["theta"][i] = ps
+            cols["theta0"][i] = theta_0
+            cols["gdes"][i] = decision.gamma_des
+            cols["gff"][i] = decision.gamma_ff
+            cols["gfb"][i] = decision.gamma_fb
+            cols["kappa"][i] = kappa
+            sat[i] = abs(decision.fb_input) > ctl.g_sat
+            map_x[i], map_y[i], map_psi[i] = path.to_earth(ps)
+            if want_earth:
+                earth_x[i], earth_y[i], earth_psi[i] = estate
 
-        if i == n:
-            break
-        s, e, theta = step_rk4(path_field, state, decision.gamma_des, dt)
-        state = (s, e, wrap_angle_error(theta, 0.0))
-        if want_earth:
-            estate = step_rk4(earth_field, estate, decision.gamma_des, dt)
+            if i == n:
+                break
+            s, e, theta = step_rk4(path_field, ps, decision.gamma_des, dt)
+            ps = PathState(s, e, wrap_angle_error(theta, 0.0))
+            if want_earth:
+                estate = step_rk4(earth_field, estate, decision.gamma_des, dt)
+    except (DomainError, SingularityError) as exc:
+        raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={ps.s:.6g} m)") from exc
 
     if cfg.frame == "earth":
         x_a, y_a, psi = earth_x, earth_y, earth_psi
     else:
         x_a, y_a, psi = map_x, map_y, map_psi
+    # Only "both" has a second integration to cross-check the pose columns.
+    cross_check = cfg.frame == "both"
 
     traj = Trajectory(
         t=cols["t"], s_d=cols["s"], e_d=cols["e"], theta_d=cols["theta"],
@@ -285,9 +280,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
         gamma_des=cols["gdes"], gamma_ff=cols["gff"], gamma_fb=cols["gfb"],
         x_a=x_a, y_a=y_a, psi=psi, kappa_d=cols["kappa"],
         g_sat=ctl.g_sat, fb_saturated=sat,
-        earth_x=earth_x if want_earth else None,
-        earth_y=earth_y if want_earth else None,
-        earth_psi=earth_psi if want_earth else None,
+        earth_x=earth_x if cross_check else None,
+        earth_y=earth_y if cross_check else None,
+        earth_psi=earth_psi if cross_check else None,
     )
     return traj, _metrics(traj, cfg)
 

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .bicycle import VehicleParams
-from .errors import ConfigError, DomainError
+from .bicycle import VehicleParams, check_trackable
+from .errors import ConfigError
 from .paths import PathState
 
 logger = logging.getLogger(__name__)
@@ -89,10 +89,7 @@ def desired_yaw_error(kappa: float, sensor_offset: float) -> float:
     slightly toward the curve center; zero deviation and zero heading error
     are not simultaneously achievable unless d = 0 or kappa = 0.
     """
-    dk = sensor_offset * kappa
-    if abs(dk) >= 1.0:
-        raise DomainError(f"|d*kappa| = {abs(dk):.6g} >= 1: no trackable heading exists")
-    return -math.asin(dk)
+    return -math.asin(check_trackable(kappa, sensor_offset))
 
 
 def feedforward(kappa: float, params: VehicleParams, variant: str = "full") -> float:
@@ -103,9 +100,7 @@ def feedforward(kappa: float, params: VehicleParams, variant: str = "full") -> f
     to the rear-axle form atan(l*kappa).
     """
     if variant == "full":
-        dk = params.sensor_offset * kappa
-        if abs(dk) >= 1.0:
-            raise DomainError(f"|d*kappa| = {abs(dk):.6g} >= 1: path untrackable")
+        dk = check_trackable(kappa, params.sensor_offset)
         return math.atan(params.wheelbase * kappa / math.sqrt(1.0 - dk * dk))
     return math.atan(params.wheelbase * kappa)
 

@@ -160,6 +160,16 @@ def test_counts_and_ranges_exit_config(tmp_path, command, key, value):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["1.0e2", "1e2", "1e+2"])
+def test_unsigned_exponent_names_the_yaml_spelling(tmp_path, capsys, value):
+    # YAML 1.1 loads these as text; only 1.0e+2 is a float.
+    config = tmp_path / "config.yaml"
+    config.write_text(ANALYSIS_YAML + f"omega:\n  min_rad_s: 0.01\n  max_rad_s: {value}\n")
+    assert main(["freq-response", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "exponents with a dot and a sign, as in 1.0e+2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("csv, kappa", [("table.csv", "nan"), ("5", "0.002"), ("", "0.002")],
                          ids=["nan-cell", "csv-number", "csv-empty"])
 def test_bad_sampled_path_exits_config(tmp_path, csv, kappa):

@@ -18,32 +18,26 @@ from conftest import COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS
 def test_straight_curvature_is_zero():
     path = build_path(PathSpec.straight())
     for s in (0.0, 1.0, 57.3, 1e4):
-        assert path.curvature(s) == (0.0, 0.0)
+        assert path.curvature(s) == 0.0
 
 
 def test_circular_curvature_is_inverse_radius():
     path = build_path(PathSpec.circular(200.0))
     for s in (0.0, 10.0, 5000.0):
-        kappa, dkappa = path.curvature(s)
-        assert kappa == pytest.approx(0.005, abs=0.0)
-        assert dkappa == 0.0
+        assert path.curvature(s) == pytest.approx(0.005, abs=0.0)
 
 
 def test_cosine_curvature_values():
     path = build_path(PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS))
-    assert path.curvature(0.0) == (0.0, 0.0)
-    kappa, dkappa = path.curvature(125.0)
-    assert kappa == pytest.approx(0.012566370614359173, rel=1e-14)
-    assert dkappa == pytest.approx(0.0, abs=1e-17)
-    kappa, dkappa = path.curvature(62.5)
-    assert kappa == pytest.approx(0.006283185307179586, rel=1e-14)
-    assert dkappa == pytest.approx(1.5791367041742974e-4, rel=1e-13)
+    assert path.curvature(0.0) == 0.0
+    assert path.curvature(125.0) == pytest.approx(0.012566370614359173, rel=1e-14)
+    assert path.curvature(62.5) == pytest.approx(0.006283185307179586, rel=1e-14)
 
 
 def test_cosine_extends_straight_past_the_profile():
     path = build_path(PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS))
     s_end = COSINE_PERIODS * COSINE_PERIOD
-    assert path.curvature(s_end + 123.0) == (0.0, 0.0)
+    assert path.curvature(s_end + 123.0) == 0.0
     xe, ye, pe = path.pose(s_end)
     x2, y2, p2 = path.pose(s_end + 50.0)
     assert p2 == pe
@@ -84,11 +78,8 @@ def test_sampled_tracks_its_source_profile():
     # Monotone cubic interpolation is only ~O(h^2) near flat extrema, so the
     # tolerances reflect that rather than full cubic accuracy.
     for s in (0.5, 62.5, 125.0, 333.3, 999.5):
-        kappa, dkappa = path.curvature(s)
-        assert kappa == pytest.approx(
+        assert path.curvature(s) == pytest.approx(
             0.5 * COSINE_KAPPA_MAX * (1.0 - math.cos(omega * s)), abs=2e-6)
-        assert dkappa == pytest.approx(
-            0.5 * COSINE_KAPPA_MAX * omega * math.sin(omega * s), abs=2e-5)
 
 
 def test_sampled_outside_range_raises():
@@ -107,7 +98,7 @@ def test_curvature_table_csv_round_trip(tmp_path):
     spec = load_curvature_table(csv_file)
     assert spec.kind == "sampled"
     path = build_path(spec)
-    assert path.curvature(50.0)[0] == pytest.approx(0.002, rel=1e-12)
+    assert path.curvature(50.0) == pytest.approx(0.002, rel=1e-12)
 
     bad = tmp_path / "bad.csv"
     bad.write_text("s,kappa\n0.0,0.0\n1.0,0.1\n")
@@ -134,7 +125,7 @@ def test_heading_equals_integrated_curvature(spec):
     s_hi = 300.0
     n = 30000
     grid = np.linspace(0.0, s_hi, 2 * n + 1)
-    kappas = np.array([path.curvature(float(s))[0] for s in grid])
+    kappas = np.array([path.curvature(float(s)) for s in grid])
     h = s_hi / n
     integral = h / 6.0 * np.sum(kappas[0:-1:2] + 4.0 * kappas[1::2] + kappas[2::2])
     assert path.pose(s_hi)[2] - spec.psi0 == pytest.approx(integral, abs=1e-8)

@@ -1,14 +1,15 @@
 """Closed-loop runner: integrator, metrics, comparisons, artifacts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from offsetsteer import (OffsetSteerError, PathSpec, PathState, ScenarioConfig,
-                         compare_controllers, desired_yaw_error, linearize,
-                         run_scenario, step_rk4, write_metrics,
+from offsetsteer import (DomainError, OffsetSteerError, PathSpec, PathState,
+                         ScenarioConfig, compare_controllers, desired_yaw_error,
+                         linearize, run_scenario, step_rk4, write_metrics,
                          write_trajectory_csv)
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
@@ -112,6 +113,18 @@ def test_frame_heading_gap_ignores_full_turns():
     assert psi_err < 1e-7
 
 
+def test_only_both_frames_cross_check():
+    # With frame "earth" the pose columns are the earth integration itself,
+    # so there is no second integration to compare them with.
+    cfg = make_scenario(cosine_spec(), dt=0.01, t_end=10.0)
+    both, _ = run_scenario(cfg)
+    earth, _ = run_scenario(replace(cfg, frame="earth"))
+    assert both.frame_mismatch()[0] > 0.0
+    assert earth.frame_mismatch() is None
+    assert np.array_equal(earth.x_a, both.earth_x)
+    assert np.array_equal(earth.psi, both.earth_psi)
+
+
 def test_small_perturbations_follow_linear_model(params):
     # Matrix-exponential oracle for the reduced linear model on a constant
     # curvature; the nonlinear run must track it to 1% of the perturbation.
@@ -212,6 +225,18 @@ def test_compare_records_failures_per_variant():
     assert "full" in report.results
     assert "linear" in report.failures
     assert "DomainError" in report.failures["linear"]
+
+
+@pytest.mark.parametrize("cfg", [
+    # The linear law turns the quarter-kilometer error into a command beyond pi/2.
+    make_scenario(PathSpec.straight(), "linear", t_end=5.0,
+                  initial=PathState(0.0, -math.pi / K2, 0.0)),
+    # The ring road is too tight for the sensor offset.
+    make_scenario(PathSpec.circular(1.5), "naive", t_end=1.0),
+], ids=["steer-beyond-half-pi", "untrackable"])
+def test_step_errors_name_time_and_place(cfg):
+    with pytest.raises(DomainError, match=r"\(at t=0 s, s=0 m\)$"):
+        run_scenario(cfg)
 
 
 def test_sampled_profile_reproduces_analytic_run():
