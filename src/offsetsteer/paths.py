@@ -258,6 +258,12 @@ class Path:
             self._grid = _PoseGrid(self._pchip, self._s_start, self._s_end,
                                    spec.x0, spec.y0, spec.psi0)
 
+    def _check_sampled_range(self, s: float) -> None:
+        """A sampled path is defined only over its table's arc lengths."""
+        if s < self._s_start or s > self._s_end:
+            raise DomainError(
+                f"s={s:.6g} outside sampled table range [{self._s_start:.6g}, {self._s_end:.6g}]")
+
     # -- curvature -----------------------------------------------------
 
     def _cosine_kappa_array(self, s):
@@ -278,10 +284,7 @@ class Path:
                 # whole periods), so simulations may run past the profile.
                 return 0.0
             return 0.5 * self.spec.kappa_max * (1.0 - math.cos(self._omega * s))
-        # sampled
-        if s < self._s_start or s > self._s_end:
-            raise DomainError(
-                f"s={s:.6g} outside sampled table range [{self._s_start:.6g}, {self._s_end:.6g}]")
+        self._check_sampled_range(s)
         return float(self._pchip(s))
 
     # -- pose ----------------------------------------------------------
@@ -309,10 +312,7 @@ class Path:
                 ds = s - self._s_end
                 return (xe + ds * math.cos(pe), ye + ds * math.sin(pe), pe)
             return self._grid.pose(s)
-        # sampled
-        if s < self._s_start or s > self._s_end:
-            raise DomainError(
-                f"s={s:.6g} outside sampled table range [{self._s_start:.6g}, {self._s_end:.6g}]")
+        self._check_sampled_range(s)
         return self._grid.pose(s)
 
     # -- frame conversions ----------------------------------------------

@@ -3,8 +3,10 @@
 The path-frame dynamics are always integrated; the earth-frame dynamics can
 be integrated in parallel under the identical steering sequence for
 cross-validation. Steering is recomputed at a fixed control period and held
-constant in between (zero-order hold), so refining the integration step
-converges to the exact sampled-data trajectory.
+constant in between (zero-order hold), so at a fixed control period refining
+the integration step converges to the exact sampled-data trajectory. Left
+unset, the control period follows the step, and refining the step then
+refines the sampling too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ._writer import write_rows
 from .bicycle import VehicleParams, earth_derivatives, path_derivatives
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, build_path, wrap_angle_error
-from .steering import ControlConfig, control, desired_yaw_error
+from .steering import ControlConfig, control, desired_yaw_error, max_allowable_steer
 
 # Abort threshold for the path-frame singularity 1 - e*kappa -> 0.
 SINGULARITY_TOL = 1e-6
@@ -88,7 +90,7 @@ class Trajectory:
     y_a: np.ndarray
     psi: np.ndarray
     kappa_d: np.ndarray
-    g_sat: float             # resolved feedback bound of the run [rad]
+    g_sat: float             # feedback bound of the run [rad]
     fb_saturated: np.ndarray  # per-row: pre-wrapper command exceeded the bound
     earth_x: np.ndarray | None = None  # parallel earth-frame integration
     earth_y: np.ndarray | None = None
@@ -208,7 +210,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     """
     path = build_path(cfg.path_spec)
     params = cfg.vehicle
-    ctl = cfg.control.resolved(params)
+    ctl = cfg.control
+    g_sat = max_allowable_steer(params, ctl.max_lat_accel)
     dt = cfg.dt
     t_end = cfg.resolved_t_end()
     hold = 1 if cfg.control_dt is None else round(cfg.control_dt / dt)
@@ -253,7 +256,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             cols["gff"][i] = decision.gamma_ff
             cols["gfb"][i] = decision.gamma_fb
             cols["kappa"][i] = kappa
-            sat[i] = abs(decision.fb_input) > ctl.g_sat
+            sat[i] = abs(decision.fb_input) > g_sat
             map_x[i], map_y[i], map_psi[i] = path.to_earth(ps)
             if want_earth:
                 earth_x[i], earth_y[i], earth_psi[i] = estate
@@ -279,7 +282,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
         theta_0=cols["theta0"], theta_hat=cols["theta"] - cols["theta0"],
         gamma_des=cols["gdes"], gamma_ff=cols["gff"], gamma_fb=cols["gfb"],
         x_a=x_a, y_a=y_a, psi=psi, kappa_d=cols["kappa"],
-        g_sat=ctl.g_sat, fb_saturated=sat,
+        g_sat=g_sat, fb_saturated=sat,
         earth_x=earth_x if cross_check else None,
         earth_y=earth_y if cross_check else None,
         earth_psi=earth_psi if cross_check else None,

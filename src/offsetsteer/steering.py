@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bicycle import VehicleParams, check_trackable
@@ -34,7 +34,6 @@ class ControlConfig:
     k2: float                    # lateral-deviation gain [1/m]
     max_lat_accel: float         # comfort bound on lateral acceleration [m/s^2]
     variant: str = "full"
-    g_sat: float | None = None   # feedback bound [rad]; derived, not user-set
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -43,12 +42,6 @@ class ControlConfig:
         if not 0.0 < self.max_lat_accel < math.inf:
             raise ConfigError(
                 f"max_lat_accel must be positive and finite, got {self.max_lat_accel}")
-        if self.g_sat is not None and not 0.0 < self.g_sat < math.inf:
-            raise ConfigError(f"g_sat must be positive and finite, got {self.g_sat}")
-
-    def resolved(self, params: VehicleParams) -> "ControlConfig":
-        """Copy with the feedback bound computed for this vehicle and speed."""
-        return replace(self, g_sat=max_allowable_steer(params, self.max_lat_accel))
 
 
 class SteeringDecision(NamedTuple):
@@ -57,8 +50,6 @@ class SteeringDecision(NamedTuple):
     gamma_des: float  # commanded steering angle [rad]
     gamma_ff: float   # feedforward part [rad]
     gamma_fb: float   # feedback part [rad]
-    theta_0: float    # desired heading error used by the variant [rad]
-    theta_des: float  # heading the feedback drives toward, from e alone [rad]
     fb_input: float   # feedback command before the bounding wrapper [rad]
 
 
@@ -92,6 +83,16 @@ def desired_yaw_error(kappa: float, sensor_offset: float) -> float:
     return -math.asin(check_trackable(kappa, sensor_offset))
 
 
+def _curvature_terms(kappa: float, params: VehicleParams,
+                     variant: str) -> tuple[float, float]:
+    """The variant's feedforward angle and desired heading error, from one d*kappa."""
+    if variant == "full":
+        dk = check_trackable(kappa, params.sensor_offset)
+        return (math.atan(params.wheelbase * kappa / math.sqrt(1.0 - dk * dk)),
+                -math.asin(dk))
+    return math.atan(params.wheelbase * kappa), 0.0
+
+
 def feedforward(kappa: float, params: VehicleParams, variant: str = "full") -> float:
     """Steering angle that holds the guidance point on a circle of curvature kappa.
 
@@ -99,10 +100,7 @@ def feedforward(kappa: float, params: VehicleParams, variant: str = "full") -> f
     atan(l*kappa / sqrt(1 - (d*kappa)^2)); every degraded variant falls back
     to the rear-axle form atan(l*kappa).
     """
-    if variant == "full":
-        dk = check_trackable(kappa, params.sensor_offset)
-        return math.atan(params.wheelbase * kappa / math.sqrt(1.0 - dk * dk))
-    return math.atan(params.wheelbase * kappa)
+    return _curvature_terms(kappa, params, variant)[0]
 
 
 def feedforward_error(kappa: float, params: VehicleParams) -> float:
@@ -122,36 +120,35 @@ def desired_heading(e: float, k2: float, variant: str = "full") -> float:
     return -math.atan(k2 * e)
 
 
-def _feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
-              params: VehicleParams) -> tuple[float, float, float]:
-    """Feedback correction, its pre-wrapper command and the desired heading error used."""
-    if cfg.variant == "full":
-        theta_0 = desired_yaw_error(kappa, params.sensor_offset)
-        raw = cfg.k1 * (theta - theta_0 + math.atan(cfg.k2 * e))
-    elif cfg.variant == "linear":
-        theta_0, raw = 0.0, cfg.k1 * theta + cfg.k1 * cfg.k2 * e
-    else:  # naive / unwrapped
-        theta_0, raw = 0.0, cfg.k1 * (theta + math.atan(cfg.k2 * e))
+def _feedback(e: float, theta: float, theta_0: float, cfg: ControlConfig) -> float:
+    """Feedback command before the bounding wrapper."""
+    if cfg.variant == "linear":
+        return cfg.k1 * theta + cfg.k1 * cfg.k2 * e
+    return cfg.k1 * (theta - theta_0 + math.atan(cfg.k2 * e))
+
+
+def _bounded(raw: float, cfg: ControlConfig, params: VehicleParams) -> float:
+    """Feedback correction: the wrapped variants bound the raw command."""
     if cfg.variant not in _WRAPPED_VARIANTS:
         # Degraded variants stay unbounded on purpose: reproducing their
         # pathologies is the point of simulating them.
-        return raw, raw, theta_0
-    if cfg.g_sat is None:
-        raise ConfigError("feedback bound not resolved; call ControlConfig.resolved() first")
-    return wrapper(raw, cfg.g_sat), raw, theta_0
+        return raw
+    return wrapper(raw, max_allowable_steer(params, cfg.max_lat_accel))
 
 
 def feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
              params: VehicleParams) -> float:
     """Feedback steering correction for the configured variant."""
-    return _feedback(e, theta, kappa, cfg, params)[0]
+    theta_0 = _curvature_terms(kappa, params, cfg.variant)[1]
+    return _bounded(_feedback(e, theta, theta_0, cfg), cfg, params)
 
 
 def control(state: PathState, kappa: float, cfg: ControlConfig,
             params: VehicleParams) -> SteeringDecision:
     """Full steering command for the current path-frame state."""
-    gamma_ff = feedforward(kappa, params, cfg.variant)
-    gamma_fb, raw, theta_0 = _feedback(state.e, state.theta, kappa, cfg, params)
+    gamma_ff, theta_0 = _curvature_terms(kappa, params, cfg.variant)
+    raw = _feedback(state.e, state.theta, theta_0, cfg)
+    gamma_fb = _bounded(raw, cfg, params)
     gamma_des = gamma_ff + gamma_fb
     if cfg.variant in _WRAPPED_VARIANTS and abs(gamma_des) > params.max_steer:
         # The wrapper bounds only the feedback; clamp the total so the
@@ -159,5 +156,4 @@ def control(state: PathState, kappa: float, cfg: ControlConfig,
         logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
                        gamma_des, params.max_steer)
         gamma_des = math.copysign(params.max_steer, gamma_des)
-    return SteeringDecision(gamma_des, gamma_ff, gamma_fb, theta_0,
-                            desired_heading(state.e, cfg.k2, cfg.variant), raw)
+    return SteeringDecision(gamma_des, gamma_ff, gamma_fb, raw)

@@ -10,7 +10,8 @@ from offsetsteer import (ControlConfig, DomainError, HatPathState, PathState,
                          amplification, control, desired_yaw_error, eigenvalues,
                          feedforward, frequency_response, hat_path_derivatives,
                          is_stable, kappa_bar, lambdas, linearize,
-                         peak_amplification, stability_region_scan)
+                         max_allowable_steer, peak_amplification,
+                         stability_region_scan)
 from offsetsteer.analysis import (prop1_k2_threshold, write_freq_csv,
                                   write_stability_csv)
 
@@ -75,7 +76,7 @@ def test_linearize_without_offset_kills_input():
 def test_linearize_matches_numeric_jacobian(params, kappa0):
     # Independent oracle: central differences of the nonlinear closed loop
     # (wrapper included) around its ideal solution.
-    cfg = benchmark_control("full").resolved(params)
+    cfg = benchmark_control("full")
     theta_0 = desired_yaw_error(kappa0, params.sensor_offset)
 
     def field(e, theta_hat):
@@ -96,7 +97,7 @@ def test_linearize_matches_numeric_jacobian(params, kappa0):
 def test_input_column_matches_curvature_rate_channel(params):
     kappa0 = 0.004
     model = linearize(kappa0, -0.8, 0.02, params)
-    cfg = benchmark_control("full").resolved(params)
+    cfg = benchmark_control("full")
     theta_0 = desired_yaw_error(kappa0, params.sensor_offset)
     dec = control(PathState(0.0, 0.0, theta_0), kappa0, cfg, params)
     h = 1e-6
@@ -222,10 +223,10 @@ def test_large_k2_required_for_small_offset_positive_feedback():
     # gains throw the feedback straight into saturation for a 10 m error.
     p = benchmark_params(sensor_offset=0.5)
     assert 1.0 / p.sensor_offset == 2.0
-    cfg = ControlConfig(k1=0.8, k2=-2.5, max_lat_accel=4.0, variant="full").resolved(p)
+    cfg = ControlConfig(k1=0.8, k2=-2.5, max_lat_accel=4.0, variant="full")
     assert is_stable(0.0, cfg.k1, cfg.k2, p).sufficient_condition == 2
     dec = control(PathState(0.0, -10.0, 0.0), 0.0, cfg, p)
-    assert abs(dec.fb_input) > cfg.g_sat
+    assert abs(dec.fb_input) > max_allowable_steer(p, cfg.max_lat_accel)
 
 
 # -- frequency response ---------------------------------------------------------

@@ -84,12 +84,15 @@ def test_sampled_tracks_its_source_profile():
 
 def test_sampled_outside_range_raises():
     path = build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 0.01, 0.0]))
-    with pytest.raises(DomainError):
-        path.curvature(-1.0)
-    with pytest.raises(DomainError):
-        path.curvature(20.5)
-    with pytest.raises(DomainError):
-        path.pose(25.0)
+    for s in (-1.0, 20.5, 25.0):
+        messages = set()
+        for lookup in (path.curvature, path.pose):
+            with pytest.raises(DomainError) as info:
+                lookup(s)
+            messages.add(str(info.value))
+        # Both lookups apply one range rule and report it the same way.
+        assert len(messages) == 1
+        assert f"s={s:.6g} outside sampled table range [0, 20]" in messages
 
 
 def test_curvature_table_csv_round_trip(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from offsetsteer import (DomainError, OffsetSteerError, PathSpec, PathState,
-                         ScenarioConfig, compare_controllers, desired_yaw_error,
-                         linearize, run_scenario, step_rk4, write_metrics,
-                         write_trajectory_csv)
+                         ScenarioConfig, amplification, compare_controllers,
+                         desired_yaw_error, lambdas, linearize, run_scenario,
+                         step_rk4, write_metrics, write_trajectory_csv)
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
 from conftest import (CIRCLE_RADIUS, COSINE_KAPPA_MAX, COSINE_PERIOD,
@@ -143,6 +143,33 @@ def test_small_perturbations_follow_linear_model(params):
         actual = np.array([traj.e_d[i], traj.theta_hat[i]])
         worst = max(worst, float(np.linalg.norm(actual - predicted)))
     assert worst <= 0.01 * float(np.linalg.norm(x0))
+
+
+def test_sway_converges_to_amplification_ratio(params):
+    # Sampled-data yardstick for the frequency response: on a small cosine
+    # road the steady sway is M(omega) * kappa_max / 2 up to a sampling error
+    # that is first order in the control period h. The zero-order hold
+    # delays the feedforward by h/2 on average, which shifts the ratio by
+    # h * slope (README "Tests").
+    kappa_max, period, k1, k2, periods = 1e-3, 250.0, -0.8, 0.02, 4
+    # The curvature swings by kappa_max/2 about its mean kappa0 = kappa_max/2.
+    kappa0 = 0.5 * kappa_max
+    omega = 2.0 * math.pi * params.speed / period
+    target = amplification(omega, kappa0, k1, k2, params) * kappa0
+    ratio = {}
+    for h in (5e-4, 2.5e-4):
+        cfg = ScenarioConfig(PathSpec.cosine(kappa_max, period, periods), params,
+                             benchmark_control("full", k1, k2), PathState(0.0, 0.0, 0.0),
+                             dt=h, control_dt=h, frame="path",
+                             t_end=1.05 * periods * period / params.speed)
+        _, metrics = run_scenario(cfg)
+        ratio[h] = metrics.sway_amplitude / target - 1.0
+    # Richardson extrapolation to h -> 0 removes the first-order term.
+    assert abs(2.0 * ratio[2.5e-4] - ratio[5e-4]) < 1e-4
+    d, l = params.sensor_offset, params.wheelbase
+    lam2 = lambdas(kappa0, k1, k2, params).lam2
+    slope = -params.speed / (2.0 * d * (1.0 + d / l * lam2 * k1))
+    assert (ratio[5e-4] - ratio[2.5e-4]) / 2.5e-4 == pytest.approx(slope, rel=0.01)
 
 
 def test_naive_circular_steady_state_matches_fixed_point(runs):

@@ -2,23 +2,21 @@
 
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from offsetsteer import (ConfigError, ControlConfig, DomainError, PathState,
-                         control, desired_heading, desired_yaw_error, feedback,
-                         feedforward, feedforward_error, max_allowable_steer,
-                         rear_axle_lateral_accel, wrapper)
+from offsetsteer import (VARIANTS, ConfigError, ControlConfig, DomainError,
+                         PathState, control, desired_heading, desired_yaw_error,
+                         feedback, feedforward, feedforward_error,
+                         max_allowable_steer, rear_axle_lateral_accel, steering,
+                         wrapper)
 
-from conftest import benchmark_control, benchmark_params
+from conftest import MAX_LAT_ACCEL, benchmark_control, benchmark_params
 
 G_SAT = 0.025694344043585789  # comfort-limited steering bound at 20 m/s [rad]
-
-
-def resolved(variant="full", k1=-0.8, k2=0.02):
-    return benchmark_control(variant, k1, k2).resolved(benchmark_params())
 
 
 # -- wrapper -----------------------------------------------------------------
@@ -128,22 +126,22 @@ def test_desired_heading_linear_wraps_past_pi():
 # -- feedback ----------------------------------------------------------------
 
 def test_feedback_zero_at_equilibrium(params):
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     kappa = 0.005
     theta_0 = desired_yaw_error(kappa, params.sensor_offset)
     assert feedback(0.0, theta_0, kappa, cfg, params) == 0.0
 
 
 def test_feedback_reference_value(params):
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     got = feedback(-10.0, 0.0, 0.0, cfg, params)
     assert got == pytest.approx(0.024005996439577642, rel=1e-12)
     # Large initial deviation drives the command close to its bound.
-    assert got > 0.9 * cfg.g_sat
+    assert got > 0.9 * max_allowable_steer(params, cfg.max_lat_accel)
 
 
 def test_feedback_matches_linearization_for_small_errors(params):
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     e, dtheta = 1e-4, 1e-4
     full = feedback(e, dtheta, 0.0, cfg, params)
     linear = cfg.k1 * dtheta + cfg.k1 * cfg.k2 * e
@@ -153,16 +151,17 @@ def test_feedback_matches_linearization_for_small_errors(params):
 def test_feedback_bounded_for_wrapped_variants(params):
     rng = np.random.default_rng(17)
     for variant in ("full", "naive"):
-        cfg = resolved(variant)
+        cfg = benchmark_control(variant)
         for _ in range(200):
             e = rng.uniform(-1e4, 1e4)
             theta = rng.uniform(-math.pi, math.pi)
             kappa = rng.uniform(-0.2, 0.2)
-            assert abs(feedback(e, theta, kappa, cfg, params)) <= cfg.g_sat
+            assert abs(feedback(e, theta, kappa, cfg, params)) <= max_allowable_steer(
+                params, cfg.max_lat_accel)
 
 
 def test_feedback_odd_about_equilibrium(params):
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     rng = np.random.default_rng(23)
     for _ in range(100):
         e = rng.uniform(-50, 50)
@@ -174,8 +173,8 @@ def test_feedback_odd_about_equilibrium(params):
 
 
 def test_feedback_unwrapped_and_linear_forms(params):
-    cfg_u = resolved("unwrapped")
-    cfg_l = resolved("linear")
+    cfg_u = benchmark_control("unwrapped")
+    cfg_l = benchmark_control("linear")
     e, theta = -3.0, 0.2
     assert feedback(e, theta, 0.0, cfg_u, params) == pytest.approx(
         cfg_u.k1 * (theta + math.atan(cfg_u.k2 * e)), rel=1e-15)
@@ -183,17 +182,13 @@ def test_feedback_unwrapped_and_linear_forms(params):
         cfg_l.k1 * theta + cfg_l.k1 * cfg_l.k2 * e, rel=1e-15)
 
 
-def test_feedback_requires_resolved_bound(params):
-    with pytest.raises(ConfigError):
-        feedback(1.0, 0.0, 0.0, benchmark_control("full"), params)
-
-
 def test_feedback_implies_lateral_accel_bound(params):
     # With the comfort branch of the bound active, any feedback-only command
     # keeps the rear-axle lateral acceleration under the configured limit.
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     rng = np.random.default_rng(29)
-    cap = params.speed ** 2 * math.tan(cfg.g_sat) / params.wheelbase
+    g_sat = max_allowable_steer(params, cfg.max_lat_accel)
+    cap = params.speed ** 2 * math.tan(g_sat) / params.wheelbase
     assert cap <= cfg.max_lat_accel + 1e-12
     for _ in range(100):
         fb = feedback(rng.uniform(-100, 100), rng.uniform(-3, 3), 0.0, cfg, params)
@@ -203,20 +198,18 @@ def test_feedback_implies_lateral_accel_bound(params):
 # -- composed command ---------------------------------------------------------
 
 def test_control_on_circular_equilibrium(params):
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     kappa = 0.005
     theta_0 = desired_yaw_error(kappa, params.sensor_offset)
     dec = control(PathState(0.0, 0.0, theta_0), kappa, cfg, params)
     assert dec.gamma_fb == 0.0
     assert dec.gamma_des == dec.gamma_ff
-    assert dec.theta_0 == theta_0
-    assert dec.theta_des == 0.0
 
 
 def test_control_full_equals_naive_on_straight(params):
     rng = np.random.default_rng(31)
-    cfg_full = resolved("full")
-    cfg_naive = resolved("naive")
+    cfg_full = benchmark_control("full")
+    cfg_naive = benchmark_control("naive")
     for _ in range(100):
         state = PathState(0.0, rng.uniform(-50, 50), rng.uniform(-1.5, 1.5))
         a = control(state, 0.0, cfg_full, params)
@@ -226,8 +219,8 @@ def test_control_full_equals_naive_on_straight(params):
 
 def test_control_full_equals_naive_without_offset():
     p = benchmark_params(sensor_offset=0.0)
-    cfg_full = benchmark_control("full").resolved(p)
-    cfg_naive = benchmark_control("naive").resolved(p)
+    cfg_full = benchmark_control("full")
+    cfg_naive = benchmark_control("naive")
     rng = np.random.default_rng(37)
     for _ in range(100):
         state = PathState(0.0, rng.uniform(-20, 20), rng.uniform(-1, 1))
@@ -236,29 +229,68 @@ def test_control_full_equals_naive_without_offset():
 
 
 def test_control_naive_ignores_heading_offset(params):
-    cfg = resolved("naive")
+    cfg = benchmark_control("naive")
     kappa = 0.005
     dec = control(PathState(0.0, 0.0, 0.0), kappa, cfg, params)
     assert dec.gamma_fb == 0.0  # believes it sits at the set point
-    assert dec.theta_0 == 0.0
     assert desired_yaw_error(kappa, params.sensor_offset) != 0.0
 
 
 def test_control_sum_decomposition_and_saturation_flag(params):
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     dec = control(PathState(0.0, -10.0, 0.0), 0.0, cfg, params)
     assert dec.gamma_des == dec.gamma_ff + dec.gamma_fb
-    assert abs(dec.fb_input) > cfg.g_sat  # wrapper actively limiting
+    # The wrapper is actively limiting.
+    assert abs(dec.fb_input) > max_allowable_steer(params, cfg.max_lat_accel)
+
+
+def test_control_agrees_with_its_parts(params):
+    # The composed command reports exactly the public parts' values, on a
+    # plain config: the feedback bound comes from the vehicle and the limit.
+    g_sat = max_allowable_steer(params, MAX_LAT_ACCEL)
+    rng = np.random.default_rng(41)
+    for variant in VARIANTS:
+        cfg = benchmark_control(variant)
+        for _ in range(200):
+            e = rng.uniform(-50, 50)
+            theta = rng.uniform(-math.pi, math.pi)
+            kappa = rng.uniform(-0.2, 0.2)
+            dec = control(PathState(0.0, e, theta), kappa, cfg, params)
+            assert dec.gamma_ff == feedforward(kappa, params, variant)
+            assert dec.gamma_fb == feedback(e, theta, kappa, cfg, params)
+            if variant in ("full", "naive"):
+                assert dec.gamma_fb == wrapper(dec.fb_input, g_sat)
+            else:
+                assert dec.gamma_fb == dec.fb_input
+
+
+def test_control_uses_d_kappa_once(params, monkeypatch):
+    # One update of the full law checks trackability once and takes one asin.
+    calls = {"check_trackable": 0, "asin": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(steering, "check_trackable",
+                        counted("check_trackable", steering.check_trackable))
+    fake_math = types.SimpleNamespace(**vars(math))
+    fake_math.asin = counted("asin", math.asin)
+    monkeypatch.setattr(steering, "math", fake_math)
+    control(PathState(0.0, 0.5, 0.1), 0.005, benchmark_control("full"), params)
+    assert calls == {"check_trackable": 1, "asin": 1}
 
 
 def test_control_clamps_to_physical_limit(params, caplog):
     # Near the curvature capability the feedforward alone is close to the
     # physical limit; adding feedback must not push past it.
-    cfg = resolved("full")
+    cfg = benchmark_control("full")
     kappa = 0.2049
     with caplog.at_level(logging.WARNING):
         dec = control(PathState(0.0, 0.0, -1.0), kappa, cfg, params)
-    assert dec.gamma_fb > 0.9 * cfg.g_sat
+    assert dec.gamma_fb > 0.9 * max_allowable_steer(params, cfg.max_lat_accel)
     assert abs(dec.gamma_des) == params.max_steer
     assert any("clipped" in rec.message for rec in caplog.records)
 
