@@ -71,15 +71,18 @@ def earth_derivatives(state: EarthState, steer: float,
                       params: VehicleParams) -> tuple[float, float, float]:
     """Time derivatives (x_dot, y_dot, psi_dot) of the guidance point."""
     _check_steer(steer)
-    _, _, psi = state
     v = params.speed
-    ratio = params.sensor_offset / params.wheelbase
     tan_g = math.tan(steer)
+    x_dot, y_dot = _earth_rates(state[2], v, params.sensor_offset / params.wheelbase, tan_g)
+    return x_dot, y_dot, v / params.wheelbase * tan_g
+
+
+def _earth_rates(psi: float, v: float, ratio: float, tan_g: float) -> tuple[float, float]:
+    """(x_dot, y_dot) at heading psi; ``ratio`` is d/l, ``tan_g`` tan(steer)."""
     cos_psi = math.cos(psi)
     sin_psi = math.sin(psi)
     return (v * (cos_psi - ratio * sin_psi * tan_g),
-            v * (sin_psi + ratio * cos_psi * tan_g),
-            v / params.wheelbase * tan_g)
+            v * (sin_psi + ratio * cos_psi * tan_g))
 
 
 def path_derivatives(state: PathState, steer: float, params: VehicleParams,
@@ -95,19 +98,24 @@ def path_derivatives(state: PathState, steer: float, params: VehicleParams,
     _check_steer(steer)
     s, e, theta = state
     v = params.speed
-    ratio = params.sensor_offset / params.wheelbase
     tan_g = math.tan(steer)
+    return _path_rates(s, e, theta, kappa, v,
+                       params.sensor_offset / params.wheelbase * tan_g,
+                       v / params.wheelbase * tan_g)
+
+
+def _path_rates(s: float, e: float, theta: float, kappa: float, v: float,
+                ratio_tan: float, yaw_rate: float) -> tuple[float, float, float]:
+    """Path-frame derivatives given (d/l)*tan(steer) and the rear-axle yaw
+    rate (V/l)*tan(steer), which stay fixed while the steering is held."""
     denom = 1.0 - e * kappa
     if abs(denom) < 1e-12:
         raise SingularityError(
             f"curvature-center singularity: 1 - e*kappa = {denom:.3g} at s={s:.6g}")
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    along = cos_t - ratio * tan_g * sin_t
-    s_dot = v * along / denom
-    e_dot = v * (sin_t + ratio * tan_g * cos_t)
-    theta_dot = v / params.wheelbase * tan_g - kappa * s_dot
-    return s_dot, e_dot, theta_dot
+    s_dot = v * (cos_t - ratio_tan * sin_t) / denom
+    return s_dot, v * (sin_t + ratio_tan * cos_t), yaw_rate - kappa * s_dot
 
 
 def hat_path_derivatives(state: HatPathState, steer: float, params: VehicleParams,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -253,6 +254,13 @@ class Path:
             s = np.asarray(spec.table_s)
             k = np.asarray(spec.table_kappa)
             self._pchip = PchipInterpolator(s, k)
+            # Scalar lookups read the interpolant's own breakpoints and
+            # coefficients (c0 u^3 + c1 u^2 + c2 u + c3 per interval) in plain
+            # Python, without the array set-up of a scalar PchipInterpolator
+            # call. PPoly's sum starts from 0.0, so "+ 0.0" turns a -0.0
+            # coefficient into 0.0 as well.
+            self._knots = self._pchip.x.tolist()
+            self._coefs = (self._pchip.c.T + 0.0).tolist()
             self._s_start = float(s[0])
             self._s_end = float(s[-1])
             self._grid = _PoseGrid(self._pchip, self._s_start, self._s_end,
@@ -285,7 +293,14 @@ class Path:
                 return 0.0
             return 0.5 * self.spec.kappa_max * (1.0 - math.cos(self._omega * s))
         self._check_sampled_range(s)
-        return float(self._pchip(s))
+        # The same interval and the same sum as PPoly's evaluation, so the
+        # value is bit-equal to float(self._pchip(s)).
+        knots = self._knots
+        j = min(bisect_right(knots, s) - 1, len(knots) - 2)
+        c0, c1, c2, c3 = self._coefs[j]
+        u = s - knots[j]
+        u2 = u * u
+        return c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
 
     # -- pose ----------------------------------------------------------
 

@@ -7,6 +7,14 @@ constant in between (zero-order hold), so at a fixed control period refining
 the integration step converges to the exact sampled-data trajectory. Left
 unset, the control period follows the step, and refining the step then
 refines the sampling too.
+
+While the steering is held, ``run_scenario`` takes each step with a fused
+RK4: tan(gamma) and the rates built on it are computed once per control
+update, the first stage reuses the step's curvature, and the earth step's
+two midpoint stages share one heading and one evaluation. ``step_rk4`` over
+``path_derivatives`` and ``earth_derivatives`` is the reference: the fused
+step evaluates the same expressions in the same order, and the tests require
+bit-identical trajectories from both.
 """
 
 from __future__ import annotations
@@ -18,7 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._writer import write_rows
-from .bicycle import VehicleParams, earth_derivatives, path_derivatives
+# The loop calls the private rate functions; earth_derivatives and
+# path_derivatives stay importable from here, where perfbench's tracer wraps them.
+from .bicycle import (VehicleParams, _check_steer, _earth_rates, _path_rates,  # noqa: F401
+                      earth_derivatives, path_derivatives)
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, build_path, wrap_angle_error
 from .steering import ControlConfig, control, desired_yaw_error, max_allowable_steer
@@ -154,9 +165,14 @@ def step_rk4(field, state, steer: float, dt: float):
     k4 = field(tuple(x + dt * k for x, k in zip(state, k3)), steer)
     out = tuple(x + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
                 for x, a, b, c, d in zip(state, k1, k2, k3, k4))
-    if not all(math.isfinite(v) for v in out):
-        raise OffsetSteerError(f"integration diverged: state {out}")
+    _check_finite(*out)
     return out
+
+
+def _check_finite(*state: float) -> None:
+    for v in state:
+        if not math.isfinite(v):
+            raise OffsetSteerError(f"integration diverged: state {state}")
 
 
 def _metrics(traj: Trajectory, cfg: ScenarioConfig) -> TrackingMetrics:
@@ -229,24 +245,24 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
         earth_y = np.empty(n + 1)
         earth_psi = np.empty(n + 1)
 
-    def path_field(state, steer):
-        return path_derivatives(state, steer, params, path.curvature(state[0]))
-
-    def earth_field(state, steer):
-        return earth_derivatives(state, steer, params)
-
+    v = params.speed
+    ratio = params.sensor_offset / params.wheelbase
+    half = 0.5 * dt
+    curvature = path.curvature
     ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
     if want_earth:
-        estate = tuple(path.to_earth(ps))
+        x_e, y_e, psi_e = path.to_earth(ps)
 
+    # Each step is the fused held-steering RK4 of the module docstring.
     try:
         for i in range(n + 1):
-            kappa = path.curvature(ps.s)
+            kappa = curvature(ps.s)
             theta_0 = desired_yaw_error(kappa, params.sensor_offset)
             if abs(1.0 - ps.e * kappa) < SINGULARITY_TOL:
                 raise SingularityError(
                     f"curvature-center singularity (1 - e*kappa = {1.0 - ps.e * kappa:.3g})")
-            if i % hold == 0:
+            update = i % hold == 0
+            if update:
                 decision = control(ps, kappa, ctl, params)
 
             cols["t"][i] = i * dt
@@ -259,14 +275,43 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             sat[i] = abs(decision.fb_input) > g_sat
             map_x[i], map_y[i], map_psi[i] = path.to_earth(ps)
             if want_earth:
-                earth_x[i], earth_y[i], earth_psi[i] = estate
+                earth_x[i], earth_y[i], earth_psi[i] = x_e, y_e, psi_e
 
             if i == n:
                 break
-            s, e, theta = step_rk4(path_field, ps, decision.gamma_des, dt)
+            if update:
+                _check_steer(decision.gamma_des)
+                tan_g = math.tan(decision.gamma_des)
+                ratio_tan = ratio * tan_g
+                yaw_rate = v / params.wheelbase * tan_g
+
+            s, e, theta = ps
+            a_s, a_e, a_t = _path_rates(s, e, theta, kappa, v, ratio_tan, yaw_rate)
+            s2 = s + half * a_s
+            b_s, b_e, b_t = _path_rates(s2, e + half * a_e, theta + half * a_t,
+                                        curvature(s2), v, ratio_tan, yaw_rate)
+            s3 = s + half * b_s
+            c_s, c_e, c_t = _path_rates(s3, e + half * b_e, theta + half * b_t,
+                                        curvature(s3), v, ratio_tan, yaw_rate)
+            s4 = s + dt * c_s
+            d_s, d_e, d_t = _path_rates(s4, e + dt * c_e, theta + dt * c_t,
+                                        curvature(s4), v, ratio_tan, yaw_rate)
+            s = s + dt * (a_s + 2.0 * b_s + 2.0 * c_s + d_s) / 6.0
+            e = e + dt * (a_e + 2.0 * b_e + 2.0 * c_e + d_e) / 6.0
+            theta = theta + dt * (a_t + 2.0 * b_t + 2.0 * c_t + d_t) / 6.0
+            _check_finite(s, e, theta)
             ps = PathState(s, e, wrap_angle_error(theta, 0.0))
+
             if want_earth:
-                estate = step_rk4(earth_field, estate, decision.gamma_des, dt)
+                # psi_dot is the constant yaw rate, so stages 2 and 3 share
+                # one heading and one evaluation.
+                a_x, a_y = _earth_rates(psi_e, v, ratio, tan_g)
+                b_x, b_y = _earth_rates(psi_e + half * yaw_rate, v, ratio, tan_g)
+                d_x, d_y = _earth_rates(psi_e + dt * yaw_rate, v, ratio, tan_g)
+                x_e = x_e + dt * (a_x + 2.0 * b_x + 2.0 * b_x + d_x) / 6.0
+                y_e = y_e + dt * (a_y + 2.0 * b_y + 2.0 * b_y + d_y) / 6.0
+                psi_e = psi_e + dt * (yaw_rate + 2.0 * yaw_rate + 2.0 * yaw_rate + yaw_rate) / 6.0
+                _check_finite(x_e, y_e, psi_e)
     except (DomainError, SingularityError) as exc:
         raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={ps.s:.6g} m)") from exc
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from offsetsteer import (ConfigError, DomainError, EarthState, PathSpec,
                          PathState, build_path, load_curvature_table,
@@ -93,6 +94,36 @@ def test_sampled_outside_range_raises():
         # Both lookups apply one range rule and report it the same way.
         assert len(messages) == 1
         assert f"s={s:.6g} outside sampled table range [0, 20]" in messages
+
+
+def _random_table():
+    rng = np.random.default_rng(20)
+    table_s = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 40.0, 29))))
+    return table_s, rng.normal(0.0, 0.01, table_s.size)
+
+
+@pytest.mark.parametrize("table_s, table_kappa", [
+    _random_table(),
+    # At the -0.0 knot every term of the power sum is -0.0; PPoly's sum
+    # starts from 0.0 and returns 0.0 there.
+    ([0.0, 10.0, 20.0, 30.0, 40.0], [0.0, 0.001, -0.0, -0.002, -0.01]),
+], ids=["random", "negative-zero-knot"])
+def test_sampled_curvature_equals_pchip_exactly(table_s, table_kappa):
+    # The scalar lookup evaluates the interpolant's own coefficients; it must
+    # return PchipInterpolator's value bit for bit, sign of zero included, at
+    # every knot (the table ends included), beside each interior knot and at
+    # seeded points in between.
+    path = build_path(PathSpec.sampled(table_s, table_kappa))
+    pchip = PchipInterpolator(table_s, table_kappa)
+    interior = table_s[1:-1]
+    rng = np.random.default_rng(21)
+    queries = [*table_s,
+               *(math.nextafter(s, -math.inf) for s in interior),
+               *(math.nextafter(s, math.inf) for s in interior),
+               *rng.uniform(table_s[0], table_s[-1], 10_000)]
+    for s in queries:
+        got, want = path.curvature(s), float(pchip(s))
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), s
 
 
 def test_curvature_table_csv_round_trip(tmp_path):

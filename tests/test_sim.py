@@ -1,16 +1,21 @@
 """Closed-loop runner: integrator, metrics, comparisons, artifacts."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 
 from offsetsteer import (DomainError, OffsetSteerError, PathSpec, PathState,
-                         ScenarioConfig, amplification, compare_controllers,
-                         desired_yaw_error, lambdas, linearize, run_scenario,
-                         step_rk4, write_metrics, write_trajectory_csv)
+                         ScenarioConfig, amplification, build_path,
+                         compare_controllers, control, desired_yaw_error,
+                         earth_derivatives, lambdas, linearize,
+                         max_allowable_steer, path_derivatives, run_scenario,
+                         step_rk4, wrap_angle_error, write_metrics,
+                         write_trajectory_csv)
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
 from conftest import (CIRCLE_RADIUS, COSINE_KAPPA_MAX, COSINE_PERIOD,
@@ -123,6 +128,69 @@ def test_only_both_frames_cross_check():
     assert earth.frame_mismatch() is None
     assert np.array_equal(earth.x_a, both.earth_x)
     assert np.array_equal(earth.psi, both.earth_psi)
+
+
+def _reference_run(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
+    """The closed loop as step_rk4 over path_derivatives and earth_derivatives,
+    with sampled curvature from a scalar PchipInterpolator call."""
+    path = build_path(cfg.path_spec)
+    spec = cfg.path_spec
+    if spec.kind == "sampled":
+        pchip = PchipInterpolator(spec.table_s, spec.table_kappa)
+
+        def curvature(s):
+            return float(pchip(s))
+    else:
+        curvature = path.curvature
+    params, ctl, dt = cfg.vehicle, cfg.control, cfg.dt
+    g_sat = max_allowable_steer(params, ctl.max_lat_accel)
+    hold = 1 if cfg.control_dt is None else round(cfg.control_dt / dt)
+    n = max(1, round(cfg.resolved_t_end() / dt))
+
+    def path_field(state, steer):
+        return path_derivatives(state, steer, params, curvature(state[0]))
+
+    def earth_field(state, steer):
+        return earth_derivatives(state, steer, params)
+
+    ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
+    estate = tuple(path.to_earth(ps))
+    rows = []
+    for i in range(n + 1):
+        kappa = curvature(ps.s)
+        if i % hold == 0:
+            dec = control(ps, kappa, ctl, params)
+        rows.append((i * dt, *ps, desired_yaw_error(kappa, params.sensor_offset),
+                     dec.gamma_des, dec.gamma_ff, dec.gamma_fb, *path.to_earth(ps),
+                     kappa, abs(dec.fb_input) > g_sat, *estate))
+        if i == n:
+            break
+        s, e, theta = step_rk4(path_field, ps, dec.gamma_des, dt)
+        ps = PathState(s, e, wrap_angle_error(theta, 0.0))
+        estate = step_rk4(earth_field, estate, dec.gamma_des, dt)
+    names = ("t", "s_d", "e_d", "theta_d", "theta_0", "gamma_des", "gamma_ff",
+             "gamma_fb", "x_a", "y_a", "psi", "kappa_d", "fb_saturated",
+             "earth_x", "earth_y", "earth_psi")
+    return dict(zip(names, np.array(rows).T))
+
+
+def _table_road() -> PathSpec:
+    rng = np.random.default_rng(5)
+    s = np.concatenate(([0.0], np.cumsum(rng.uniform(2.0, 15.0, 29))))
+    return PathSpec.sampled(s, rng.uniform(-0.02, 0.02, s.size))
+
+
+@pytest.mark.parametrize("control_dt", [None, 1e-2], ids=["every-step", "every-10-steps"])
+@pytest.mark.parametrize("variant", ["full", "linear"])
+@pytest.mark.parametrize("road", [_table_road, cosine_spec,
+                                  lambda: PathSpec.circular(CIRCLE_RADIUS)],
+                         ids=["sampled", "cosine", "circular"])
+def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt):
+    cfg = make_scenario(road(), variant, control_dt=control_dt, t_end=3.0)
+    traj, _ = run_scenario(cfg)
+    for name, expected in _reference_run(cfg).items():
+        assert np.array_equal(getattr(traj, name), expected), name
+    assert np.array_equal(traj.theta_hat, traj.theta_d - traj.theta_0)
 
 
 def test_small_perturbations_follow_linear_model(params):
@@ -264,6 +332,22 @@ def test_compare_records_failures_per_variant():
 def test_step_errors_name_time_and_place(cfg):
     with pytest.raises(DomainError, match=r"\(at t=0 s, s=0 m\)$"):
         run_scenario(cfg)
+
+
+def test_table_ending_ahead_of_the_run_fails_inside_a_step():
+    # 3 s at 20 m/s passes the 50 m table end. The step that starts just
+    # short of it fails at a later RK4 stage, and the error names the
+    # step's start, which lies inside the table.
+    spec = PathSpec.sampled([0.0, 25.0, 50.0], [0.0, 0.002, 0.0])
+    cfg = make_scenario(spec, t_end=3.0, initial=PathState(0.0, 0.0, 0.0))
+    with pytest.raises(DomainError) as info:
+        run_scenario(cfg)
+    message = str(info.value)
+    assert "outside sampled table range [0, 50]" in message
+    found = re.fullmatch(r"s=(\S+) outside .* \(at t=\S+ s, s=(\S+) m\)", message)
+    assert found, message
+    stage_s, step_s = (float(v) for v in found.groups())
+    assert step_s <= 50.0 < stage_s
 
 
 def test_sampled_profile_reproduces_analytic_run():
