@@ -31,6 +31,8 @@ class VehicleParams:
         # Written so that NaN fails each check.
         if not 0.0 < self.wheelbase < math.inf:
             raise ConfigError(f"wheelbase must be positive and finite, got {self.wheelbase}")
+        if not -math.inf < self.sensor_offset < math.inf:
+            raise ConfigError(f"sensor_offset must be finite, got {self.sensor_offset}")
         if not 0.0 < self.speed < math.inf:
             raise ConfigError(
                 f"speed must be positive and finite (forward motion), got {self.speed}")

@@ -15,6 +15,14 @@ two midpoint stages share one heading and one evaluation. ``step_rk4`` over
 ``path_derivatives`` and ``earth_derivatives`` is the reference: the fused
 step evaluates the same expressions in the same order, and the tests require
 bit-identical trajectories from both.
+
+A run is recorded in one array with a column per step, filled by one store
+per step; the ``Trajectory`` fields are its rows, not copies. The pose
+columns ``x_A, y_A, psi`` are the path-frame state mapped through
+``Path.to_earth`` for frames ``path`` and ``both``, and the earth-frame
+integration for ``earth``, which maps only the initial pose. Only ``both``
+keeps the earth integration alongside (``earth_x``, ``earth_y``,
+``earth_psi``) for the cross-check.
 """
 
 from __future__ import annotations
@@ -72,6 +80,9 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"control_dt ({self.control_dt}) must be a positive integer "
                     f"multiple of dt ({self.dt})")
+        if not 0.0 < self.settle_threshold < math.inf:
+            raise ConfigError(
+                f"settle_threshold must be positive and finite, got {self.settle_threshold}")
 
     def resolved_t_end(self) -> float:
         if self.t_end is not None:
@@ -108,11 +119,7 @@ class Trajectory:
     earth_psi: np.ndarray | None = None
 
     def signals(self) -> dict[str, np.ndarray]:
-        return dict(zip(TRAJECTORY_COLUMNS,
-                        (self.t, self.s_d, self.e_d, self.theta_d, self.theta_0,
-                         self.theta_hat, self.gamma_des, self.gamma_ff,
-                         self.gamma_fb, self.x_a, self.y_a, self.psi,
-                         self.kappa_d)))
+        return {name: getattr(self, name.lower()) for name in TRAJECTORY_COLUMNS}
 
     def frame_mismatch(self) -> tuple[float, float] | None:
         """Max position [m] and heading [rad] gap between the two integrations."""
@@ -233,25 +240,22 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     hold = 1 if cfg.control_dt is None else round(cfg.control_dt / dt)
     n = max(1, round(t_end / dt))
     want_earth = cfg.frame != "path"
+    mapped = cfg.frame != "earth"
 
-    cols = {name: np.empty(n + 1) for name in
-            ("t", "s", "e", "theta", "theta0", "gdes", "gff", "gfb", "kappa")}
-    sat = np.empty(n + 1, dtype=bool)
-    map_x = np.empty(n + 1)
-    map_y = np.empty(n + 1)
-    map_psi = np.empty(n + 1)
-    if want_earth:
-        earth_x = np.empty(n + 1)
-        earth_y = np.empty(n + 1)
-        earth_psi = np.empty(n + 1)
+    # The run's record, one column per row of the trajectory: the
+    # TRAJECTORY_COLUMNS without theta_hat (rows 0-11), the raw feedback
+    # command (row 12) and the earth-frame integration's pose (rows 13-15).
+    rec = np.empty((16, n + 1))
 
     v = params.speed
     ratio = params.sensor_offset / params.wheelbase
     half = 0.5 * dt
     curvature = path.curvature
+    to_earth = path.to_earth
     ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
-    if want_earth:
-        x_e, y_e, psi_e = path.to_earth(ps)
+    # The earth integration maps only the initial pose; with frame "path"
+    # its rows hold NaN and are dropped.
+    x_e, y_e, psi_e = to_earth(ps) if want_earth else (math.nan,) * 3
 
     # Each step is the fused held-steering RK4 of the module docstring.
     try:
@@ -263,29 +267,21 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                     f"curvature-center singularity (1 - e*kappa = {1.0 - ps.e * kappa:.3g})")
             update = i % hold == 0
             if update:
-                decision = control(ps, kappa, ctl, params)
+                g_des, g_ff, g_fb, fb = control(ps, kappa, ctl, params)
 
-            cols["t"][i] = i * dt
-            cols["s"][i], cols["e"][i], cols["theta"][i] = ps
-            cols["theta0"][i] = theta_0
-            cols["gdes"][i] = decision.gamma_des
-            cols["gff"][i] = decision.gamma_ff
-            cols["gfb"][i] = decision.gamma_fb
-            cols["kappa"][i] = kappa
-            sat[i] = abs(decision.fb_input) > g_sat
-            map_x[i], map_y[i], map_psi[i] = path.to_earth(ps)
-            if want_earth:
-                earth_x[i], earth_y[i], earth_psi[i] = x_e, y_e, psi_e
+            s, e, theta = ps
+            pose = to_earth(ps) if mapped else (x_e, y_e, psi_e)
+            rec[:, i] = (i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, *pose,
+                         kappa, fb, x_e, y_e, psi_e)
 
             if i == n:
                 break
             if update:
-                _check_steer(decision.gamma_des)
-                tan_g = math.tan(decision.gamma_des)
+                _check_steer(g_des)
+                tan_g = math.tan(g_des)
                 ratio_tan = ratio * tan_g
                 yaw_rate = v / params.wheelbase * tan_g
 
-            s, e, theta = ps
             a_s, a_e, a_t = _path_rates(s, e, theta, kappa, v, ratio_tan, yaw_rate)
             s2 = s + half * a_s
             b_s, b_e, b_t = _path_rates(s2, e + half * a_e, theta + half * a_t,
@@ -315,23 +311,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     except (DomainError, SingularityError) as exc:
         raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={ps.s:.6g} m)") from exc
 
-    if cfg.frame == "earth":
-        x_a, y_a, psi = earth_x, earth_y, earth_psi
-    else:
-        x_a, y_a, psi = map_x, map_y, map_psi
     # Only "both" has a second integration to cross-check the pose columns.
-    cross_check = cfg.frame == "both"
-
-    traj = Trajectory(
-        t=cols["t"], s_d=cols["s"], e_d=cols["e"], theta_d=cols["theta"],
-        theta_0=cols["theta0"], theta_hat=cols["theta"] - cols["theta0"],
-        gamma_des=cols["gdes"], gamma_ff=cols["gff"], gamma_fb=cols["gfb"],
-        x_a=x_a, y_a=y_a, psi=psi, kappa_d=cols["kappa"],
-        g_sat=g_sat, fb_saturated=sat,
-        earth_x=earth_x if cross_check else None,
-        earth_y=earth_y if cross_check else None,
-        earth_psi=earth_psi if cross_check else None,
-    )
+    earth = rec[13:] if cfg.frame == "both" else (None, None, None)
+    traj = Trajectory(*rec[:5], rec[3] - rec[4], *rec[5:12], g_sat,
+                      np.abs(rec[12]) > g_sat, *earth)
     return traj, _metrics(traj, cfg)
 
 

@@ -21,6 +21,9 @@ def test_params_validation():
         benchmark_params(speed=-1.0)
     with pytest.raises(ConfigError):
         benchmark_params(max_steer=math.pi / 2)
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="sensor_offset"):
+            benchmark_params(sensor_offset=offset)
 
 
 def test_earth_straight_rolling(params):

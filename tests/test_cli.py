@@ -143,6 +143,7 @@ def test_non_finite_numbers_exit_config(tmp_path, key, value):
 
 @pytest.mark.parametrize("command, key, value", [
     ("simulate", "periods", "2.5"),
+    ("simulate", "settle_threshold_m", "-1.0"), ("simulate", "settle_threshold_m", "0.0"),
     ("stability-map", "resolution", "-1"), ("stability-map", "resolution", "0"),
     ("stability-map", "resolution", "2.7"),
     ("freq-response", "points", "-1"), ("freq-response", "points", "0"),
@@ -151,7 +152,7 @@ def test_non_finite_numbers_exit_config(tmp_path, key, value):
     ("stability-map", "kappa0_per_m", "[]"), ("freq-response", "kappa0_per_m", "[]"),
 ])
 def test_counts_and_ranges_exit_config(tmp_path, command, key, value):
-    text = SCENARIO_YAML if command == "simulate" else (
+    text = SCENARIO_YAML + "  settle_threshold_m: 0.01\n" if command == "simulate" else (
         ANALYSIS_YAML + "omega:\n  min_rad_s: 0.01\n  max_rad_s: 100.0\n  points: 50\n")
     parse_config(text)  # valid before the one edit
     config = tmp_path / "config.yaml"

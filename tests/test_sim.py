@@ -16,6 +16,7 @@ from offsetsteer import (DomainError, OffsetSteerError, PathSpec, PathState,
                          max_allowable_steer, path_derivatives, run_scenario,
                          step_rk4, wrap_angle_error, write_metrics,
                          write_trajectory_csv)
+from offsetsteer.paths import Path
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
 from conftest import (CIRCLE_RADIUS, COSINE_KAPPA_MAX, COSINE_PERIOD,
@@ -180,16 +181,42 @@ def _table_road() -> PathSpec:
     return PathSpec.sampled(s, rng.uniform(-0.02, 0.02, s.size))
 
 
-@pytest.mark.parametrize("control_dt", [None, 1e-2], ids=["every-step", "every-10-steps"])
+# Frame "both", which make_scenario builds, carries no id suffix.
+@pytest.mark.parametrize("control_dt, frame", [
+    pytest.param(control_dt, frame, id=name if frame == "both" else f"{name}-{frame}")
+    for control_dt, name in ((None, "every-step"), (1e-2, "every-10-steps"))
+    for frame in ("both", "path", "earth")])
 @pytest.mark.parametrize("variant", ["full", "linear"])
 @pytest.mark.parametrize("road", [_table_road, cosine_spec,
                                   lambda: PathSpec.circular(CIRCLE_RADIUS)],
                          ids=["sampled", "cosine", "circular"])
-def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt):
-    cfg = make_scenario(road(), variant, control_dt=control_dt, t_end=3.0)
+def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt, frame,
+                                                       monkeypatch):
+    cfg = replace(make_scenario(road(), variant, control_dt=control_dt, t_end=3.0),
+                  frame=frame)
+    expected = _reference_run(cfg)
+    original = Path.to_earth
+    calls = []
+
+    def counting_to_earth(self, ps):
+        calls.append(ps)
+        return original(self, ps)
+
+    monkeypatch.setattr(Path, "to_earth", counting_to_earth)
     traj, _ = run_scenario(cfg)
-    for name, expected in _reference_run(cfg).items():
-        assert np.array_equal(getattr(traj, name), expected), name
+    rows = traj.t.size
+    # Frame "earth" maps only the initial pose for its integration.
+    assert len(calls) == {"path": rows, "earth": 1, "both": rows + 1}[frame]
+    pose = ("x_a", "y_a", "psi")
+    earth = ("earth_x", "earth_y", "earth_psi")
+    if frame == "earth":
+        for name, source in zip(pose, earth):
+            expected[name] = expected[source]
+    for name, values in expected.items():
+        if name in earth and frame != "both":
+            assert getattr(traj, name) is None, name
+        else:
+            assert np.array_equal(getattr(traj, name), values), name
     assert np.array_equal(traj.theta_hat, traj.theta_d - traj.theta_0)
 
 
@@ -405,6 +432,10 @@ def test_config_validation_errors():
         ScenarioConfig(path_spec=PathSpec.straight(), vehicle=benchmark_params(),
                        control=benchmark_control(), initial=PathState(0, 0, 0),
                        dt=1e-3, frame="sideways")
+    with pytest.raises(OffsetSteerError, match="settle_threshold"):
+        ScenarioConfig(path_spec=PathSpec.straight(), vehicle=benchmark_params(),
+                       control=benchmark_control(), initial=PathState(0, 0, 0),
+                       dt=1e-3, settle_threshold=-1.0)
 
 
 def test_untrackable_path_aborts():

@@ -300,3 +300,7 @@ def test_config_validation():
         ControlConfig(k1=-0.8, k2=0.02, max_lat_accel=4.0, variant="bogus")
     with pytest.raises(ConfigError):
         ControlConfig(k1=-0.8, k2=0.02, max_lat_accel=0.0)
+    with pytest.raises(ConfigError, match="k1"):
+        ControlConfig(k1=math.nan, k2=0.02, max_lat_accel=4.0)
+    with pytest.raises(ConfigError, match="k2"):
+        ControlConfig(k1=-0.8, k2=math.nan, max_lat_accel=4.0)
