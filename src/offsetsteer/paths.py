@@ -156,6 +156,16 @@ def load_curvature_table(csv_path) -> PathSpec:
     return spec
 
 
+def _line(x0: float, y0: float, psi0: float, ds: np.ndarray):
+    """Poses along the straight line through (x0, y0) at heading psi0."""
+    return x0 + ds * math.cos(psi0), y0 + ds * math.sin(psi0), np.full_like(ds, psi0)
+
+
+def _floats_for_scalar(s, values: tuple) -> tuple:
+    """``values`` as floats for a scalar arc length ``s``, unchanged for an array."""
+    return tuple(map(float, values)) if np.ndim(s) == 0 else values
+
+
 class _PoseGrid:
     """Numerically reconstructed pose cache for kinds without closed form.
 
@@ -205,14 +215,11 @@ class _PoseGrid:
         self.psi = psi
         self.kappa = np.asarray(k_nodes, dtype=float)
 
-    def pose(self, s: float) -> tuple[float, float, float]:
+    def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u = (s - self.s0) / self.h
-        j = int(u)
-        if j < 0:
-            j = 0
-        elif j >= self.n:
-            j = self.n - 1
-        u -= j
+        # int(u) clamped to the first and last segment.
+        j = np.clip(u, 0, self.n - 1).astype(np.intp)
+        u = u - j
         # Hermite basis on the segment [s_j, s_j + h].
         u2 = u * u
         u3 = u2 * u
@@ -223,10 +230,10 @@ class _PoseGrid:
         h = self.h
         pa, pb = self.psi[j], self.psi[j + 1]
         ka, kb = self.kappa[j], self.kappa[j + 1]
-        x = (h00 * self.x[j] + h10 * h * math.cos(pa)
-             + h01 * self.x[j + 1] + h11 * h * math.cos(pb))
-        y = (h00 * self.y[j] + h10 * h * math.sin(pa)
-             + h01 * self.y[j + 1] + h11 * h * math.sin(pb))
+        x = (h00 * self.x[j] + h10 * h * np.cos(pa)
+             + h01 * self.x[j + 1] + h11 * h * np.cos(pb))
+        y = (h00 * self.y[j] + h10 * h * np.sin(pa)
+             + h01 * self.y[j + 1] + h11 * h * np.sin(pb))
         psi = h00 * pa + h10 * h * ka + h01 * pb + h11 * h * kb
         return x, y, psi
 
@@ -266,11 +273,17 @@ class Path:
             self._grid = _PoseGrid(self._pchip, self._s_start, self._s_end,
                                    spec.x0, spec.y0, spec.psi0)
 
-    def _check_sampled_range(self, s: float) -> None:
-        """A sampled path is defined only over its table's arc lengths."""
-        if s < self._s_start or s > self._s_end:
-            raise DomainError(
-                f"s={s:.6g} outside sampled table range [{self._s_start:.6g}, {self._s_end:.6g}]")
+    def _check_sampled_range(self, s) -> None:
+        """A sampled path is defined only over its table's arc lengths; an
+        array of arc lengths is reported at its first one outside."""
+        lo, hi = self._s_start, self._s_end
+        if isinstance(s, np.ndarray):
+            outside = s[(s < lo) | (s > hi)]
+            if not outside.size:
+                return
+            s = outside[0]
+        if s < lo or s > hi:
+            raise DomainError(f"s={s:.6g} outside sampled table range [{lo:.6g}, {hi:.6g}]")
 
     # -- curvature -----------------------------------------------------
 
@@ -304,40 +317,43 @@ class Path:
 
     # -- pose ----------------------------------------------------------
 
-    def pose(self, s: float) -> tuple[float, float, float]:
-        """Path point and tangent heading (x_d, y_d, psi_d) at arc length s."""
+    def pose(self, s: float | np.ndarray) -> tuple:
+        """Path point and tangent heading (x_d, y_d, psi_d) at arc length s.
+
+        ``s`` is a float, which gives floats, or an array, which gives arrays.
+        An array takes the scalar formulas in the same order, with sin and cos
+        as the only elementwise functions, so each element equals their value.
+        """
         spec = self.spec
+        s = np.asarray(s, dtype=float)
         if spec.kind == "straight":
-            return (spec.x0 + s * math.cos(spec.psi0),
-                    spec.y0 + s * math.sin(spec.psi0),
-                    spec.psi0)
-        if spec.kind == "circular":
+            pose = _line(spec.x0, spec.y0, spec.psi0, s)
+        elif spec.kind == "circular":
             rho = spec.radius
             psi = spec.psi0 + s / rho
-            return (spec.x0 + rho * (math.sin(psi) - math.sin(spec.psi0)),
-                    spec.y0 - rho * (math.cos(psi) - math.cos(spec.psi0)),
+            pose = (spec.x0 + rho * (np.sin(psi) - math.sin(spec.psi0)),
+                    spec.y0 - rho * (np.cos(psi) - math.cos(spec.psi0)),
                     psi)
-        if spec.kind == "cosine":
-            if s < 0.0:
-                return (spec.x0 + s * math.cos(spec.psi0),
-                        spec.y0 + s * math.sin(spec.psi0),
-                        spec.psi0)
-            if s > self._s_end:
-                xe, ye, pe = self._grid.end_pose()
-                ds = s - self._s_end
-                return (xe + ds * math.cos(pe), ye + ds * math.sin(pe), pe)
-            return self._grid.pose(s)
-        self._check_sampled_range(s)
-        return self._grid.pose(s)
+        elif spec.kind == "cosine":
+            inside = self._grid.pose(s)
+            # Straight continuations before the start and past the end.
+            before = _line(spec.x0, spec.y0, spec.psi0, s)
+            after = _line(*self._grid.end_pose(), s - self._s_end)
+            pose = tuple(np.where(s < 0.0, b, np.where(s > self._s_end, a, g))
+                         for b, a, g in zip(before, after, inside))
+        else:
+            self._check_sampled_range(s)
+            pose = self._grid.pose(s)
+        return _floats_for_scalar(s, pose)
 
     # -- frame conversions ----------------------------------------------
 
     def to_earth(self, ps: PathState) -> EarthState:
-        """Map a path-frame state to the earth frame."""
+        """Map a path-frame state (floats or arrays, as for ``pose``) to the earth frame."""
         xd, yd, psid = self.pose(ps.s)
-        return EarthState(xd - ps.e * math.sin(psid),
-                          yd + ps.e * math.cos(psid),
-                          psid + ps.theta)
+        return EarthState(*_floats_for_scalar(ps.s, (xd - ps.e * np.sin(psid),
+                                                     yd + ps.e * np.cos(psid),
+                                                     psid + ps.theta)))
 
     def project(self, es: EarthState, s_hint: float) -> PathState:
         """Recover the path-frame state of an earth-frame pose.

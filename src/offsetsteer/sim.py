@@ -16,13 +16,15 @@ two midpoint stages share one heading and one evaluation. ``step_rk4`` over
 step evaluates the same expressions in the same order, and the tests require
 bit-identical trajectories from both.
 
-A run is recorded in one array with a column per step, filled by one store
-per step; the ``Trajectory`` fields are its rows, not copies. The pose
-columns ``x_A, y_A, psi`` are the path-frame state mapped through
-``Path.to_earth`` for frames ``path`` and ``both``, and the earth-frame
-integration for ``earth``, which maps only the initial pose. Only ``both``
-keeps the earth integration alongside (``earth_x``, ``earth_y``,
-``earth_psi``) for the cross-check.
+A run is recorded in one array with a column per step; the loop stores what
+the dynamics produce with one store per step, and the ``Trajectory`` fields
+are the array's rows, not copies. The dynamics never read the pose columns
+``x_A, y_A, psi``. For frames ``path`` and ``both`` they are mapped after the
+loop, by one array call of ``Path.to_earth`` on the recorded ``s, e, theta``
+rows, which equals the row-by-row scalar mapping bit for bit. For ``earth``
+they are the earth-frame integration's rows, and only its initial pose is
+mapped. Only ``both`` keeps the earth integration alongside (``earth_x``,
+``earth_y``, ``earth_psi``) for the cross-check.
 """
 
 from __future__ import annotations
@@ -242,20 +244,21 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     want_earth = cfg.frame != "path"
     mapped = cfg.frame != "earth"
 
-    # The run's record, one column per row of the trajectory: the
-    # TRAJECTORY_COLUMNS without theta_hat (rows 0-11), the raw feedback
-    # command (row 12) and the earth-frame integration's pose (rows 13-15).
-    rec = np.empty((16, n + 1))
+    # The run's record, one column per row of the trajectory. The loop stores
+    # rows 0-12: the TRAJECTORY_COLUMNS without theta_hat and the pose
+    # (rows 0-8), the raw feedback command (row 9) and the earth-frame
+    # integration's pose (rows 10-12). After the loop, frames "path" and
+    # "both" map rows 1-3 (s, e, theta) to the pose columns in rows 13-15.
+    rec = np.empty((16 if mapped else 13, n + 1))
 
     v = params.speed
     ratio = params.sensor_offset / params.wheelbase
     half = 0.5 * dt
     curvature = path.curvature
-    to_earth = path.to_earth
     ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
     # The earth integration maps only the initial pose; with frame "path"
     # its rows hold NaN and are dropped.
-    x_e, y_e, psi_e = to_earth(ps) if want_earth else (math.nan,) * 3
+    x_e, y_e, psi_e = path.to_earth(ps) if want_earth else (math.nan,) * 3
 
     # Each step is the fused held-steering RK4 of the module docstring.
     try:
@@ -270,9 +273,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                 g_des, g_ff, g_fb, fb = control(ps, kappa, ctl, params)
 
             s, e, theta = ps
-            pose = to_earth(ps) if mapped else (x_e, y_e, psi_e)
-            rec[:, i] = (i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, *pose,
-                         kappa, fb, x_e, y_e, psi_e)
+            rec[:13, i] = (i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa, fb,
+                           x_e, y_e, psi_e)
 
             if i == n:
                 break
@@ -311,10 +313,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     except (DomainError, SingularityError) as exc:
         raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={ps.s:.6g} m)") from exc
 
+    if mapped:
+        rec[13], rec[14], rec[15] = path.to_earth(PathState(*rec[1:4]))
+    pose = rec[13:] if mapped else rec[10:13]
     # Only "both" has a second integration to cross-check the pose columns.
-    earth = rec[13:] if cfg.frame == "both" else (None, None, None)
-    traj = Trajectory(*rec[:5], rec[3] - rec[4], *rec[5:12], g_sat,
-                      np.abs(rec[12]) > g_sat, *earth)
+    earth = rec[10:13] if cfg.frame == "both" else (None, None, None)
+    traj = Trajectory(*rec[:5], rec[3] - rec[4], *rec[5:8], *pose, rec[8], g_sat,
+                      np.abs(rec[9]) > g_sat, *earth)
     return traj, _metrics(traj, cfg)
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: benchmark vehicle and cached closed-loop runs."""
+"""Shared fixtures: benchmark vehicle, cached closed-loop runs and a scalar
+pose oracle."""
 
 from __future__ import annotations
 
@@ -46,6 +47,64 @@ def make_scenario(path_spec: PathSpec, variant="full", k1=K1, k2=K2,
                           control=benchmark_control(variant, k1, k2),
                           initial=initial, dt=dt, control_dt=control_dt,
                           t_end=t_end, frame="both")
+
+
+def reference_pose(path, s: float) -> tuple[float, float, float]:
+    """Path.pose at one arc length in scalar math, kept apart from the library.
+
+    The straight and circular closed forms, the cosine road's straight
+    continuations before its start and past its end, and the cubic Hermite
+    evaluation over the pose grid's nodes (``path._grid``), each written as
+    scalar ``math`` expressions in the library's order.
+    """
+    spec = path.spec
+    if spec.kind == "straight":
+        return (spec.x0 + s * math.cos(spec.psi0),
+                spec.y0 + s * math.sin(spec.psi0),
+                spec.psi0)
+    if spec.kind == "circular":
+        rho = spec.radius
+        psi = spec.psi0 + s / rho
+        return (spec.x0 + rho * (math.sin(psi) - math.sin(spec.psi0)),
+                spec.y0 - rho * (math.cos(psi) - math.cos(spec.psi0)),
+                psi)
+    grid = path._grid
+    if spec.kind == "cosine":
+        if s < 0.0:
+            return (spec.x0 + s * math.cos(spec.psi0),
+                    spec.y0 + s * math.sin(spec.psi0),
+                    spec.psi0)
+        s_end = spec.periods * spec.period
+        if s > s_end:
+            xe, ye, pe = float(grid.x[-1]), float(grid.y[-1]), float(grid.psi[-1])
+            ds = s - s_end
+            return (xe + ds * math.cos(pe), ye + ds * math.sin(pe), pe)
+    u = (s - grid.s0) / grid.h
+    j = min(max(int(u), 0), grid.n - 1)
+    u -= j
+    u2 = u * u
+    u3 = u2 * u
+    h00 = 2.0 * u3 - 3.0 * u2 + 1.0
+    h10 = u3 - 2.0 * u2 + u
+    h01 = -2.0 * u3 + 3.0 * u2
+    h11 = u3 - u2
+    h = grid.h
+    pa, pb = float(grid.psi[j]), float(grid.psi[j + 1])
+    ka, kb = float(grid.kappa[j]), float(grid.kappa[j + 1])
+    x = (h00 * float(grid.x[j]) + h10 * h * math.cos(pa)
+         + h01 * float(grid.x[j + 1]) + h11 * h * math.cos(pb))
+    y = (h00 * float(grid.y[j]) + h10 * h * math.sin(pa)
+         + h01 * float(grid.y[j + 1]) + h11 * h * math.sin(pb))
+    psi = h00 * pa + h10 * h * ka + h01 * pb + h11 * h * kb
+    return x, y, psi
+
+
+def reference_to_earth(path, ps: PathState) -> tuple[float, float, float]:
+    """Path.to_earth of one path-frame state through ``reference_pose``."""
+    xd, yd, psid = reference_pose(path, ps.s)
+    return (xd - ps.e * math.sin(psid),
+            yd + ps.e * math.cos(psid),
+            psid + ps.theta)
 
 
 # Every standard study scenario, built lazily and cached for the session.

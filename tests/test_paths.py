@@ -11,7 +11,8 @@ from offsetsteer import (ConfigError, DomainError, EarthState, PathSpec,
                          PathState, build_path, load_curvature_table,
                          wrap_angle_error)
 
-from conftest import COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS
+from conftest import (COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS,
+                      reference_pose, reference_to_earth)
 
 
 # -- curvature profiles ----------------------------------------------------
@@ -85,13 +86,22 @@ def test_sampled_tracks_its_source_profile():
 
 def test_sampled_outside_range_raises():
     path = build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 0.01, 0.0]))
+
+    def pose_array(s):
+        return path.pose(np.array([0.0, 5.0, s, 20.0]))
+
+    def to_earth_array(s):
+        return path.to_earth(PathState(np.array([s, 5.0, 20.0, 30.0]), np.zeros(4),
+                                       np.zeros(4)))
+
     for s in (-1.0, 20.5, 25.0):
         messages = set()
-        for lookup in (path.curvature, path.pose):
+        for lookup in (path.curvature, path.pose, pose_array, to_earth_array):
             with pytest.raises(DomainError) as info:
                 lookup(s)
             messages.add(str(info.value))
-        # Both lookups apply one range rule and report it the same way.
+        # All lookups apply one range rule and report it the same way; an
+        # array reports its first arc length outside the table.
         assert len(messages) == 1
         assert f"s={s:.6g} outside sampled table range [0, 20]" in messages
 
@@ -170,12 +180,49 @@ def test_pose_positions_match_quadrature_of_heading():
     path = build_path(PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS))
     s_hi = 500.0
     grid = np.linspace(0.0, s_hi, 200001)
-    psis = np.array([path.pose(float(s))[2] for s in grid])
+    psis = path.pose(grid)[2]
     x = np.trapezoid(np.cos(psis), grid)
     y = np.trapezoid(np.sin(psis), grid)
     xe, ye, _ = path.pose(s_hi)
     assert xe == pytest.approx(x, abs=1e-6)
     assert ye == pytest.approx(y, abs=1e-6)
+
+
+_COSINE_END = COSINE_PERIODS * COSINE_PERIOD
+_TABLE_S, _TABLE_KAPPA = _random_table()
+
+
+@pytest.mark.parametrize("spec, special, lo, hi", [
+    # y0 = -0.0 keeps signed zeros in the y column.
+    (PathSpec.straight(1.0, -0.0, 0.0), [0.0, -0.0], -50.0, 1500.0),
+    (PathSpec.circular(200.0, 3.0, -1.0, 2.5), [0.0, -0.0], -50.0, 1500.0),
+    (PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS),
+     [0.0, -0.0, -1e-300, 250.0, _COSINE_END, math.nextafter(_COSINE_END, math.inf)],
+     -100.0, _COSINE_END + 100.0),
+    (PathSpec.sampled(_TABLE_S, _TABLE_KAPPA), _TABLE_S, _TABLE_S[0], _TABLE_S[-1]),
+], ids=["straight", "circular", "cosine", "sampled"])
+def test_array_pose_equals_scalar_formulas(spec, special, lo, hi):
+    # An array query must give, element for element and sign of zero
+    # included, what the scalar formulas give: on the cosine road before its
+    # start and past its end too, on the sampled road at its knots.
+    path = build_path(spec)
+    rng = np.random.default_rng(22)
+    s = np.concatenate((special, rng.uniform(lo, hi, 10_000)))
+    e = rng.uniform(-20.0, 20.0, s.size)
+    theta = rng.uniform(-math.pi, math.pi, s.size)
+    rows = list(zip(s.tolist(), e.tolist(), theta.tolist()))
+    want_pose = np.array([reference_pose(path, v) for v, _, _ in rows]).T
+    want_earth = np.array([reference_to_earth(path, PathState(*row)) for row in rows]).T
+    for got, want in ((path.pose(s), want_pose),
+                      (path.to_earth(PathState(s, e, theta)), want_earth)):
+        for column, expected in zip(got, want):
+            assert np.array_equal(column.view(np.int64), expected.view(np.int64))
+    # A float query gives floats, the same values.
+    for i in range(0, s.size, 50):
+        for got, want in ((path.pose(rows[i][0]), want_pose[:, i]),
+                          (path.to_earth(PathState(*rows[i])), want_earth[:, i])):
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
 
 
 # -- path <-> earth ----------------------------------------------------------

@@ -21,7 +21,7 @@ from offsetsteer.sim import TRAJECTORY_COLUMNS
 
 from conftest import (CIRCLE_RADIUS, COSINE_KAPPA_MAX, COSINE_PERIOD,
                       COSINE_PERIODS, K2, benchmark_control, benchmark_params,
-                      cosine_spec, make_scenario)
+                      cosine_spec, make_scenario, reference_to_earth)
 
 
 # -- integrator ----------------------------------------------------------------
@@ -133,7 +133,8 @@ def test_only_both_frames_cross_check():
 
 def _reference_run(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """The closed loop as step_rk4 over path_derivatives and earth_derivatives,
-    with sampled curvature from a scalar PchipInterpolator call."""
+    with sampled curvature from a scalar PchipInterpolator call and each row's
+    pose from the scalar ``reference_to_earth``."""
     path = build_path(cfg.path_spec)
     spec = cfg.path_spec
     if spec.kind == "sampled":
@@ -155,14 +156,14 @@ def _reference_run(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
         return earth_derivatives(state, steer, params)
 
     ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
-    estate = tuple(path.to_earth(ps))
+    estate = reference_to_earth(path, ps)
     rows = []
     for i in range(n + 1):
         kappa = curvature(ps.s)
         if i % hold == 0:
             dec = control(ps, kappa, ctl, params)
         rows.append((i * dt, *ps, desired_yaw_error(kappa, params.sensor_offset),
-                     dec.gamma_des, dec.gamma_ff, dec.gamma_fb, *path.to_earth(ps),
+                     dec.gamma_des, dec.gamma_ff, dec.gamma_fb, *reference_to_earth(path, ps),
                      kappa, abs(dec.fb_input) > g_sat, *estate))
         if i == n:
             break
@@ -204,9 +205,9 @@ def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt
 
     monkeypatch.setattr(Path, "to_earth", counting_to_earth)
     traj, _ = run_scenario(cfg)
-    rows = traj.t.size
-    # Frame "earth" maps only the initial pose for its integration.
-    assert len(calls) == {"path": rows, "earth": 1, "both": rows + 1}[frame]
+    # The earth integration maps its initial pose; the pose columns of
+    # frames "path" and "both" are mapped in one call after the loop.
+    assert len(calls) == {"path": 1, "earth": 1, "both": 2}[frame]
     pose = ("x_a", "y_a", "psi")
     earth = ("earth_x", "earth_y", "earth_psi")
     if frame == "earth":
