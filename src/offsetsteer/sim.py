@@ -14,17 +14,21 @@ update, the first stage reuses the step's curvature, and the earth step's
 two midpoint stages share one heading and one evaluation. ``step_rk4`` over
 ``path_derivatives`` and ``earth_derivatives`` is the reference: the fused
 step evaluates the same expressions in the same order, and the tests require
-bit-identical trajectories from both.
+bit-identical trajectories from both. The steering law is bound once per
+run (``steering._law``: variant, wrap decision and feedback bound resolved
+before the loop), each update returns a plain tuple, and the loop carries
+``s, e, theta`` as floats; ``control`` is the same law for one state.
 
 A run is recorded in one array with a column per step; the loop stores what
 the dynamics produce with one store per step, and the ``Trajectory`` fields
 are the array's rows, not copies. The dynamics never read the pose columns
 ``x_A, y_A, psi``. For frames ``path`` and ``both`` they are mapped after the
-loop, by one array call of ``Path.to_earth`` on the recorded ``s, e, theta``
-rows, which equals the row-by-row scalar mapping bit for bit. For ``earth``
-they are the earth-frame integration's rows, and only its initial pose is
-mapped. Only ``both`` keeps the earth integration alongside (``earth_x``,
-``earth_y``, ``earth_psi``) for the cross-check.
+loop by array calls of ``Path.to_earth`` on the recorded ``s, e, theta``
+rows, ``POSE_SLICE_ROWS`` rows per call so that a long run's temporaries
+stay small; each element equals the row-by-row scalar mapping bit for bit.
+For ``earth`` they are the earth-frame integration's rows, and only its
+initial pose is mapped. Only ``both`` keeps the earth integration alongside
+(``earth_x``, ``earth_y``, ``earth_psi``) for the cross-check.
 """
 
 from __future__ import annotations
@@ -42,13 +46,20 @@ from .bicycle import (VehicleParams, _check_steer, _earth_rates, _path_rates,  #
                       earth_derivatives, path_derivatives)
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, build_path, wrap_angle_error
-from .steering import ControlConfig, control, desired_yaw_error, max_allowable_steer
+# The loop calls the run's bound law; control stays importable from here,
+# where perfbench's tracer wraps it.
+from .steering import (ControlConfig, _law, control,  # noqa: F401
+                       desired_yaw_error, max_allowable_steer)
 
 # Abort threshold for the path-frame singularity 1 - e*kappa -> 0.
 SINGULARITY_TOL = 1e-6
 
 # Default |e| threshold for the settling-time metric [m].
 SETTLE_THRESHOLD = 0.01
+
+# Rows mapped to the pose columns per array call after the loop: long runs
+# keep the mapping's temporaries this size instead of the record's.
+POSE_SLICE_ROWS = 4096
 
 TRAJECTORY_COLUMNS = ("t", "s_D", "e_D", "theta_D", "theta_0", "theta_hat",
                       "gamma_des", "gamma_ff", "gamma_fb", "x_A", "y_A", "psi",
@@ -85,6 +96,9 @@ class ScenarioConfig:
         if not 0.0 < self.settle_threshold < math.inf:
             raise ConfigError(
                 f"settle_threshold must be positive and finite, got {self.settle_threshold}")
+        for name, value in zip(PathState._fields, self.initial):
+            if not -math.inf < value < math.inf:
+                raise ConfigError(f"initial {name} must be finite, got {value}")
 
     def resolved_t_end(self) -> float:
         if self.t_end is not None:
@@ -252,27 +266,31 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     rec = np.empty((16 if mapped else 13, n + 1))
 
     v = params.speed
-    ratio = params.sensor_offset / params.wheelbase
+    offset = params.sensor_offset
+    ratio = offset / params.wheelbase
     half = 0.5 * dt
     curvature = path.curvature
-    ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
+    law = _law(ctl, params)
+    isfinite = math.isfinite
+    s, e, theta = cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0)
     # The earth integration maps only the initial pose; with frame "path"
     # its rows hold NaN and are dropped.
-    x_e, y_e, psi_e = path.to_earth(ps) if want_earth else (math.nan,) * 3
+    x_e, y_e, psi_e = path.to_earth(PathState(s, e, theta)) if want_earth else (math.nan,) * 3
 
-    # Each step is the fused held-steering RK4 of the module docstring.
+    # Each step is the fused held-steering RK4 of the module docstring. The
+    # state s, e, theta changes only at the end of a step, so an error
+    # raised inside it reports the step's start.
     try:
         for i in range(n + 1):
-            kappa = curvature(ps.s)
-            theta_0 = desired_yaw_error(kappa, params.sensor_offset)
-            if abs(1.0 - ps.e * kappa) < SINGULARITY_TOL:
+            kappa = curvature(s)
+            theta_0 = desired_yaw_error(kappa, offset)
+            if abs(1.0 - e * kappa) < SINGULARITY_TOL:
                 raise SingularityError(
-                    f"curvature-center singularity (1 - e*kappa = {1.0 - ps.e * kappa:.3g})")
+                    f"curvature-center singularity (1 - e*kappa = {1.0 - e * kappa:.3g})")
             update = i % hold == 0
             if update:
-                g_des, g_ff, g_fb, fb = control(ps, kappa, ctl, params)
+                g_des, g_ff, g_fb, fb = law(e, theta, kappa)
 
-            s, e, theta = ps
             rec[:13, i] = (i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa, fb,
                            x_e, y_e, psi_e)
 
@@ -294,11 +312,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             s4 = s + dt * c_s
             d_s, d_e, d_t = _path_rates(s4, e + dt * c_e, theta + dt * c_t,
                                         curvature(s4), v, ratio_tan, yaw_rate)
-            s = s + dt * (a_s + 2.0 * b_s + 2.0 * c_s + d_s) / 6.0
-            e = e + dt * (a_e + 2.0 * b_e + 2.0 * c_e + d_e) / 6.0
-            theta = theta + dt * (a_t + 2.0 * b_t + 2.0 * c_t + d_t) / 6.0
-            _check_finite(s, e, theta)
-            ps = PathState(s, e, wrap_angle_error(theta, 0.0))
+            s, e, theta = (s + dt * (a_s + 2.0 * b_s + 2.0 * c_s + d_s) / 6.0,
+                           e + dt * (a_e + 2.0 * b_e + 2.0 * c_e + d_e) / 6.0,
+                           theta + dt * (a_t + 2.0 * b_t + 2.0 * c_t + d_t) / 6.0)
+            if not (isfinite(s) and isfinite(e) and isfinite(theta)):
+                _check_finite(s, e, theta)
+            theta = wrap_angle_error(theta, 0.0)
 
             if want_earth:
                 # psi_dot is the constant yaw rate, so stages 2 and 3 share
@@ -309,12 +328,15 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                 x_e = x_e + dt * (a_x + 2.0 * b_x + 2.0 * b_x + d_x) / 6.0
                 y_e = y_e + dt * (a_y + 2.0 * b_y + 2.0 * b_y + d_y) / 6.0
                 psi_e = psi_e + dt * (yaw_rate + 2.0 * yaw_rate + 2.0 * yaw_rate + yaw_rate) / 6.0
-                _check_finite(x_e, y_e, psi_e)
+                if not (isfinite(x_e) and isfinite(y_e) and isfinite(psi_e)):
+                    _check_finite(x_e, y_e, psi_e)
     except (DomainError, SingularityError) as exc:
-        raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={ps.s:.6g} m)") from exc
+        raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={s:.6g} m)") from exc
 
     if mapped:
-        rec[13], rec[14], rec[15] = path.to_earth(PathState(*rec[1:4]))
+        for lo in range(0, n + 1, POSE_SLICE_ROWS):
+            rows = slice(lo, lo + POSE_SLICE_ROWS)
+            rec[13:, rows] = path.to_earth(PathState(*rec[1:4, rows]))
     pose = rec[13:] if mapped else rec[10:13]
     # Only "both" has a second integration to cross-check the pose columns.
     earth = rec[10:13] if cfg.frame == "both" else (None, None, None)

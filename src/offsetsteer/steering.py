@@ -8,6 +8,10 @@ provided for comparison studies:
 * ``naive``     - sensor offset ignored (rear-axle law applied as-is),
 * ``unwrapped`` - like naive but without the bounding wrapper,
 * ``linear``    - small-error linearization, no wrapper.
+
+``control`` evaluates the law for one state. A closed-loop run binds it once
+(``_law``): the variant, the wrap decision and the feedback bound g_sat are
+resolved before the loop, and each update returns a plain tuple.
 """
 
 from __future__ import annotations
@@ -131,33 +135,57 @@ def _feedback(e: float, theta: float, theta_0: float, cfg: ControlConfig) -> flo
     return cfg.k1 * (theta - theta_0 + math.atan(cfg.k2 * e))
 
 
-def _bounded(raw: float, cfg: ControlConfig, params: VehicleParams) -> float:
-    """Feedback correction: the wrapped variants bound the raw command."""
-    if cfg.variant not in _WRAPPED_VARIANTS:
-        # Degraded variants stay unbounded on purpose: reproducing their
-        # pathologies is the point of simulating them.
-        return raw
-    return wrapper(raw, max_allowable_steer(params, cfg.max_lat_accel))
+def _feedback_bound(cfg: ControlConfig, params: VehicleParams) -> float | None:
+    """Bound g_sat the wrapped variants put on the feedback; None for the others.
+
+    Degraded variants stay unbounded on purpose: reproducing their
+    pathologies is the point of simulating them.
+    """
+    if cfg.variant in _WRAPPED_VARIANTS:
+        return max_allowable_steer(params, cfg.max_lat_accel)
+    return None
+
+
+def _law(cfg: ControlConfig, params: VehicleParams):
+    """The configured steering law with the run's constants bound once.
+
+    Returns ``law(e, theta, kappa) -> (gamma_des, gamma_ff, gamma_fb,
+    fb_input)``, the fields of ``SteeringDecision`` as a plain tuple.
+    """
+    variant = cfg.variant
+    g_sat = _feedback_bound(cfg, params)
+    max_steer = params.max_steer
+
+    def law(e: float, theta: float, kappa: float) -> tuple[float, float, float, float]:
+        gamma_ff, theta_0 = _curvature_terms(kappa, params, variant)
+        raw = _feedback(e, theta, theta_0, cfg)
+        if g_sat is None:
+            return gamma_ff + raw, gamma_ff, raw, raw
+        gamma_fb = wrapper(raw, g_sat)
+        gamma_des = gamma_ff + gamma_fb
+        if abs(gamma_des) > max_steer:
+            # The wrapper bounds only the feedback; clamp the total so the
+            # plant's tan() stays off its singularity.
+            logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
+                           gamma_des, max_steer)
+            gamma_des = math.copysign(max_steer, gamma_des)
+        return gamma_des, gamma_ff, gamma_fb, raw
+
+    return law
 
 
 def feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
              params: VehicleParams) -> float:
-    """Feedback steering correction for the configured variant."""
-    theta_0 = _curvature_terms(kappa, params, cfg.variant)[1]
-    return _bounded(_feedback(e, theta, theta_0, cfg), cfg, params)
+    """Feedback steering correction for the configured variant.
+
+    It equals ``control``'s ``gamma_fb``; it clamps nothing, so it never logs.
+    """
+    raw = _feedback(e, theta, _curvature_terms(kappa, params, cfg.variant)[1], cfg)
+    g_sat = _feedback_bound(cfg, params)
+    return raw if g_sat is None else wrapper(raw, g_sat)
 
 
 def control(state: PathState, kappa: float, cfg: ControlConfig,
             params: VehicleParams) -> SteeringDecision:
     """Full steering command for the current path-frame state."""
-    gamma_ff, theta_0 = _curvature_terms(kappa, params, cfg.variant)
-    raw = _feedback(state.e, state.theta, theta_0, cfg)
-    gamma_fb = _bounded(raw, cfg, params)
-    gamma_des = gamma_ff + gamma_fb
-    if cfg.variant in _WRAPPED_VARIANTS and abs(gamma_des) > params.max_steer:
-        # The wrapper bounds only the feedback; clamp the total so the
-        # plant's tan() stays off its singularity.
-        logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
-                       gamma_des, params.max_steer)
-        gamma_des = math.copysign(params.max_steer, gamma_des)
-    return SteeringDecision(gamma_des, gamma_ff, gamma_fb, raw)
+    return SteeringDecision(*_law(cfg, params)(state.e, state.theta, kappa))

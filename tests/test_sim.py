@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,14 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 
-from offsetsteer import (DomainError, OffsetSteerError, PathSpec, PathState,
+from offsetsteer import (ConfigError, DomainError, OffsetSteerError, PathSpec, PathState,
                          ScenarioConfig, amplification, build_path,
                          compare_controllers, control, desired_yaw_error,
                          earth_derivatives, lambdas, linearize,
                          max_allowable_steer, path_derivatives, run_scenario,
                          step_rk4, wrap_angle_error, write_metrics,
                          write_trajectory_csv)
+from offsetsteer import sim, steering
 from offsetsteer.paths import Path
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
@@ -219,6 +221,43 @@ def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt
         else:
             assert np.array_equal(getattr(traj, name), values), name
     assert np.array_equal(traj.theta_hat, traj.theta_d - traj.theta_0)
+
+
+def test_run_binds_its_steering_constants_once(monkeypatch):
+    # The feedback bound depends only on the vehicle and the config, so a
+    # run computes it a fixed number of times, however many updates it makes.
+    calls = []
+
+    def counted(params, max_lat_accel):
+        calls.append(max_lat_accel)
+        return max_allowable_steer(params, max_lat_accel)
+
+    monkeypatch.setattr(steering, "max_allowable_steer", counted)
+    monkeypatch.setattr(sim, "max_allowable_steer", counted)
+    counts = []
+    for t_end, control_dt in ((0.1, None), (1.0, None), (1.0, 1e-2)):
+        calls.clear()
+        run_scenario(make_scenario(cosine_spec(), t_end=t_end, control_dt=control_dt))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_long_run_maps_its_pose_in_slices():
+    # 60,000 steps on the cosine road: the pose columns equal one array
+    # mapping of the recorded rows bit for bit, and mapping them slice by
+    # slice keeps the memory peak near the 7.7 MB record.
+    cfg = make_scenario(cosine_spec())
+    tracemalloc.start()
+    try:
+        traj, _ = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.t.size == 60_001
+    assert peak <= 12e6, peak
+    whole = build_path(cfg.path_spec).to_earth(PathState(traj.s_d, traj.e_d, traj.theta_d))
+    for name, values in zip(("x_a", "y_a", "psi"), whole):
+        assert np.array_equal(getattr(traj, name), values), name
 
 
 def test_small_perturbations_follow_linear_model(params):
@@ -437,6 +476,16 @@ def test_config_validation_errors():
         ScenarioConfig(path_spec=PathSpec.straight(), vehicle=benchmark_params(),
                        control=benchmark_control(), initial=PathState(0, 0, 0),
                        dt=1e-3, settle_threshold=-1.0)
+
+
+@pytest.mark.parametrize("initial", [
+    PathState(math.nan, 0.0, 0.0), PathState(math.inf, 0.0, 0.0),
+    PathState(0.0, math.nan, 0.0), PathState(0.0, -math.inf, 0.0),
+    PathState(0.0, 0.0, math.nan), PathState(0.0, 0.0, math.inf),
+], ids=["s-nan", "s-inf", "e-nan", "e-minus-inf", "theta-nan", "theta-inf"])
+def test_non_finite_initial_state_is_a_config_error(initial):
+    with pytest.raises(ConfigError, match="initial"):
+        run_scenario(make_scenario(cosine_spec(), t_end=1.0, initial=initial))
 
 
 def test_untrackable_path_aborts():
