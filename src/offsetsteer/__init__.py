@@ -14,7 +14,7 @@ from .bicycle import (HatPathState, VehicleParams, earth_derivatives,
                       hat_path_derivatives, path_derivatives,
                       rear_axle_lateral_accel)
 from .errors import (ConfigError, DomainError, OffsetSteerError,
-                     ProjectionError, SingularityError)
+                     SingularityError)
 from .paths import (EarthState, Path, PathSpec, PathState, build_path,
                     load_curvature_table, wrap_angle_error)
 from .sim import (ComparisonReport, ScenarioConfig, TrackingMetrics,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport", "ConfigError", "ControlConfig", "DomainError",
     "EarthState", "FreqResponse", "HatPathState", "Lambdas", "LinearModel",
-    "OffsetSteerError", "Path", "PathSpec", "PathState", "ProjectionError",
+    "OffsetSteerError", "Path", "PathSpec", "PathState",
     "ScenarioConfig", "SingularityError", "StabilityMap", "StabilityVerdict",
     "SteeringDecision", "TrackingMetrics", "Trajectory", "VARIANTS",
     "VehicleParams", "amplification", "build_path", "compare_controllers",

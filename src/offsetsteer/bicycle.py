@@ -87,6 +87,24 @@ def _earth_rates(psi: float, v: float, ratio: float, tan_g: float) -> tuple[floa
             v * (sin_psi + ratio * cos_psi * tan_g))
 
 
+def _arc_chord(turn: float, v_dt: float, sensor_offset: float) -> tuple[float, float]:
+    """Exact displacement of the guidance point over a held-steering step.
+
+    The rear axle covers arc length ``v_dt`` while the heading advances by
+    ``turn``; the result is in the body frame at the step's start. The rear
+    axle's chord is v_dt * (sin(turn), 1 - cos(turn)) / turn, and A, rigidly
+    d ahead, adds d * (cos(turn) - 1, sin(turn)). With 1 - cos written as
+    2 sin^2(turn/2), a straight step (turn == 0) is (v_dt, 0).
+    """
+    if turn == 0.0:
+        return v_dt, 0.0
+    sin_turn = math.sin(turn)
+    sin_half = math.sin(0.5 * turn)
+    versine = 2.0 * sin_half * sin_half
+    return (v_dt * sin_turn / turn - sensor_offset * versine,
+            v_dt * versine / turn + sensor_offset * sin_turn)
+
+
 def path_derivatives(state: PathState, steer: float, params: VehicleParams,
                      kappa: float) -> tuple[float, float, float]:
     """Time derivatives (s_dot, e_dot, theta_dot) in the path frame.

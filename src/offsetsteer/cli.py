@@ -30,8 +30,7 @@ from ._writer import write_rows
 from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
                        stability_region_scan, write_freq_csv, write_stability_csv)
 from .bicycle import VehicleParams
-from .errors import (ConfigError, DomainError, OffsetSteerError,
-                     ProjectionError, SingularityError)
+from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, load_curvature_table
 from .sim import (ScenarioConfig, compare_controllers, run_scenario,
                   write_metrics, write_trajectory_csv)
@@ -618,7 +617,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, SingularityError, ProjectionError) as exc:
+    except (DomainError, SingularityError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

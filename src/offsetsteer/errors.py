@@ -20,7 +20,3 @@ class DomainError(OffsetSteerError):
 
 class SingularityError(OffsetSteerError):
     """State reached the curvature-center circle (1 - e*kappa -> 0)."""
-
-
-class ProjectionError(OffsetSteerError):
-    """Closest-point search on the reference path failed to converge."""

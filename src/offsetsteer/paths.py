@@ -19,16 +19,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, DomainError, ProjectionError
+from .errors import ConfigError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
 # Grid step for numerically reconstructed poses (cosine / sampled kinds).
 POSE_GRID_STEP = 0.01  # [m]
-
-# Closest-point Newton search limits.
-PROJECTION_TOL = 1e-10  # [m]
-PROJECTION_MAX_ITER = 50
 
 
 class PathState(NamedTuple):
@@ -354,42 +350,6 @@ class Path:
         return EarthState(*_floats_for_scalar(ps.s, (xd - ps.e * np.sin(psid),
                                                      yd + ps.e * np.cos(psid),
                                                      psid + ps.theta)))
-
-    def project(self, es: EarthState, s_hint: float) -> PathState:
-        """Recover the path-frame state of an earth-frame pose.
-
-        Newton iteration on the orthogonality condition
-        f(s) = (A - D(s)) . t(s) = 0, seeded at ``s_hint``. Valid inside the
-        tube where the closest point is unique (|e * kappa| < 1).
-
-        Raises:
-            ProjectionError: search did not converge.
-            DomainError: projection ambiguous (|e * kappa| >= 1).
-        """
-        s = s_hint
-        for _ in range(PROJECTION_MAX_ITER):
-            xd, yd, psid = self.pose(s)
-            tx, ty = math.cos(psid), math.sin(psid)
-            rx, ry = es.x - xd, es.y - yd
-            f = rx * tx + ry * ty
-            e = -rx * ty + ry * tx
-            kappa = self.curvature(s)
-            denom = 1.0 - e * kappa
-            if denom == 0.0:
-                raise ProjectionError(f"projection stalled at s={s:.6g}: 1 - e*kappa = 0")
-            step = f / denom  # f'(s) = -(1 - e*kappa)
-            s += step
-            if abs(step) < PROJECTION_TOL:
-                xd, yd, psid = self.pose(s)
-                e = -(es.x - xd) * math.sin(psid) + (es.y - yd) * math.cos(psid)
-                kappa = self.curvature(s)
-                if abs(e * kappa) >= 1.0:
-                    raise DomainError(
-                        f"ambiguous projection at s={s:.6g}: |e*kappa| = {abs(e * kappa):.3g} >= 1")
-                return PathState(s, e, wrap_angle_error(es.psi, psid))
-        raise ProjectionError(
-            f"closest-point search did not converge within {PROJECTION_MAX_ITER} iterations "
-            f"(seed s_hint={s_hint:.6g})")
 
 
 def build_path(spec: PathSpec) -> Path:

@@ -8,41 +8,47 @@ the integration step converges to the exact sampled-data trajectory. Left
 unset, the control period follows the step, and refining the step then
 refines the sampling too.
 
-While the steering is held, ``run_scenario`` takes each step with a fused
-RK4: tan(gamma) and the rates built on it are computed once per control
-update, the first stage reuses the step's curvature, and the earth step's
-two midpoint stages share one heading and one evaluation. ``step_rk4`` over
-``path_derivatives`` and ``earth_derivatives`` is the reference: the fused
-step evaluates the same expressions in the same order, and the tests require
-bit-identical trajectories from both. The steering law is bound once per
-run (``steering._law``: variant, wrap decision and feedback bound resolved
-before the loop), each update returns a plain tuple, and the loop carries
+While the steering is held, ``run_scenario`` takes each path-frame step with
+a fused RK4: tan(gamma) and the rates built on it are computed once per
+control update, and the first stage reuses the step's curvature.
+``step_rk4`` over ``path_derivatives`` is the reference: the fused step
+evaluates the same expressions in the same order, and the tests require
+bit-identical path-frame trajectories from both. The earth step is exact, not
+integrated: with the steering held, the rear axle circles a fixed centre and
+A, rigidly attached, circles it too, so each control update computes the
+step's body-frame chord once (``bicycle._arc_chord``) and each step rotates
+it by the heading and advances the heading by yaw_rate * dt. The steering
+law is bound once per run (``steering._law``: variant, wrap decision and
+feedback bound resolved before the loop), each update returns a plain tuple
+that includes the ``full`` law's desired heading error, and the loop carries
 ``s, e, theta`` as floats; ``control`` is the same law for one state.
 
-A run is recorded in one array with a column per step; the loop stores what
-the dynamics produce with one store per step, and the ``Trajectory`` fields
-are the array's rows, not copies. The dynamics never read the pose columns
-``x_A, y_A, psi``. For frames ``path`` and ``both`` they are mapped after the
-loop by array calls of ``Path.to_earth`` on the recorded ``s, e, theta``
-rows, ``POSE_SLICE_ROWS`` rows per call so that a long run's temporaries
-stay small; each element equals the row-by-row scalar mapping bit for bit.
-For ``earth`` they are the earth-frame integration's rows, and only its
-initial pose is mapped. Only ``both`` keeps the earth integration alongside
-(``earth_x``, ``earth_y``, ``earth_psi``) for the cross-check.
+A run is recorded in one row-major array with a row per step; the loop
+writes what the dynamics produce with one ``struct`` pack per row into the
+array's buffer, and the ``Trajectory`` fields are the array's columns, not
+copies. The dynamics never read the pose columns ``x_A, y_A, psi``. For
+frames ``path`` and ``both`` they are mapped after the loop by array calls of
+``Path.to_earth`` on the recorded ``s, e, theta`` columns,
+``POSE_SLICE_ROWS`` rows per call so that a long run's temporaries stay
+small; each element equals the row-by-row scalar mapping bit for bit. For
+``earth`` they are the earth-frame steps' columns, and only its initial pose
+is mapped. Only ``both`` keeps the earth steps alongside (``earth_x``,
+``earth_y``, ``earth_psi``) for the cross-check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._writer import write_rows
-# The loop calls the private rate functions; earth_derivatives and
+# The loop calls the private step functions; earth_derivatives and
 # path_derivatives stay importable from here, where perfbench's tracer wraps them.
-from .bicycle import (VehicleParams, _check_steer, _earth_rates, _path_rates,  # noqa: F401
+from .bicycle import (VehicleParams, _arc_chord, _check_steer, _path_rates,  # noqa: F401
                       earth_derivatives, path_derivatives)
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, build_path, wrap_angle_error
@@ -60,6 +66,9 @@ SETTLE_THRESHOLD = 0.01
 # Rows mapped to the pose columns per array call after the loop: long runs
 # keep the mapping's temporaries this size instead of the record's.
 POSE_SLICE_ROWS = 4096
+
+# The 13 values the loop writes to each row of the record (columns 0-12).
+_ROW = struct.Struct("13d")
 
 TRAJECTORY_COLUMNS = ("t", "s_D", "e_D", "theta_D", "theta_0", "theta_hat",
                       "gamma_des", "gamma_ff", "gamma_fb", "x_A", "y_A", "psi",
@@ -258,41 +267,48 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     want_earth = cfg.frame != "path"
     mapped = cfg.frame != "earth"
 
-    # The run's record, one column per row of the trajectory. The loop stores
-    # rows 0-12: the TRAJECTORY_COLUMNS without theta_hat and the pose
-    # (rows 0-8), the raw feedback command (row 9) and the earth-frame
-    # integration's pose (rows 10-12). After the loop, frames "path" and
-    # "both" map rows 1-3 (s, e, theta) to the pose columns in rows 13-15.
-    rec = np.empty((16 if mapped else 13, n + 1))
+    # The run's record, one row per step of the trajectory. The loop packs
+    # columns 0-12: the TRAJECTORY_COLUMNS without theta_hat and the pose
+    # (columns 0-8), the raw feedback command (9) and the earth steps' pose
+    # (10-12). After the loop, frames "path" and "both" map columns 1-3
+    # (s, e, theta) to the pose columns 13-15.
+    width = 16 if mapped else 13
+    rec = np.empty((n + 1, width))
+    buf = memoryview(rec).cast("B")
+    pack = _ROW.pack_into
+    row_bytes = 8 * width
 
     v = params.speed
     offset = params.sensor_offset
     ratio = offset / params.wheelbase
     half = 0.5 * dt
+    v_dt = v * dt
     curvature = path.curvature
     law = _law(ctl, params)
     isfinite = math.isfinite
+    cos, sin = math.cos, math.sin
     s, e, theta = cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0)
-    # The earth integration maps only the initial pose; with frame "path"
-    # its rows hold NaN and are dropped.
+    # The earth steps map only the initial pose; with frame "path" their
+    # columns hold NaN and are dropped.
     x_e, y_e, psi_e = path.to_earth(PathState(s, e, theta)) if want_earth else (math.nan,) * 3
 
-    # Each step is the fused held-steering RK4 of the module docstring. The
-    # state s, e, theta changes only at the end of a step, so an error
-    # raised inside it reports the step's start.
+    # Each step is the fused held-steering RK4 and the exact earth step of
+    # the module docstring. The state s, e, theta changes only at the end of
+    # a step, so an error raised inside it reports the step's start.
     try:
         for i in range(n + 1):
             kappa = curvature(s)
-            theta_0 = desired_yaw_error(kappa, offset)
+            update = i % hold == 0
+            if update:
+                g_des, g_ff, g_fb, fb, theta_0 = law(e, theta, kappa)
+            if not update or theta_0 is None:
+                theta_0 = desired_yaw_error(kappa, offset)
             if abs(1.0 - e * kappa) < SINGULARITY_TOL:
                 raise SingularityError(
                     f"curvature-center singularity (1 - e*kappa = {1.0 - e * kappa:.3g})")
-            update = i % hold == 0
-            if update:
-                g_des, g_ff, g_fb, fb = law(e, theta, kappa)
 
-            rec[:13, i] = (i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa, fb,
-                           x_e, y_e, psi_e)
+            pack(buf, row_bytes * i, i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa,
+                 fb, x_e, y_e, psi_e)
 
             if i == n:
                 break
@@ -301,6 +317,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                 tan_g = math.tan(g_des)
                 ratio_tan = ratio * tan_g
                 yaw_rate = v / params.wheelbase * tan_g
+                if want_earth:
+                    turn = yaw_rate * dt
+                    chord_x, chord_y = _arc_chord(turn, v_dt, offset)
 
             a_s, a_e, a_t = _path_rates(s, e, theta, kappa, v, ratio_tan, yaw_rate)
             s2 = s + half * a_s
@@ -320,28 +339,27 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             theta = wrap_angle_error(theta, 0.0)
 
             if want_earth:
-                # psi_dot is the constant yaw rate, so stages 2 and 3 share
-                # one heading and one evaluation.
-                a_x, a_y = _earth_rates(psi_e, v, ratio, tan_g)
-                b_x, b_y = _earth_rates(psi_e + half * yaw_rate, v, ratio, tan_g)
-                d_x, d_y = _earth_rates(psi_e + dt * yaw_rate, v, ratio, tan_g)
-                x_e = x_e + dt * (a_x + 2.0 * b_x + 2.0 * b_x + d_x) / 6.0
-                y_e = y_e + dt * (a_y + 2.0 * b_y + 2.0 * b_y + d_y) / 6.0
-                psi_e = psi_e + dt * (yaw_rate + 2.0 * yaw_rate + 2.0 * yaw_rate + yaw_rate) / 6.0
-                if not (isfinite(x_e) and isfinite(y_e) and isfinite(psi_e)):
-                    _check_finite(x_e, y_e, psi_e)
+                # The chord is bounded by V*dt + 2d, so these stay finite.
+                cos_psi = cos(psi_e)
+                sin_psi = sin(psi_e)
+                x_e = x_e + (cos_psi * chord_x - sin_psi * chord_y)
+                y_e = y_e + (sin_psi * chord_x + cos_psi * chord_y)
+                psi_e = psi_e + turn
     except (DomainError, SingularityError) as exc:
         raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={s:.6g} m)") from exc
+    finally:
+        buf.release()
 
+    cols = rec.T
     if mapped:
         for lo in range(0, n + 1, POSE_SLICE_ROWS):
             rows = slice(lo, lo + POSE_SLICE_ROWS)
-            rec[13:, rows] = path.to_earth(PathState(*rec[1:4, rows]))
-    pose = rec[13:] if mapped else rec[10:13]
+            cols[13:, rows] = path.to_earth(PathState(*cols[1:4, rows]))
+    pose = cols[13:] if mapped else cols[10:13]
     # Only "both" has a second integration to cross-check the pose columns.
-    earth = rec[10:13] if cfg.frame == "both" else (None, None, None)
-    traj = Trajectory(*rec[:5], rec[3] - rec[4], *rec[5:8], *pose, rec[8], g_sat,
-                      np.abs(rec[9]) > g_sat, *earth)
+    earth = cols[10:13] if cfg.frame == "both" else (None, None, None)
+    traj = Trajectory(*cols[:5], cols[3] - cols[4], *cols[5:8], *pose, cols[8], g_sat,
+                      np.abs(cols[9]) > g_sat, *earth)
     return traj, _metrics(traj, cfg)
 
 

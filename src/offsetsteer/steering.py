@@ -11,7 +11,9 @@ provided for comparison studies:
 
 ``control`` evaluates the law for one state. A closed-loop run binds it once
 (``_law``): the variant, the wrap decision and the feedback bound g_sat are
-resolved before the loop, and each update returns a plain tuple.
+resolved before the loop, and each update returns a plain tuple, with the
+``full`` law's desired heading error -asin(d*kappa) so that the run need not
+compute it again.
 """
 
 from __future__ import annotations
@@ -150,17 +152,23 @@ def _law(cfg: ControlConfig, params: VehicleParams):
     """The configured steering law with the run's constants bound once.
 
     Returns ``law(e, theta, kappa) -> (gamma_des, gamma_ff, gamma_fb,
-    fb_input)``, the fields of ``SteeringDecision`` as a plain tuple.
+    fb_input, theta_0)``: the fields of ``SteeringDecision`` as a plain tuple,
+    then ``desired_yaw_error(kappa, d)`` where the law computes it (``full``)
+    and None for the variants that ignore the sensor offset.
     """
     variant = cfg.variant
+    aware = variant == "full"
     g_sat = _feedback_bound(cfg, params)
     max_steer = params.max_steer
 
-    def law(e: float, theta: float, kappa: float) -> tuple[float, float, float, float]:
+    def law(e: float, theta: float,
+            kappa: float) -> tuple[float, float, float, float, float | None]:
         gamma_ff, theta_0 = _curvature_terms(kappa, params, variant)
         raw = _feedback(e, theta, theta_0, cfg)
+        if not aware:
+            theta_0 = None
         if g_sat is None:
-            return gamma_ff + raw, gamma_ff, raw, raw
+            return gamma_ff + raw, gamma_ff, raw, raw, theta_0
         gamma_fb = wrapper(raw, g_sat)
         gamma_des = gamma_ff + gamma_fb
         if abs(gamma_des) > max_steer:
@@ -169,7 +177,7 @@ def _law(cfg: ControlConfig, params: VehicleParams):
             logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
                            gamma_des, max_steer)
             gamma_des = math.copysign(max_steer, gamma_des)
-        return gamma_des, gamma_ff, gamma_fb, raw
+        return gamma_des, gamma_ff, gamma_fb, raw, theta_0
 
     return law
 
@@ -188,4 +196,4 @@ def feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
 def control(state: PathState, kappa: float, cfg: ControlConfig,
             params: VehicleParams) -> SteeringDecision:
     """Full steering command for the current path-frame state."""
-    return SteeringDecision(*_law(cfg, params)(state.e, state.theta, kappa))
+    return SteeringDecision(*_law(cfg, params)(state.e, state.theta, kappa)[:4])

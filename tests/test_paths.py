@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from offsetsteer import (ConfigError, DomainError, EarthState, PathSpec,
+from offsetsteer import (ConfigError, DomainError, PathSpec,
                          PathState, build_path, load_curvature_table,
                          wrap_angle_error)
 
@@ -248,61 +248,28 @@ def test_to_earth_circular_anchor():
     assert es.psi == pytest.approx(0.1, rel=1e-12)
 
 
-def test_projection_of_on_path_point():
-    path = build_path(PathSpec.circular(200.0))
-    xd, yd, psid = path.pose(80.0)
-    ps = path.project(EarthState(xd, yd, psid), s_hint=75.0)
-    assert ps.s == pytest.approx(80.0, abs=1e-8)
-    assert ps.e == pytest.approx(0.0, abs=1e-9)
-    assert ps.theta == pytest.approx(0.0, abs=1e-12)
-
-
-def test_projection_straight_offset_point():
-    path = build_path(PathSpec.straight())
-    ps = path.project(EarthState(5.0, -10.0, 0.0), s_hint=0.0)
-    assert ps == pytest.approx((5.0, -10.0, 0.0))
-
-
-def test_projection_ambiguous_outside_tube():
-    # Point further left than the curvature center of a tight circle.
-    path = build_path(PathSpec.circular(10.0))
-    with pytest.raises(DomainError):
-        path.project(EarthState(0.0, 11.0, 0.0), s_hint=0.0)
-
-
-@pytest.mark.parametrize("spec, e_max", [
-    (PathSpec.circular(200.0), 80.0),
-    (PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS), 30.0),
-], ids=["circular", "cosine"])
-def test_projection_round_trip(spec, e_max):
+@pytest.mark.parametrize("spec, lo, hi", [
+    (PathSpec.straight(1.0, -2.0, 0.3), -50.0, 900.0),
+    (PathSpec.circular(200.0, 3.0, -1.0, 2.5), -50.0, 900.0),
+    (PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS), -50.0, _COSINE_END + 50.0),
+    (PathSpec.sampled(_TABLE_S, _TABLE_KAPPA), _TABLE_S[0], _TABLE_S[-1]),
+], ids=["straight", "circular", "cosine", "sampled"])
+def test_to_earth_offsets_along_the_normal(spec, lo, hi):
+    # A mapped state lies on the normal through D(s): (A - D(s)) . t(s) = 0,
+    # the signed cross product t(s) x (A - D(s)) is e, and the heading is
+    # the tangent's plus theta.
     path = build_path(spec)
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        s = rng.uniform(5.0, 900.0)
-        e = rng.uniform(-e_max, e_max)
-        theta = rng.uniform(-math.pi, math.pi)
-        ps = PathState(s, e, wrap_angle_error(theta, 0.0))
-        es = path.to_earth(ps)
-        back = path.project(es, s_hint=s + rng.uniform(-2.0, 2.0))
-        assert back.s == pytest.approx(ps.s, abs=1e-9)
-        assert back.e == pytest.approx(ps.e, abs=1e-9)
-        assert back.theta == pytest.approx(ps.theta, abs=1e-9)
-
-
-def test_lateral_deviation_matches_cross_product():
-    # The projected deviation must equal the signed cross product
-    # (t x r) . k of the tangent with the offset vector.
-    path = build_path(PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS))
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        ps = PathState(rng.uniform(10.0, 900.0), rng.uniform(-25.0, 25.0),
-                       rng.uniform(-1.0, 1.0))
-        es = path.to_earth(ps)
-        back = path.project(es, s_hint=ps.s)
-        xd, yd, psid = path.pose(back.s)
-        tx, ty = math.cos(psid), math.sin(psid)
-        cross = tx * (es.y - yd) - ty * (es.x - xd)
-        assert back.e == pytest.approx(cross, abs=1e-12)
+    s = rng.uniform(lo, hi, 500)
+    e = rng.uniform(-25.0, 25.0, s.size)
+    theta = rng.uniform(-math.pi, math.pi, s.size)
+    x, y, psi = path.to_earth(PathState(s, e, theta))
+    xd, yd, psid = path.pose(s)
+    tx, ty = np.cos(psid), np.sin(psid)
+    rx, ry = x - xd, y - yd
+    np.testing.assert_allclose(rx * tx + ry * ty, 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tx * ry - ty * rx, e, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(psi - psid, theta, rtol=0, atol=1e-12)
 
 
 # -- angle wrapping ----------------------------------------------------------

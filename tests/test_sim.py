@@ -13,11 +13,12 @@ from scipy.linalg import expm
 from offsetsteer import (ConfigError, DomainError, OffsetSteerError, PathSpec, PathState,
                          ScenarioConfig, amplification, build_path,
                          compare_controllers, control, desired_yaw_error,
-                         earth_derivatives, lambdas, linearize,
+                         lambdas, linearize,
                          max_allowable_steer, path_derivatives, run_scenario,
                          step_rk4, wrap_angle_error, write_metrics,
                          write_trajectory_csv)
 from offsetsteer import sim, steering
+from offsetsteer.bicycle import _arc_chord
 from offsetsteer.paths import Path
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
@@ -133,10 +134,31 @@ def test_only_both_frames_cross_check():
     assert np.array_equal(earth.psi, both.earth_psi)
 
 
+def _reference_arc(estate, steer: float, params, dt: float) -> tuple[float, float, float]:
+    """Held-steering earth step built from the turning centre.
+
+    The rear axle R = A - d (cos psi, sin psi) circles C = R + (l / tan gamma) n,
+    n the left normal, while psi advances by (V tan gamma / l) dt; A is then
+    R + d (cos psi, sin psi) again. For gamma = 0, R runs straight ahead.
+    """
+    x, y, psi = estate
+    d, l = params.sensor_offset, params.wheelbase
+    tan_g = math.tan(steer)
+    psi_new = psi + params.speed / l * tan_g * dt
+    rx, ry = x - d * math.cos(psi), y - d * math.sin(psi)
+    if tan_g == 0.0:
+        rx, ry = rx + params.speed * dt * math.cos(psi), ry + params.speed * dt * math.sin(psi)
+    else:
+        radius = l / tan_g
+        cx, cy = rx - radius * math.sin(psi), ry + radius * math.cos(psi)
+        rx, ry = cx + radius * math.sin(psi_new), cy - radius * math.cos(psi_new)
+    return rx + d * math.cos(psi_new), ry + d * math.sin(psi_new), psi_new
+
+
 def _reference_run(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
-    """The closed loop as step_rk4 over path_derivatives and earth_derivatives,
-    with sampled curvature from a scalar PchipInterpolator call and each row's
-    pose from the scalar ``reference_to_earth``."""
+    """The closed loop as step_rk4 over path_derivatives, with sampled
+    curvature from a scalar PchipInterpolator call, each row's pose from the
+    scalar ``reference_to_earth`` and the earth rows from ``_reference_arc``."""
     path = build_path(cfg.path_spec)
     spec = cfg.path_spec
     if spec.kind == "sampled":
@@ -154,9 +176,6 @@ def _reference_run(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     def path_field(state, steer):
         return path_derivatives(state, steer, params, curvature(state[0]))
 
-    def earth_field(state, steer):
-        return earth_derivatives(state, steer, params)
-
     ps = PathState(cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0))
     estate = reference_to_earth(path, ps)
     rows = []
@@ -171,7 +190,7 @@ def _reference_run(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
             break
         s, e, theta = step_rk4(path_field, ps, dec.gamma_des, dt)
         ps = PathState(s, e, wrap_angle_error(theta, 0.0))
-        estate = step_rk4(earth_field, estate, dec.gamma_des, dt)
+        estate = _reference_arc(estate, dec.gamma_des, params, dt)
     names = ("t", "s_d", "e_d", "theta_d", "theta_0", "gamma_des", "gamma_ff",
              "gamma_fb", "x_a", "y_a", "psi", "kappa_d", "fb_saturated",
              "earth_x", "earth_y", "earth_psi")
@@ -215,9 +234,16 @@ def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt
     if frame == "earth":
         for name, source in zip(pose, earth):
             expected[name] = expected[source]
+    # The loop's exact earth step and the turning-centre construction round
+    # differently, so the earth positions agree to 1e-9 m; every other
+    # column, the earth heading included, agrees bit for bit.
+    from_earth = {"earth_x", "earth_y"} | ({"x_a", "y_a"} if frame == "earth" else set())
     for name, values in expected.items():
         if name in earth and frame != "both":
             assert getattr(traj, name) is None, name
+        elif name in from_earth:
+            np.testing.assert_allclose(getattr(traj, name), values, rtol=0, atol=1e-9,
+                                       err_msg=name)
         else:
             assert np.array_equal(getattr(traj, name), values), name
     assert np.array_equal(traj.theta_hat, traj.theta_d - traj.theta_0)
@@ -240,6 +266,67 @@ def test_run_binds_its_steering_constants_once(monkeypatch):
         run_scenario(make_scenario(cosine_spec(), t_end=t_end, control_dt=control_dt))
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_full_law_supplies_theta_0_on_update_rows(monkeypatch):
+    # The full law computes -asin(d*kappa) on each update, so the loop
+    # computes the theta_0 column itself only on hold rows; the variants
+    # that ignore the offset leave it to the loop on every row.
+    calls = []
+
+    def counted(kappa, sensor_offset):
+        calls.append(kappa)
+        return desired_yaw_error(kappa, sensor_offset)
+
+    monkeypatch.setattr(sim, "desired_yaw_error", counted)
+    run_scenario(make_scenario(cosine_spec(), t_end=1.0))
+    assert len(calls) == 0
+    held, _ = run_scenario(make_scenario(cosine_spec(), t_end=1.0, control_dt=1e-2))
+    rows = held.t.size
+    assert len(calls) == rows - len(range(0, rows, 10)) == 900
+    calls.clear()
+    naive, _ = run_scenario(make_scenario(cosine_spec(), "naive", t_end=1.0))
+    assert len(calls) == naive.t.size
+
+
+def test_exact_earth_step_runs_straight_at_zero_steer(params):
+    v_dt = params.speed * 1e-3
+    assert _arc_chord(0.0, v_dt, params.sensor_offset) == (v_dt, 0.0)
+    # On a straight road from the path the full law commands gamma = 0, so
+    # every earth step adds exactly V*dt to x and leaves y and psi alone.
+    cfg = replace(make_scenario(PathSpec.straight(), t_end=1.0,
+                                initial=PathState(0.0, 0.0, 0.0)), frame="earth")
+    traj, _ = run_scenario(cfg)
+    assert not traj.gamma_des.any()
+    assert np.array_equal(traj.x_a[1:], traj.x_a[:-1] + v_dt)
+    assert not traj.y_a.any() and not traj.psi.any()
+
+
+def test_exact_earth_step_closes_a_held_turn(params):
+    # One steering update held for 2*pi/omega: A circles the turning centre
+    # C = R + (l / tan gamma) n at radius hypot(l / tan gamma, d) and comes
+    # back to its start after a full turn.
+    kappa = 1.0 / CIRCLE_RADIUS
+    d = params.sensor_offset
+    initial = PathState(0.0, 0.0, desired_yaw_error(kappa, d))
+    gamma = control(initial, kappa, benchmark_control(), params).gamma_des
+    omega = params.speed / params.wheelbase * math.tan(gamma)
+    steps = 5000
+    dt = 2.0 * math.pi / omega / steps
+    cfg = replace(make_scenario(PathSpec.circular(CIRCLE_RADIUS), dt=dt, t_end=steps * dt,
+                                control_dt=steps * dt, initial=initial), frame="earth")
+    traj, _ = run_scenario(cfg)
+    assert traj.t.size == steps + 1
+    assert np.all(traj.gamma_des == gamma)
+    x0, y0, psi0 = traj.x_a[0], traj.y_a[0], traj.psi[0]
+    radius = params.wheelbase / math.tan(gamma)
+    cx = x0 - d * math.cos(psi0) - radius * math.sin(psi0)
+    cy = y0 - d * math.sin(psi0) + radius * math.cos(psi0)
+    np.testing.assert_allclose(np.hypot(traj.x_a - cx, traj.y_a - cy),
+                               math.hypot(radius, d), rtol=0, atol=1e-9)
+    assert abs(traj.x_a[-1] - x0) < 1e-9
+    assert abs(traj.y_a[-1] - y0) < 1e-9
+    assert traj.psi[-1] == pytest.approx(psi0 + 2.0 * math.pi, abs=1e-9)
 
 
 def test_long_run_maps_its_pose_in_slices():
