@@ -1,4 +1,4 @@
-"""Plain-text table writer behind every artifact the package emits.
+"""Plain-text table and JSON writers behind every artifact the package emits.
 
 Numbers are written with 17 significant digits, enough for every double to
 read back exactly, so one format serves lossless re-reading and byte-wise
@@ -6,6 +6,8 @@ determinism checks alike.
 """
 
 from __future__ import annotations
+
+import json
 
 _FORMATS = {"g": "%.17g", "d": "%d", "s": "%s"}
 
@@ -25,3 +27,10 @@ def write_rows(path, header, rows, kinds: str | None = None, sep: str = ",") -> 
         if header is not None:
             fh.write(sep.join(header) + "\n")
         fh.writelines(line % row for row in rows)
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` to ``path`` as JSON, indented by 2, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -162,11 +162,11 @@ def prop1_k2_threshold(params: VehicleParams) -> float:
         params.wheelbase, params.sensor_offset * t)
 
 
-def _sign_conditions(lam: Lambdas, k1, k2, params: VehicleParams, boundary_tol: float):
+def _sign_conditions(lam: Lambdas, k1, k2, params: VehicleParams):
     """(stable, marginal): the sign conditions and their boundary flag, elementwise."""
     first = k1 * (lam.lam1 + params.sensor_offset * k2)
     stable = (first < 0.0) & (lam.lam3 < 0.0)
-    marginal = (abs(first) <= boundary_tol) | (abs(lam.lam3) <= boundary_tol)
+    marginal = (abs(first) <= BOUNDARY_TOL) | (abs(lam.lam3) <= BOUNDARY_TOL)
     return stable, marginal
 
 
@@ -184,8 +184,7 @@ def _peak(lam: Lambdas, k1, k2, params: VehicleParams):
     return m_max, omega_m
 
 
-def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams,
-              boundary_tol: float = BOUNDARY_TOL) -> StabilityVerdict:
+def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams) -> StabilityVerdict:
     """Stability verdict of the linearized closed loop.
 
     ``necessary_sufficient`` evaluates the exact sign conditions
@@ -194,7 +193,7 @@ def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams,
     can physically follow.
     """
     lam = lambdas(kappa0, k1, k2, params)
-    stable, marginal = _sign_conditions(lam, k1, k2, params, boundary_tol)
+    stable, marginal = _sign_conditions(lam, k1, k2, params)
 
     condition: int | None = None
     if k1 < 0.0 and k2 > prop1_k2_threshold(params):
@@ -236,10 +235,10 @@ def peak_amplification(kappa0: float, k1: float, k2: float,
     return float(m_max), float(omega_m)
 
 
-def default_omega_grid(omega_m: float | None = None) -> np.ndarray:
-    """Log-spaced frequency grid, optionally including the peak frequency."""
+def default_omega_grid(omega_m: float) -> np.ndarray:
+    """Log-spaced frequency grid, with the peak frequency where it lies inside."""
     grid = np.logspace(math.log10(OMEGA_MIN), math.log10(OMEGA_MAX), OMEGA_POINTS)
-    if omega_m is not None and OMEGA_MIN < omega_m < OMEGA_MAX:
+    if OMEGA_MIN < omega_m < OMEGA_MAX:
         grid = np.unique(np.append(grid, omega_m))
     return grid
 
@@ -258,8 +257,7 @@ def frequency_response(kappa0: float, k1: float, k2: float, params: VehicleParam
 
 def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, float],
                           kappa0_values, params: VehicleParams,
-                          resolution: int = 200,
-                          boundary_tol: float = BOUNDARY_TOL) -> StabilityMap:
+                          resolution: int = 200) -> StabilityMap:
     """Evaluate stability and peak amplification on a dense gain grid.
 
     ``resolution`` may be an int (square grid) or a (n_k1, n_k2) pair.
@@ -289,7 +287,7 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
             lam = lambdas(kappa0, grid_k1, grid_k2, params)
         except DomainError:
             continue  # entire slice untrackable; left invalid
-        stable[i], marginal[i] = _sign_conditions(lam, grid_k1, grid_k2, params, boundary_tol)
+        stable[i], marginal[i] = _sign_conditions(lam, grid_k1, grid_k2, params)
         m_max[i], omega_m[i] = _peak(lam, grid_k1, grid_k2, params)
         valid[i] = True
 

@@ -75,16 +75,12 @@ def earth_derivatives(state: EarthState, steer: float,
     _check_steer(steer)
     v = params.speed
     tan_g = math.tan(steer)
-    x_dot, y_dot = _earth_rates(state[2], v, params.sensor_offset / params.wheelbase, tan_g)
-    return x_dot, y_dot, v / params.wheelbase * tan_g
-
-
-def _earth_rates(psi: float, v: float, ratio: float, tan_g: float) -> tuple[float, float]:
-    """(x_dot, y_dot) at heading psi; ``ratio`` is d/l, ``tan_g`` tan(steer)."""
-    cos_psi = math.cos(psi)
-    sin_psi = math.sin(psi)
+    ratio = params.sensor_offset / params.wheelbase
+    cos_psi = math.cos(state[2])
+    sin_psi = math.sin(state[2])
     return (v * (cos_psi - ratio * sin_psi * tan_g),
-            v * (sin_psi + ratio * cos_psi * tan_g))
+            v * (sin_psi + ratio * cos_psi * tan_g),
+            v / params.wheelbase * tan_g)
 
 
 def _arc_chord(turn: float, v_dt: float, sensor_offset: float) -> tuple[float, float]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import math
 import sys
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from ._writer import write_rows
+from ._writer import write_json, write_rows
 from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
                        stability_region_scan, write_freq_csv, write_stability_csv)
 from .bicycle import VehicleParams
@@ -96,9 +95,7 @@ class RunManifest:
     seedless: bool = False
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 # -- config schema: one table per section drives parsing, echo and help ------
@@ -435,9 +432,7 @@ def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) ->
                     for signal, value in sig_deltas.items()), "ssg")
         names.append("deltas.csv")
         if report.failures:
-            with open(target / "failures.json", "w") as fh:
-                json.dump(report.failures, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(target / "failures.json", report.failures)
             names.append("failures.json")
         return names
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError
 
@@ -172,11 +171,10 @@ class _PoseGrid:
     """
 
     def __init__(self, kappa_fn, s_start: float, s_end: float,
-                 x0: float, y0: float, psi0: float, step: float = POSE_GRID_STEP):
-        n = max(1, int(math.ceil((s_end - s_start) / step - 1e-9)))
+                 x0: float, y0: float, psi0: float):
+        n = max(1, int(math.ceil((s_end - s_start) / POSE_GRID_STEP - 1e-9)))
         self.s0 = s_start
-        self.h = (s_end - s_start) / n
-        h = self.h
+        self.h = h = (s_end - s_start) / n
         s_nodes = s_start + h * np.arange(n + 1)
         k_nodes = kappa_fn(s_nodes)
         k_half = kappa_fn(s_nodes[:-1] + 0.5 * h)
@@ -246,27 +244,25 @@ class Path:
     def __init__(self, spec: PathSpec):
         spec.validate()
         self.spec = spec
-        self._grid = None
-        self._pchip = None
         if spec.kind == "cosine":
             self._omega = TWO_PI / spec.period
             self._s_end = spec.periods * spec.period
             self._grid = _PoseGrid(self._cosine_kappa_array, 0.0, self._s_end,
                                    spec.x0, spec.y0, spec.psi0)
         elif spec.kind == "sampled":
+            # scipy is loaded only when a sampled road needs it.
+            from scipy.interpolate import PchipInterpolator
             s = np.asarray(spec.table_s)
-            k = np.asarray(spec.table_kappa)
-            self._pchip = PchipInterpolator(s, k)
+            pchip = PchipInterpolator(s, np.asarray(spec.table_kappa))
             # Scalar lookups read the interpolant's own breakpoints and
             # coefficients (c0 u^3 + c1 u^2 + c2 u + c3 per interval) in plain
             # Python, without the array set-up of a scalar PchipInterpolator
             # call. PPoly's sum starts from 0.0, so "+ 0.0" turns a -0.0
             # coefficient into 0.0 as well.
-            self._knots = self._pchip.x.tolist()
-            self._coefs = (self._pchip.c.T + 0.0).tolist()
-            self._s_start = float(s[0])
-            self._s_end = float(s[-1])
-            self._grid = _PoseGrid(self._pchip, self._s_start, self._s_end,
+            self._knots = pchip.x.tolist()
+            self._coefs = (pchip.c.T + 0.0).tolist()
+            self._s_start, self._s_end = float(s[0]), float(s[-1])
+            self._grid = _PoseGrid(pchip, self._s_start, self._s_end,
                                    spec.x0, spec.y0, spec.psi0)
 
     def _check_sampled_range(self, s) -> None:
@@ -303,7 +299,7 @@ class Path:
             return 0.5 * self.spec.kappa_max * (1.0 - math.cos(self._omega * s))
         self._check_sampled_range(s)
         # The same interval and the same sum as PPoly's evaluation, so the
-        # value is bit-equal to float(self._pchip(s)).
+        # value is bit-equal to the PchipInterpolator's float(pchip(s)).
         knots = self._knots
         j = min(bisect_right(knots, s) - 1, len(knots) - 2)
         c0, c1, c2, c3 = self._coefs[j]

@@ -38,14 +38,13 @@ is mapped. Only ``both`` keeps the earth steps alongside (``earth_x``,
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._writer import write_rows
+from ._writer import write_json, write_rows
 # The loop calls the private step functions; earth_derivatives and
 # path_derivatives stay importable from here, where perfbench's tracer wraps them.
 from .bicycle import (VehicleParams, _arc_chord, _check_steer, _path_rates,  # noqa: F401
@@ -402,7 +401,4 @@ def write_metrics(metrics: TrackingMetrics, txt_path, json_path) -> None:
     """Emit metrics as flat key=value text plus JSON."""
     data = metrics.as_dict()
     write_rows(txt_path, None, data.items(), "sg", sep="=")
-    with open(json_path, "w") as fh:
-        json.dump({k: (v if math.isfinite(v) else None) for k, v in data.items()},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, {k: (v if math.isfinite(v) else None) for k, v in data.items()})

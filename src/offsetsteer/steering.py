@@ -9,11 +9,11 @@ provided for comparison studies:
 * ``unwrapped`` - like naive but without the bounding wrapper,
 * ``linear``    - small-error linearization, no wrapper.
 
-``control`` evaluates the law for one state. A closed-loop run binds it once
-(``_law``): the variant, the wrap decision and the feedback bound g_sat are
-resolved before the loop, and each update returns a plain tuple, with the
-``full`` law's desired heading error -asin(d*kappa) so that the run need not
-compute it again.
+One function, ``_law``, evaluates the law: it binds the variant, the gains,
+the wrap decision and the feedback bound g_sat once, and each update returns
+a plain tuple, with the ``full`` law's desired heading error -asin(d*kappa)
+so that a closed-loop run need not compute it again. ``control`` and
+``feedback`` evaluate it for one state.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .paths import PathState
 logger = logging.getLogger(__name__)
 
 VARIANTS = ("full", "naive", "unwrapped", "linear")
-
-_WRAPPED_VARIANTS = ("full", "naive")
 
 
 @dataclass(frozen=True)
@@ -130,41 +128,32 @@ def desired_heading(e: float, k2: float, variant: str = "full") -> float:
     return -math.atan(k2 * e)
 
 
-def _feedback(e: float, theta: float, theta_0: float, cfg: ControlConfig) -> float:
-    """Feedback command before the bounding wrapper."""
-    if cfg.variant == "linear":
-        return cfg.k1 * theta + cfg.k1 * cfg.k2 * e
-    return cfg.k1 * (theta - theta_0 + math.atan(cfg.k2 * e))
-
-
-def _feedback_bound(cfg: ControlConfig, params: VehicleParams) -> float | None:
-    """Bound g_sat the wrapped variants put on the feedback; None for the others.
-
-    Degraded variants stay unbounded on purpose: reproducing their
-    pathologies is the point of simulating them.
-    """
-    if cfg.variant in _WRAPPED_VARIANTS:
-        return max_allowable_steer(params, cfg.max_lat_accel)
-    return None
-
-
 def _law(cfg: ControlConfig, params: VehicleParams):
     """The configured steering law with the run's constants bound once.
 
     Returns ``law(e, theta, kappa) -> (gamma_des, gamma_ff, gamma_fb,
     fb_input, theta_0)``: the fields of ``SteeringDecision`` as a plain tuple,
     then ``desired_yaw_error(kappa, d)`` where the law computes it (``full``)
-    and None for the variants that ignore the sensor offset.
+    and None for the variants that ignore the sensor offset. Nothing else
+    evaluates the feedback, decides which variants it wraps, or clips.
     """
     variant = cfg.variant
+    k1, k2 = cfg.k1, cfg.k2
+    linear = variant == "linear"
     aware = variant == "full"
-    g_sat = _feedback_bound(cfg, params)
+    # Only full and naive wrap the feedback. The other degraded variants stay
+    # unbounded on purpose: reproducing their pathologies is the point.
+    g_sat = (max_allowable_steer(params, cfg.max_lat_accel)
+             if variant in ("full", "naive") else None)
     max_steer = params.max_steer
 
     def law(e: float, theta: float,
             kappa: float) -> tuple[float, float, float, float, float | None]:
         gamma_ff, theta_0 = _curvature_terms(kappa, params, variant)
-        raw = _feedback(e, theta, theta_0, cfg)
+        if linear:
+            raw = k1 * theta + k1 * k2 * e
+        else:
+            raw = k1 * (theta - theta_0 + math.atan(k2 * e))
         if not aware:
             theta_0 = None
         if g_sat is None:
@@ -186,11 +175,10 @@ def feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
              params: VehicleParams) -> float:
     """Feedback steering correction for the configured variant.
 
-    It equals ``control``'s ``gamma_fb``; it clamps nothing, so it never logs.
+    It is ``control``'s ``gamma_fb``, from the same law; like ``control`` it
+    logs the clip warning when the total command is clipped.
     """
-    raw = _feedback(e, theta, _curvature_terms(kappa, params, cfg.variant)[1], cfg)
-    g_sat = _feedback_bound(cfg, params)
-    return raw if g_sat is None else wrapper(raw, g_sat)
+    return _law(cfg, params)(e, theta, kappa)[2]
 
 
 def control(state: PathState, kappa: float, cfg: ControlConfig,

@@ -1,6 +1,10 @@
 """Reference-path construction, curvature profiles, and frame transforms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -104,6 +108,24 @@ def test_sampled_outside_range_raises():
         # array reports its first arc length outside the table.
         assert len(messages) == 1
         assert f"s={s:.6g} outside sampled table range [0, 20]" in messages
+
+
+def test_scipy_is_loaded_only_for_sampled_roads():
+    # Importing the command-line front-end must not pay for scipy; the first
+    # sampled road loads it. A fresh interpreter, since this one has it.
+    code = ("import sys\n"
+            "import offsetsteer.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported eagerly'\n"
+            "from offsetsteer import PathSpec, build_path\n"
+            "path = build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 0.01, 0.0]))\n"
+            "assert path.curvature(10.0) == 0.01\n"
+            "assert 'scipy' in sys.modules\n")
+    src = str(FsPath(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _random_table():
