@@ -94,9 +94,6 @@ class RunManifest:
     exit_status: int
     seedless: bool = False
 
-    def write(self, path) -> None:
-        write_json(path, asdict(self))
-
 
 # -- config schema: one table per section drives parsing, echo and help ------
 
@@ -388,11 +385,17 @@ def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
             for name in outputs:
                 if _digest(out_dir / name) != _digest(FsPath(tmp) / name):
                     raise OffsetSteerError(f"determinism check failed for {name}")
+    return _write_manifest(command, started, echo, digests, out_dir, outputs, seedless)
+
+
+def _write_manifest(command: str, started: float, echo: dict, digests: dict,
+                    out_dir: FsPath, outputs: list[str], seedless: bool) -> RunManifest:
+    """Write ``out_dir/manifest.json`` for a run that began at ``started``."""
     manifest = RunManifest(command=command, config=echo, input_digests=digests,
                            outputs=sorted(outputs + ["manifest.json"]),
                            wall_clock_s=time.perf_counter() - started,
                            exit_status=EXIT_OK, seedless=seedless)
-    manifest.write(out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", asdict(manifest))
     return manifest
 
 
@@ -545,13 +548,8 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
                            max_steer=math.radians(30.0), speed=20.0)
     outputs += _write_sweep_csvs(out_dir, table1)
 
-    manifest = RunManifest(command="figs-repro",
-                           config={"presets": sorted(name for name, _ in runs)},
-                           input_digests=digests, outputs=sorted(outputs + ["manifest.json"]),
-                           wall_clock_s=time.perf_counter() - started, exit_status=EXIT_OK,
-                           seedless=seedless)
-    manifest.write(out_dir / "manifest.json")
-    return manifest
+    return _write_manifest("figs-repro", started, {"presets": sorted(name for name, _ in runs)},
+                           digests, out_dir, outputs, seedless)
 
 
 # -- entry point ------------------------------------------------------------
@@ -562,53 +560,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lateral path-following control lab for offset-mounted sensors")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="YAML config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seedless", action="store_true",
-                       help="assert determinism: render twice, require identical bytes "
-                            "(the pipeline uses no RNG anywhere)")
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **kwargs)
+        return holder
 
-    p = sub.add_parser("simulate", help="single closed-loop run")
-    add_common(p)
-    p.add_argument("--dt", type=float, help="integration step override [s]")
-    p.add_argument("--variant", choices=VARIANTS, help="controller variant override")
-
-    p = sub.add_parser("compare", help="same scenario across controller variants")
-    add_common(p)
-    p.add_argument("--dt", type=float, help="integration step override [s]")
-    p.add_argument("--variant", choices=VARIANTS, action="append",
-                   help="variant to include (repeatable)")
-
-    p = sub.add_parser("stability-map", help="gain-plane stability / peak-gain scan")
-    add_common(p)
-
-    p = sub.add_parser("freq-response", help="curvature-to-deviation frequency response")
-    add_common(p)
-
-    p = sub.add_parser("figs-repro", help="run every bundled preset study")
-    add_common(p, config=False)
-    p.add_argument("--dt", type=float, help="integration step override [s]")
+    # Each dest is the keyword argument of the cmd_* function the flag feeds.
+    config = flag("--config", dest="config_path", metavar="CONFIG", required=True,
+                  help="YAML config file")
+    out = flag("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
+    seedless = flag("--seedless", action="store_true",
+                    help="assert determinism: render twice, require identical bytes "
+                         "(the pipeline uses no RNG anywhere)")
+    dt = flag("--dt", type=float, help="integration step override [s]")
+    variant = flag("--variant", choices=VARIANTS, help="controller variant override")
+    variants = flag("--variant", dest="variants", choices=VARIANTS, action="append",
+                    help="variant to include (repeatable)")
+    for name, text, flags in (
+            ("simulate", "single closed-loop run", (config, out, seedless, dt, variant)),
+            ("compare", "same scenario across controller variants",
+             (config, out, seedless, dt, variants)),
+            ("stability-map", "gain-plane stability / peak-gain scan", (config, out, seedless)),
+            ("freq-response", "curvature-to-deviation frequency response",
+             (config, out, seedless)),
+            ("figs-repro", "run every bundled preset study", (out, seedless, dt))):
+        sub.add_parser(name, help=text, parents=flags)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    # Subcommand x-y runs cmd_x_y, looked up when it runs so that a rebound name is called.
+    command = globals()["cmd_" + args.pop("command").replace("-", "_")]
     try:
-        if args.command == "simulate":
-            cmd_simulate(args.config, args.out, dt=args.dt, variant=args.variant,
-                         seedless=args.seedless)
-        elif args.command == "compare":
-            cmd_compare(args.config, args.out, dt=args.dt, variants=args.variant,
-                        seedless=args.seedless)
-        elif args.command == "stability-map":
-            cmd_stability_map(args.config, args.out, seedless=args.seedless)
-        elif args.command == "freq-response":
-            cmd_freq_response(args.config, args.out, seedless=args.seedless)
-        elif args.command == "figs-repro":
-            cmd_figs_repro(args.out, dt=args.dt, seedless=args.seedless)
+        command(**args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

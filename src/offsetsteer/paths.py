@@ -104,8 +104,9 @@ class PathSpec:
             if self.kappa_max is None or not 0.0 <= self.kappa_max < math.inf:
                 raise ConfigError(
                     f"cosine path needs a finite kappa_max >= 0, got {self.kappa_max}")
-            if self.periods < 1:
-                raise ConfigError(f"cosine path needs periods >= 1, got {self.periods}")
+            if not (self.periods >= 1 and float(self.periods).is_integer()):
+                raise ConfigError(
+                    f"cosine path needs a whole number of periods >= 1, got {self.periods}")
             return
         if self.kind == "sampled":
             if not self.table_s or self.table_kappa is None:
@@ -293,8 +294,8 @@ class Path:
             return 1.0 / self.spec.radius
         if kind == "cosine":
             if s < 0.0 or s > self._s_end:
-                # Constant continuation with the boundary value (zero for
-                # whole periods), so simulations may run past the profile.
+                # Constant continuation with the boundary value (zero, as
+                # periods is whole), so simulations may run past the profile.
                 return 0.0
             return 0.5 * self.spec.kappa_max * (1.0 - math.cos(self._omega * s))
         self._check_sampled_range(s)

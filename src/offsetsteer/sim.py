@@ -369,6 +369,8 @@ def compare_controllers(cfg: ScenarioConfig, variants) -> ComparisonReport:
     remaining runs. Trajectory deltas are measured against the first variant.
     """
     variants = tuple(variants)
+    if len(set(variants)) != len(variants):
+        raise ConfigError(f"each variant may be compared once, got {list(variants)}")
     results: dict[str, tuple[Trajectory, TrackingMetrics]] = {}
     failures: dict[str, str] = {}
     for variant in variants:

@@ -1,5 +1,7 @@
 """Config parsing, workflow commands, manifests, exit codes."""
 
+import hashlib
+import inspect
 import json
 import logging
 import math
@@ -12,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from offsetsteer import (VARIANTS, ConfigError, ControlConfig, PathSpec, PathState,
                          ScenarioConfig, VehicleParams, amplification, is_stable)
+from offsetsteer import cli
 from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              AnalysisConfig, _echo_analysis, _echo_scenario,
                              cmd_freq_response, cmd_simulate, cmd_stability_map, main,
@@ -328,6 +331,17 @@ def test_compare_command_exit_and_outputs(tmp_path):
     assert any(line.startswith("full,e_D,") for line in deltas[1:])
 
 
+@pytest.mark.parametrize("tail, flags", [
+    ("variants: [full, full]\n", []), ("", ["--variant", "full", "--variant", "full"]),
+], ids=["config", "flags"])
+def test_compare_repeated_variant_exits_config(tmp_path, tail, flags):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SCENARIO_YAML + tail)
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp"),
+                 *flags]) == EXIT_CONFIG
+    assert not (tmp_path / "cmp" / "deltas.csv").exists()
+
+
 def test_stability_map_matches_pointwise_predicate(tmp_path):
     config = tmp_path / "analysis.yaml"
     config.write_text(ANALYSIS_YAML)
@@ -379,6 +393,62 @@ def test_seedless_flag_verifies_determinism(tmp_path):
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["seedless"] is True
+
+
+def test_figs_repro_manifest_lists_every_output(tmp_path):
+    out = tmp_path / "figs"
+    assert main(["figs-repro", "--dt", "0.01", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert manifest["outputs"] == on_disk
+    assert len(on_disk) == 52
+    presets = manifest["config"]["presets"]
+    assert len(presets) == 8
+    assert manifest["input_digests"] == {
+        f"preset:{name}": hashlib.sha256(preset_text(name).encode()).hexdigest()
+        for name in presets}
+    assert manifest["seedless"] is False
+    scenarios = [json.loads((out / name / "manifest.json").read_text())["config"]
+                 for name in presets]
+    scenarios = [config for config in scenarios if "sim" in config]
+    assert len(scenarios) == 5
+    assert all(config["sim"]["dt_s"] == 0.01 for config in scenarios)
+
+
+# -- dispatch -----------------------------------------------------------------
+
+COMMANDS = ("simulate", "compare", "stability-map", "freq-response", "figs-repro")
+
+
+@pytest.mark.parametrize("argv, forwarded", [
+    (["simulate", "--config", "c.yaml", "--dt", "0.01", "--variant", "naive", "--seedless"],
+     {"config_path": "c.yaml", "dt": 0.01, "variant": "naive", "seedless": True}),
+    (["compare", "--config", "c.yaml", "--dt", "0.02", "--variant", "naive",
+      "--variant", "linear"],
+     {"config_path": "c.yaml", "dt": 0.02, "variants": ["naive", "linear"],
+      "seedless": False}),
+    (["stability-map", "--config", "c.yaml", "--seedless"],
+     {"config_path": "c.yaml", "seedless": True}),
+    (["freq-response", "--config", "c.yaml"], {"config_path": "c.yaml", "seedless": False}),
+    (["figs-repro", "--dt", "0.01"], {"dt": 0.01, "seedless": False}),
+], ids=COMMANDS)
+def test_main_calls_the_command_bound_at_call_time(monkeypatch, argv, forwarded):
+    # A profiler times the commands by rebinding them on the module after import.
+    name = "cmd_" + argv[0].replace("-", "_")
+    signature = inspect.signature(getattr(cli, name))
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(
+        signature.bind(*args, **kwargs).arguments))
+    assert main([*argv, "--out", "o"]) == EXIT_OK
+    assert calls == [{**forwarded, "out_dir": "o"}]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_prints_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -59,6 +59,8 @@ def test_invalid_specs_rejected():
         build_path(PathSpec.cosine(0.01, -1.0))
     with pytest.raises(ConfigError):
         build_path(PathSpec.cosine(-0.01, 100.0))
+    with pytest.raises(ConfigError, match="whole number of periods"):
+        build_path(PathSpec.cosine(0.01, 100.0, 2.5))  # kappa would step at s = 250
     with pytest.raises(ConfigError):
         build_path(PathSpec.sampled([0.0, 1.0, 1.0], [0.0, 0.01, 0.02]))
     with pytest.raises(ConfigError):

@@ -476,6 +476,12 @@ def test_compare_records_failures_per_variant():
     assert "DomainError" in report.failures["linear"]
 
 
+def test_compare_rejects_a_repeated_variant():
+    cfg = make_scenario(PathSpec.straight(), t_end=1.0)
+    with pytest.raises(ConfigError, match="once"):
+        compare_controllers(cfg, ("full", "naive", "full"))
+
+
 @pytest.mark.parametrize("cfg", [
     # The linear law turns the quarter-kilometer error into a command beyond pi/2.
     make_scenario(PathSpec.straight(), "linear", t_end=5.0,
