@@ -3,7 +3,9 @@
 A path is described by its curvature profile kappa(s) plus an anchor pose
 (x0, y0, psi0) at s = 0. Heading and position follow from integrating the
 curvature, so tangent angle and coordinates are always consistent with the
-profile by construction. Vehicle states can be expressed either in the
+profile by construction. Roads whose curvature varies (cosine, sampled)
+integrate their poses on a grid that fills on demand, only as far along the
+road as the queries reach. Vehicle states can be expressed either in the
 earth frame (x, y, psi) or relative to the path (arc length of the closest
 point, signed lateral deviation, heading error).
 """
@@ -12,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +28,8 @@ TWO_PI = 2.0 * math.pi
 
 # Grid step for numerically reconstructed poses (cosine / sampled kinds).
 POSE_GRID_STEP = 0.01  # [m]
+# Most grid nodes integrated per pass when a query needs more of them.
+POSE_GRID_CHUNK = 4096
 
 
 class PathState(NamedTuple):
@@ -157,6 +163,12 @@ def _line(x0: float, y0: float, psi0: float, ds: np.ndarray):
     return x0 + ds * math.cos(psi0), y0 + ds * math.sin(psi0), np.full_like(ds, psi0)
 
 
+def _cosine_kappa_array(kappa_max: float, omega: float, s_end: float, s: np.ndarray):
+    """The cosine road's curvature at an array of arc lengths, zero off the road."""
+    inside = (s >= 0.0) & (s <= s_end)
+    return np.where(inside, 0.5 * kappa_max * (1.0 - np.cos(omega * s)), 0.0)
+
+
 def _floats_for_scalar(s, values: tuple) -> tuple:
     """``values`` as floats for a scalar arc length ``s``, unchanged for an array."""
     return tuple(map(float, values)) if np.ndim(s) == 0 else values
@@ -169,51 +181,79 @@ class _PoseGrid:
     x' = cos(psi), y' = sin(psi), psi' = kappa(s), caches the nodes, and
     answers queries by cubic Hermite interpolation (node derivatives are
     known exactly from the headings and curvatures).
+
+    The grid fills on demand. Construction fixes the lattice (``s0``, ``h``,
+    ``n``) and allocates the node arrays, and a query fills the nodes, up to
+    ``POSE_GRID_CHUNK`` per pass, as far as the highest node it reads: a run
+    that drives the first metres of a long road integrates only those. The
+    running sums carry from one pass to the next, so every node equals the
+    one a single pass over the whole lattice gives, bit for bit.
     """
 
     def __init__(self, kappa_fn, s_start: float, s_end: float,
                  x0: float, y0: float, psi0: float):
         n = max(1, int(math.ceil((s_end - s_start) / POSE_GRID_STEP - 1e-9)))
         self.s0 = s_start
-        self.h = h = (s_end - s_start) / n
-        s_nodes = s_start + h * np.arange(n + 1)
-        k_nodes = kappa_fn(s_nodes)
-        k_half = kappa_fn(s_nodes[:-1] + 0.5 * h)
+        self.h = (s_end - s_start) / n
+        self.n = n
+        self.x, self.y, self.psi, self.kappa = (np.empty(n + 1) for _ in range(4))
+        self.x[0], self.y[0], self.psi[0] = x0, y0, psi0
+        self._kappa_fn = kappa_fn
+        self._anchor = (psi0, x0, y0)
+        # Nodes 0 to _last hold their poses (node 0 its curvature only once
+        # the first pass has run). The running sums of the (psi, x, y)
+        # increments start at -0.0, the exact additive identity.
+        self._last = 0
+        self._sums = [-0.0, -0.0, -0.0]
+        self._lock = threading.Lock()
+
+    def fill(self, last: int) -> None:
+        """Fill the nodes up to index ``last`` (clamped to ``n``)."""
+        if last <= self._last:
+            return
+        with self._lock:
+            while self._last < min(last, self.n):
+                self._fill_pass(self._last, min(self._last + POSE_GRID_CHUNK, self.n))
+
+    def _fill_pass(self, a: int, b: int) -> None:
+        """Integrate the segments a to b - 1: nodes a + 1 to b, curvatures a to b."""
+        h = self.h
+        s_nodes = self.s0 + h * np.arange(a, b + 1)
+        k_nodes = self._kappa_fn(s_nodes)
+        k_half = self._kappa_fn(s_nodes[:-1] + 0.5 * h)
 
         # psi' = kappa(s) does not depend on the state, so the RK4 increment
         # reduces to Simpson's rule and the nodes can be accumulated first.
-        dpsi = h * (k_nodes[:-1] + 4.0 * k_half + k_nodes[1:]) / 6.0
-        psi = np.empty(n + 1)
-        psi[0] = psi0
-        np.cumsum(dpsi, out=psi[1:])
-        psi[1:] += psi0
+        self._accumulate(0, self.psi, a, h * (k_nodes[:-1] + 4.0 * k_half + k_nodes[1:]) / 6.0)
 
         # RK4 stage headings for the position equations.
-        psi_a = psi[:-1]
+        psi_a = self.psi[a:b]
         psi_b = psi_a + 0.5 * h * k_nodes[:-1]
         psi_c = psi_a + 0.5 * h * k_half
         psi_d = psi_a + h * k_half
-        dx = h * (np.cos(psi_a) + 2.0 * np.cos(psi_b) + 2.0 * np.cos(psi_c) + np.cos(psi_d)) / 6.0
-        dy = h * (np.sin(psi_a) + 2.0 * np.sin(psi_b) + 2.0 * np.sin(psi_c) + np.sin(psi_d)) / 6.0
-        x = np.empty(n + 1)
-        y = np.empty(n + 1)
-        x[0] = x0
-        y[0] = y0
-        np.cumsum(dx, out=x[1:])
-        np.cumsum(dy, out=y[1:])
-        x[1:] += x0
-        y[1:] += y0
+        self._accumulate(1, self.x, a, h * (np.cos(psi_a) + 2.0 * np.cos(psi_b)
+                                            + 2.0 * np.cos(psi_c) + np.cos(psi_d)) / 6.0)
+        self._accumulate(2, self.y, a, h * (np.sin(psi_a) + 2.0 * np.sin(psi_b)
+                                            + 2.0 * np.sin(psi_c) + np.sin(psi_d)) / 6.0)
+        self.kappa[a:b + 1] = k_nodes
+        self._last = b
 
-        self.n = n
-        self.x = x
-        self.y = y
-        self.psi = psi
-        self.kappa = np.asarray(k_nodes, dtype=float)
+    def _accumulate(self, i: int, column: np.ndarray, a: int, steps: np.ndarray) -> None:
+        """Write anchor ``i`` plus the running sum ``i`` of ``steps`` from node a + 1 on.
+
+        cumsum adds in sequence, so resuming from the carried sum gives the
+        sums of one cumsum over the whole lattice.
+        """
+        steps[0] += self._sums[i]
+        sums = np.cumsum(steps)
+        self._sums[i] = sums[-1]
+        column[a + 1:a + 1 + sums.size] = sums + self._anchor[i]
 
     def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u = (s - self.s0) / self.h
         # int(u) clamped to the first and last segment.
         j = np.clip(u, 0, self.n - 1).astype(np.intp)
+        self.fill(int(j.max(initial=-1)) + 1)
         u = u - j
         # Hermite basis on the segment [s_j, s_j + h].
         u2 = u * u
@@ -233,13 +273,16 @@ class _PoseGrid:
         return x, y, psi
 
     def end_pose(self) -> tuple[float, float, float]:
+        """The last node's pose; fills the whole grid."""
+        self.fill(self.n)
         return float(self.x[-1]), float(self.y[-1]), float(self.psi[-1])
 
 
 class Path:
     """Evaluable reference path: curvature profile plus pose accessors.
 
-    Immutable after construction and safe to share across threads.
+    What it answers never changes after construction, and it is safe to
+    share across threads: the pose grid fills under a lock.
     """
 
     def __init__(self, spec: PathSpec):
@@ -248,8 +291,9 @@ class Path:
         if spec.kind == "cosine":
             self._omega = TWO_PI / spec.period
             self._s_end = spec.periods * spec.period
-            self._grid = _PoseGrid(self._cosine_kappa_array, 0.0, self._s_end,
-                                   spec.x0, spec.y0, spec.psi0)
+            self._grid = _PoseGrid(
+                partial(_cosine_kappa_array, spec.kappa_max, self._omega, self._s_end),
+                0.0, self._s_end, spec.x0, spec.y0, spec.psi0)
         elif spec.kind == "sampled":
             # scipy is loaded only when a sampled road needs it.
             from scipy.interpolate import PchipInterpolator
@@ -280,11 +324,6 @@ class Path:
 
     # -- curvature -----------------------------------------------------
 
-    def _cosine_kappa_array(self, s):
-        s = np.asarray(s, dtype=float)
-        inside = (s >= 0.0) & (s <= self._s_end)
-        return np.where(inside, 0.5 * self.spec.kappa_max * (1.0 - np.cos(self._omega * s)), 0.0)
-
     def curvature(self, s: float) -> float:
         """Curvature kappa [1/m] at arc length s."""
         kind = self.spec.kind
@@ -298,11 +337,12 @@ class Path:
                 # periods is whole), so simulations may run past the profile.
                 return 0.0
             return 0.5 * self.spec.kappa_max * (1.0 - math.cos(self._omega * s))
-        self._check_sampled_range(s)
+        if not self._s_start <= s <= self._s_end:
+            self._check_sampled_range(s)  # raises, unless s is NaN
         # The same interval and the same sum as PPoly's evaluation, so the
         # value is bit-equal to the PchipInterpolator's float(pchip(s)).
         knots = self._knots
-        j = min(bisect_right(knots, s) - 1, len(knots) - 2)
+        j = bisect_right(knots, s, 0, len(knots) - 1) - 1
         c0, c1, c2, c3 = self._coefs[j]
         u = s - knots[j]
         u2 = u * u
@@ -329,10 +369,12 @@ class Path:
                     psi)
         elif spec.kind == "cosine":
             inside = self._grid.pose(s)
-            # Straight continuations before the start and past the end.
+            # Straight continuations before the start and past the end; the
+            # end pose fills the whole grid, so it is read only when needed.
             before = _line(spec.x0, spec.y0, spec.psi0, s)
-            after = _line(*self._grid.end_pose(), s - self._s_end)
-            pose = tuple(np.where(s < 0.0, b, np.where(s > self._s_end, a, g))
+            past = s > self._s_end
+            after = _line(*self._grid.end_pose(), s - self._s_end) if past.any() else inside
+            pose = tuple(np.where(s < 0.0, b, np.where(past, a, g))
                          for b, a, g in zip(before, after, inside))
         else:
             self._check_sampled_range(s)

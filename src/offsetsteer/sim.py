@@ -362,15 +362,21 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     return traj, _metrics(traj, cfg)
 
 
+def _distinct_variants(variants) -> tuple[str, ...]:
+    """``variants`` as a tuple; each variant may be compared once."""
+    variants = tuple(variants)
+    if len(set(variants)) != len(variants):
+        raise ConfigError(f"each variant may be compared once, got {list(variants)}")
+    return variants
+
+
 def compare_controllers(cfg: ScenarioConfig, variants) -> ComparisonReport:
     """Run the identical scenario once per controller variant.
 
     Per-variant failures are recorded in the report instead of aborting the
     remaining runs. Trajectory deltas are measured against the first variant.
     """
-    variants = tuple(variants)
-    if len(set(variants)) != len(variants):
-        raise ConfigError(f"each variant may be compared once, got {list(variants)}")
+    variants = _distinct_variants(variants)
     results: dict[str, tuple[Trajectory, TrackingMetrics]] = {}
     failures: dict[str, str] = {}
     for variant in variants:

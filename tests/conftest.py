@@ -54,8 +54,9 @@ def reference_pose(path, s: float) -> tuple[float, float, float]:
 
     The straight and circular closed forms, the cosine road's straight
     continuations before its start and past its end, and the cubic Hermite
-    evaluation over the pose grid's nodes (``path._grid``), each written as
-    scalar ``math`` expressions in the library's order.
+    evaluation over the pose grid's nodes (``path._grid``, filled whole
+    first, since it fills on demand), each written as scalar ``math``
+    expressions in the library's order.
     """
     spec = path.spec
     if spec.kind == "straight":
@@ -69,6 +70,7 @@ def reference_pose(path, s: float) -> tuple[float, float, float]:
                 spec.y0 - rho * (math.cos(psi) - math.cos(spec.psi0)),
                 psi)
     grid = path._grid
+    grid.fill(grid.n)
     if spec.kind == "cosine":
         if s < 0.0:
             return (spec.x0 + s * math.cos(spec.psi0),

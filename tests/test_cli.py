@@ -339,7 +339,8 @@ def test_compare_repeated_variant_exits_config(tmp_path, tail, flags):
     config.write_text(SCENARIO_YAML + tail)
     assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp"),
                  *flags]) == EXIT_CONFIG
-    assert not (tmp_path / "cmp" / "deltas.csv").exists()
+    # Rejected before anything is written: not even the output directory.
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_stability_map_matches_pointwise_predicate(tmp_path):
@@ -449,6 +450,29 @@ def test_every_subcommand_prints_help(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "--out" in capsys.readouterr().out
+
+
+def test_main_parses_with_one_parser_per_process(tmp_path, capsys):
+    # Two commands in a row through the process's one parser, which prints
+    # the help a freshly built parser prints.
+    scenario, analysis = tmp_path / "scenario.yaml", tmp_path / "analysis.yaml"
+    scenario.write_text(SCENARIO_YAML)
+    analysis.write_text(ANALYSIS_YAML)
+    assert main(["simulate", "--config", str(scenario), "--out", str(tmp_path / "sim")]) == EXIT_OK
+    assert main(["stability-map", "--config", str(analysis),
+                 "--out", str(tmp_path / "map")]) == EXIT_OK
+    assert (tmp_path / "sim" / "trajectory.csv").exists()
+    assert (tmp_path / "map" / "stability_map.csv").exists()
+    assert cli._build_parser() is cli._build_parser()
+    fresh = cli._build_parser.__wrapped__()
+    for argv in ([], *([command] for command in COMMANDS)):
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        with pytest.raises(SystemExit):
+            fresh.parse_args([*argv, "--help"])
+        once, again = capsys.readouterr().out.split("usage:")[1:]
+        assert once == again
 
 
 # -- exit codes ---------------------------------------------------------------

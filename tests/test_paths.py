@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.interpolate import PchipInterpolator
 from offsetsteer import (ConfigError, DomainError, PathSpec,
                          PathState, build_path, load_curvature_table,
                          wrap_angle_error)
+from offsetsteer.paths import POSE_GRID_CHUNK
 
 from conftest import (COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS,
                       reference_pose, reference_to_earth)
@@ -100,7 +102,8 @@ def test_sampled_outside_range_raises():
         return path.to_earth(PathState(np.array([s, 5.0, 20.0, 30.0]), np.zeros(4),
                                        np.zeros(4)))
 
-    for s in (-1.0, 20.5, 25.0):
+    for s in (-1.0, math.nextafter(0.0, -math.inf), math.nextafter(20.0, math.inf),
+              20.5, 25.0):
         messages = set()
         for lookup in (path.curvature, path.pose, pose_array, to_earth_array):
             with pytest.raises(DomainError) as info:
@@ -110,6 +113,9 @@ def test_sampled_outside_range_raises():
         # array reports its first arc length outside the table.
         assert len(messages) == 1
         assert f"s={s:.6g} outside sampled table range [0, 20]" in messages
+    # NaN fails every range comparison without being outside: the lookup
+    # returns NaN, as it always has.
+    assert math.isnan(path.curvature(math.nan))
 
 
 def test_scipy_is_loaded_only_for_sampled_roads():
@@ -158,6 +164,95 @@ def test_sampled_curvature_equals_pchip_exactly(table_s, table_kappa):
     for s in queries:
         got, want = path.curvature(s), float(pchip(s))
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), s
+
+
+def _single_pass_nodes(path):
+    """The pose grid's nodes (x, y, psi, kappa) from one vectorised pass
+    over the whole lattice, the way the grid was built before it filled on
+    demand."""
+    grid, spec = path._grid, path.spec
+    h = grid.h
+    s_nodes = grid.s0 + h * np.arange(grid.n + 1)
+    k_nodes = grid._kappa_fn(s_nodes)
+    k_half = grid._kappa_fn(s_nodes[:-1] + 0.5 * h)
+    dpsi = h * (k_nodes[:-1] + 4.0 * k_half + k_nodes[1:]) / 6.0
+    psi = np.concatenate(([spec.psi0], np.cumsum(dpsi) + spec.psi0))
+    psi_a = psi[:-1]
+    psi_b = psi_a + 0.5 * h * k_nodes[:-1]
+    psi_c = psi_a + 0.5 * h * k_half
+    psi_d = psi_a + h * k_half
+    dx = h * (np.cos(psi_a) + 2.0 * np.cos(psi_b) + 2.0 * np.cos(psi_c) + np.cos(psi_d)) / 6.0
+    dy = h * (np.sin(psi_a) + 2.0 * np.sin(psi_b) + 2.0 * np.sin(psi_c) + np.sin(psi_d)) / 6.0
+    return (np.concatenate(([spec.x0], np.cumsum(dx) + spec.x0)),
+            np.concatenate(([spec.y0], np.cumsum(dy) + spec.y0)), psi, k_nodes)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("spec", [
+    PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS, 3.0, -0.0, 0.7),
+    PathSpec.sampled(*_random_table(), 2.0, 3.0, -0.4),
+    # Every increment of psi and y is -0.0, so the sums keep their signed zeros.
+    PathSpec.cosine(-0.0, COSINE_PERIOD, COSINE_PERIODS, 0.0, -0.0, -0.0),
+], ids=["cosine", "sampled", "signed-zero"])
+def test_pose_grid_fills_on_demand_bit_for_bit(spec):
+    # Queried out of order, across pass boundaries, at both ends and past
+    # the cosine road's end, the on-demand grid answers what a grid filled
+    # in one pass answers, bit for bit, and fills only what was asked for.
+    nodes = _single_pass_nodes(build_path(spec))
+    whole = build_path(spec)
+    whole._grid.end_pose()
+    for got, want in zip((whole._grid.x, whole._grid.y, whole._grid.psi, whole._grid.kappa),
+                         nodes):
+        assert np.array_equal(_bits(got), _bits(want))
+
+    path = build_path(spec)
+    grid = path._grid
+    at = grid.s0 + grid.h * np.array([POSE_GRID_CHUNK + 0.5, 2.5 * POSE_GRID_CHUNK, 0.0,
+                                      POSE_GRID_CHUNK - 0.5, POSE_GRID_CHUNK,
+                                      2.0 * POSE_GRID_CHUNK - 1e-3, 1.0])
+    queries = [*at, at[:4], at[::-1], grid.s0]
+    s_end = path._s_end
+    if spec.kind == "cosine":
+        queries += [np.array([-7.0, 30.0]), np.array([s_end + 5.0, 12.0]), s_end + 0.5, -1.0]
+    queries += [s_end, np.array([s_end, grid.s0])]
+    for i, s in enumerate(queries):
+        if i == len(at):
+            # The single queries reached 2.5 passes in, so three passes ran.
+            assert grid._last == 3 * POSE_GRID_CHUNK < grid.n
+        for got, want in zip(path.pose(s), whole.pose(s)):
+            assert np.array_equal(_bits(got), _bits(want)), s
+        filled = grid._last + 1
+        for got, want in zip((grid.x, grid.y, grid.psi, grid.kappa), nodes):
+            assert np.array_equal(_bits(got[:filled]), _bits(want[:filled]))
+    assert grid._last == grid.n
+
+    # end_pose alone fills the whole grid and reads its last node.
+    assert np.array_equal(_bits(build_path(spec)._grid.end_pose()),
+                          _bits([column[-1] for column in nodes[:3]]))
+
+
+def test_threads_share_one_pose_grid():
+    # Threads that query one fresh road at once fill its grid under the
+    # grid's lock, and each gets what a road of its own answers; a lost or
+    # doubled pass would break the carried sums.
+    spec = PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS)
+    rows = np.random.default_rng(23).uniform(-10.0, _COSINE_END + 10.0, (8, 2000))
+    rows[::2] *= 0.3  # half the threads stay on the road's first part
+    path = build_path(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(path.pose, s) for s in rows]
+            answers = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for s, got in zip(rows, answers):
+        for column, want in zip(got, build_path(spec).pose(s)):
+            assert np.array_equal(_bits(column), _bits(want))
 
 
 def test_curvature_table_csv_round_trip(tmp_path):

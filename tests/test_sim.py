@@ -19,7 +19,7 @@ from offsetsteer import (ConfigError, DomainError, OffsetSteerError, PathSpec, P
                          write_trajectory_csv)
 from offsetsteer import sim, steering
 from offsetsteer.bicycle import _arc_chord
-from offsetsteer.paths import Path
+from offsetsteer.paths import POSE_GRID_CHUNK, Path
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
 from conftest import (CIRCLE_RADIUS, COSINE_KAPPA_MAX, COSINE_PERIOD,
@@ -345,6 +345,22 @@ def test_long_run_maps_its_pose_in_slices():
     whole = build_path(cfg.path_spec).to_earth(PathState(traj.s_d, traj.e_d, traj.theta_d))
     for name, values in zip(("x_a", "y_a", "psi"), whole):
         assert np.array_equal(getattr(traj, name), values), name
+
+
+def test_short_run_fills_only_the_pose_grid_it_drives(monkeypatch):
+    # 2 s at 20 m/s covers 40 m of the 1 km cosine road: the run integrates
+    # the pose grid that far, up to one fill pass beyond, not the whole road.
+    built = []
+
+    def recording_build_path(spec):
+        built.append(build_path(spec))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "build_path", recording_build_path)
+    traj, _ = run_scenario(make_scenario(cosine_spec(), t_end=2.0))
+    grid = built[0]._grid
+    reached = int(traj.s_d.max() / grid.h) + 1
+    assert reached < grid._last <= reached + POSE_GRID_CHUNK < grid.n
 
 
 def test_small_perturbations_follow_linear_model(params):
