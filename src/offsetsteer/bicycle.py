@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import ConfigError, DomainError, SingularityError
 from .paths import EarthState, PathState
 
 _HALF_PI = 0.5 * math.pi
+
+# Smallest |1 - e*kappa| at which the path-frame rates are evaluated.
+SINGULAR_DENOM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,12 @@ def _check_steer(steer: float) -> None:
         raise DomainError(f"steering angle {steer:.6g} rad outside (-pi/2, pi/2)")
 
 
+def _singular(denom: float, s: float) -> NoReturn:
+    """Raise for a path-frame rate evaluated where |1 - e*kappa| < SINGULAR_DENOM."""
+    raise SingularityError(
+        f"curvature-center singularity: 1 - e*kappa = {denom:.3g} at s={s:.6g}")
+
+
 def earth_derivatives(state: EarthState, steer: float,
                       params: VehicleParams) -> tuple[float, float, float]:
     """Time derivatives (x_dot, y_dot, psi_dot) of the guidance point."""
@@ -105,7 +114,9 @@ def path_derivatives(state: PathState, steer: float, params: VehicleParams,
                      kappa: float) -> tuple[float, float, float]:
     """Time derivatives (s_dot, e_dot, theta_dot) in the path frame.
 
-    ``kappa`` is the path curvature at the current arc length.
+    ``kappa`` is the path curvature at the current arc length. This is the
+    model equation; ``sim.run_scenario`` writes the same expressions out in
+    its held-steering step, and the tests step both and require equal bits.
 
     Raises:
         SingularityError: the state reached the curvature-center circle
@@ -115,23 +126,15 @@ def path_derivatives(state: PathState, steer: float, params: VehicleParams,
     s, e, theta = state
     v = params.speed
     tan_g = math.tan(steer)
-    return _path_rates(s, e, theta, kappa, v,
-                       params.sensor_offset / params.wheelbase * tan_g,
-                       v / params.wheelbase * tan_g)
-
-
-def _path_rates(s: float, e: float, theta: float, kappa: float, v: float,
-                ratio_tan: float, yaw_rate: float) -> tuple[float, float, float]:
-    """Path-frame derivatives given (d/l)*tan(steer) and the rear-axle yaw
-    rate (V/l)*tan(steer), which stay fixed while the steering is held."""
+    ratio_tan = params.sensor_offset / params.wheelbase * tan_g
     denom = 1.0 - e * kappa
-    if abs(denom) < 1e-12:
-        raise SingularityError(
-            f"curvature-center singularity: 1 - e*kappa = {denom:.3g} at s={s:.6g}")
+    if abs(denom) < SINGULAR_DENOM:
+        _singular(denom, s)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     s_dot = v * (cos_t - ratio_tan * sin_t) / denom
-    return s_dot, v * (sin_t + ratio_tan * cos_t), yaw_rate - kappa * s_dot
+    return (s_dot, v * (sin_t + ratio_tan * cos_t),
+            v / params.wheelbase * tan_g - kappa * s_dot)
 
 
 def hat_path_derivatives(state: HatPathState, steer: float, params: VehicleParams,

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import logging
 import math
+import shutil
 import sys
 import tempfile
 import time
@@ -374,18 +375,25 @@ def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
 
     ``render(target)`` writes the artifacts under ``target`` and returns their
     names. With ``seedless`` it runs a second time into a scratch directory and
-    every artifact must come out byte-identical.
+    every artifact must come out byte-identical. A run that fails removes the
+    directories it made on the way to ``out_dir``; one that was there stays.
     """
     out_dir = FsPath(out_dir)
+    made = next((p for p in reversed((out_dir, *out_dir.parents)) if not p.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = render(out_dir)
-    if seedless:
-        with tempfile.TemporaryDirectory() as tmp:
-            render(FsPath(tmp))
-            for name in outputs:
-                if _digest(out_dir / name) != _digest(FsPath(tmp) / name):
-                    raise OffsetSteerError(f"determinism check failed for {name}")
-    return _write_manifest(command, started, echo, digests, out_dir, outputs, seedless)
+    try:
+        outputs = render(out_dir)
+        if seedless:
+            with tempfile.TemporaryDirectory() as tmp:
+                render(FsPath(tmp))
+                for name in outputs:
+                    if _digest(out_dir / name) != _digest(FsPath(tmp) / name):
+                        raise OffsetSteerError(f"determinism check failed for {name}")
+        return _write_manifest(command, started, echo, digests, out_dir, outputs, seedless)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def _write_manifest(command: str, started: float, echo: dict, digests: dict,

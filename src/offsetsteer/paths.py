@@ -158,6 +158,14 @@ def load_curvature_table(csv_path) -> PathSpec:
     return spec
 
 
+def _check_arc_length(s) -> None:
+    """Roads are evaluated at finite arc lengths only; an array of arc
+    lengths is reported at its first non-finite one."""
+    bad = np.asarray(s)[~np.isfinite(s)]
+    if bad.size:
+        raise DomainError(f"arc length must be finite, got s={bad[0]}")
+
+
 def _line(x0: float, y0: float, psi0: float, ds: np.ndarray):
     """Poses along the straight line through (x0, y0) at heading psi0."""
     return x0 + ds * math.cos(psi0), y0 + ds * math.sin(psi0), np.full_like(ds, psi0)
@@ -288,13 +296,22 @@ class Path:
     def __init__(self, spec: PathSpec):
         spec.validate()
         self.spec = spec
-        if spec.kind == "cosine":
+        # The curvature lookup reads these fields, not the kind: a constant
+        # kappa (straight and circular roads) or, on the cosine road,
+        # 0.5 * kappa_max; None where the road has no such value.
+        self._kappa = self._half_kappa_max = None
+        if spec.kind == "straight":
+            self._kappa = 0.0
+        elif spec.kind == "circular":
+            self._kappa = 1.0 / spec.radius
+        elif spec.kind == "cosine":
+            self._half_kappa_max = 0.5 * spec.kappa_max
             self._omega = TWO_PI / spec.period
             self._s_end = spec.periods * spec.period
             self._grid = _PoseGrid(
                 partial(_cosine_kappa_array, spec.kappa_max, self._omega, self._s_end),
                 0.0, self._s_end, spec.x0, spec.y0, spec.psi0)
-        elif spec.kind == "sampled":
+        else:
             # scipy is loaded only when a sampled road needs it.
             from scipy.interpolate import PchipInterpolator
             s = np.asarray(spec.table_s)
@@ -325,20 +342,27 @@ class Path:
     # -- curvature -----------------------------------------------------
 
     def curvature(self, s: float) -> float:
-        """Curvature kappa [1/m] at arc length s."""
-        kind = self.spec.kind
-        if kind == "straight":
+        """Curvature kappa [1/m] at arc length s.
+
+        A straight or circular road has one kappa for every s. On the other
+        roads a non-finite s raises ``DomainError``, tested only once s has
+        failed the range comparison that a finite s inside the road passes.
+        """
+        kappa = self._kappa
+        if kappa is not None:
+            return kappa
+        half_kappa_max = self._half_kappa_max
+        if half_kappa_max is not None:
+            if 0.0 <= s <= self._s_end:
+                return half_kappa_max * (1.0 - math.cos(self._omega * s))
+            if not math.isfinite(s):
+                _check_arc_length(s)
+            # Constant continuation with the boundary value (zero, as periods
+            # is whole), so simulations may run past the profile.
             return 0.0
-        if kind == "circular":
-            return 1.0 / self.spec.radius
-        if kind == "cosine":
-            if s < 0.0 or s > self._s_end:
-                # Constant continuation with the boundary value (zero, as
-                # periods is whole), so simulations may run past the profile.
-                return 0.0
-            return 0.5 * self.spec.kappa_max * (1.0 - math.cos(self._omega * s))
         if not self._s_start <= s <= self._s_end:
-            self._check_sampled_range(s)  # raises, unless s is NaN
+            _check_arc_length(s)
+            self._check_sampled_range(s)
         # The same interval and the same sum as PPoly's evaluation, so the
         # value is bit-equal to the PchipInterpolator's float(pchip(s)).
         knots = self._knots
@@ -353,12 +377,14 @@ class Path:
     def pose(self, s: float | np.ndarray) -> tuple:
         """Path point and tangent heading (x_d, y_d, psi_d) at arc length s.
 
-        ``s`` is a float, which gives floats, or an array, which gives arrays.
+        ``s`` is a float, which gives floats, or an array, which gives arrays;
+        a non-finite arc length raises ``DomainError`` on every kind of road.
         An array takes the scalar formulas in the same order, with sin and cos
         as the only elementwise functions, so each element equals their value.
         """
         spec = self.spec
         s = np.asarray(s, dtype=float)
+        _check_arc_length(s)
         if spec.kind == "straight":
             pose = _line(spec.x0, spec.y0, spec.psi0, s)
         elif spec.kind == "circular":

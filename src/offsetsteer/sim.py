@@ -8,20 +8,22 @@ the integration step converges to the exact sampled-data trajectory. Left
 unset, the control period follows the step, and refining the step then
 refines the sampling too.
 
-While the steering is held, ``run_scenario`` takes each path-frame step with
-a fused RK4: tan(gamma) and the rates built on it are computed once per
-control update, and the first stage reuses the step's curvature.
-``step_rk4`` over ``path_derivatives`` is the reference: the fused step
-evaluates the same expressions in the same order, and the tests require
-bit-identical path-frame trajectories from both. The earth step is exact, not
-integrated: with the steering held, the rear axle circles a fixed centre and
-A, rigidly attached, circles it too, so each control update computes the
-step's body-frame chord once (``bicycle._arc_chord``) and each step rotates
-it by the heading and advances the heading by yaw_rate * dt. The steering
-law is bound once per run (``steering._law``: variant, wrap decision and
-feedback bound resolved before the loop), each update returns a plain tuple
-that includes the ``full`` law's desired heading error, and the loop carries
-``s, e, theta`` as floats; ``control`` is the same law for one state.
+While the steering is held, ``run_scenario`` takes each path-frame step as
+one straight-line RK4 kernel, its four stages written out in the loop:
+tan(gamma) and the rates built on it are computed once per control update,
+and the first stage reuses the step's curvature and its 1 - e*kappa from the
+singularity check. ``bicycle.path_derivatives`` is the model equation and
+the oracle: the kernel evaluates its expressions in the same order, and the
+tests step it with ``step_rk4`` and require bit-identical path-frame
+trajectories from both. The earth step is exact, not integrated: with the
+steering held, the rear axle circles a fixed centre and A, rigidly attached,
+circles it too, so each control update computes the step's body-frame chord
+once (``bicycle._arc_chord``) and each step rotates it by the heading and
+advances the heading by yaw_rate * dt. The steering law is bound once per
+run (``steering._law``: variant, wrap decision and feedback bound resolved
+before the loop), each update returns a plain tuple that includes the
+``full`` law's desired heading error, and the loop carries ``s, e, theta``
+as floats; ``control`` is the same law for one state.
 
 A run is recorded in one row-major array with a row per step; the loop
 writes what the dynamics produce with one ``struct`` pack per row into the
@@ -47,8 +49,9 @@ import numpy as np
 from ._writer import write_json, write_rows
 # The loop calls the private step functions; earth_derivatives and
 # path_derivatives stay importable from here, where perfbench's tracer wraps them.
-from .bicycle import (VehicleParams, _arc_chord, _check_steer, _path_rates,  # noqa: F401
-                      earth_derivatives, path_derivatives)
+from .bicycle import (SINGULAR_DENOM, _HALF_PI, VehicleParams,  # noqa: F401
+                      _arc_chord, _check_steer, _singular, earth_derivatives,
+                      path_derivatives)
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, build_path, wrap_angle_error
 # The loop calls the run's bound law; control stays importable from here,
@@ -284,6 +287,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     v_dt = v * dt
     curvature = path.curvature
     law = _law(ctl, params)
+    singular_denom = SINGULAR_DENOM
     isfinite = math.isfinite
     cos, sin = math.cos, math.sin
     s, e, theta = cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0)
@@ -291,9 +295,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     # columns hold NaN and are dropped.
     x_e, y_e, psi_e = path.to_earth(PathState(s, e, theta)) if want_earth else (math.nan,) * 3
 
-    # Each step is the fused held-steering RK4 and the exact earth step of
-    # the module docstring. The state s, e, theta changes only at the end of
-    # a step, so an error raised inside it reports the step's start.
+    # Each step is the straight-line held-steering RK4 and the exact earth
+    # step of the module docstring. The state s, e, theta changes only at
+    # the end of a step, so an error raised inside it reports the step's start.
     try:
         for i in range(n + 1):
             kappa = curvature(s)
@@ -302,9 +306,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                 g_des, g_ff, g_fb, fb, theta_0 = law(e, theta, kappa)
             if not update or theta_0 is None:
                 theta_0 = desired_yaw_error(kappa, offset)
-            if abs(1.0 - e * kappa) < SINGULARITY_TOL:
+            denom = 1.0 - e * kappa
+            if abs(denom) < SINGULARITY_TOL:
                 raise SingularityError(
-                    f"curvature-center singularity (1 - e*kappa = {1.0 - e * kappa:.3g})")
+                    f"curvature-center singularity (1 - e*kappa = {denom:.3g})")
 
             pack(buf, row_bytes * i, i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa,
                  fb, x_e, y_e, psi_e)
@@ -312,7 +317,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             if i == n:
                 break
             if update:
-                _check_steer(g_des)
+                if abs(g_des) >= _HALF_PI:
+                    _check_steer(g_des)
                 tan_g = math.tan(g_des)
                 ratio_tan = ratio * tan_g
                 yaw_rate = v / params.wheelbase * tan_g
@@ -320,16 +326,52 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                     turn = yaw_rate * dt
                     chord_x, chord_y = _arc_chord(turn, v_dt, offset)
 
-            a_s, a_e, a_t = _path_rates(s, e, theta, kappa, v, ratio_tan, yaw_rate)
-            s2 = s + half * a_s
-            b_s, b_e, b_t = _path_rates(s2, e + half * a_e, theta + half * a_t,
-                                        curvature(s2), v, ratio_tan, yaw_rate)
-            s3 = s + half * b_s
-            c_s, c_e, c_t = _path_rates(s3, e + half * b_e, theta + half * b_t,
-                                        curvature(s3), v, ratio_tan, yaw_rate)
-            s4 = s + dt * c_s
-            d_s, d_e, d_t = _path_rates(s4, e + dt * c_e, theta + dt * c_t,
-                                        curvature(s4), v, ratio_tan, yaw_rate)
+            # Stage 1, at the step's start, where the check above already
+            # keeps |denom| >= SINGULARITY_TOL, far above SINGULAR_DENOM.
+            cos_t = cos(theta)
+            sin_t = sin(theta)
+            a_s = v * (cos_t - ratio_tan * sin_t) / denom
+            a_e = v * (sin_t + ratio_tan * cos_t)
+            a_t = yaw_rate - kappa * a_s
+            # Stage 2, at the half step along stage 1's rates.
+            s_k = s + half * a_s
+            e_k = e + half * a_e
+            theta_k = theta + half * a_t
+            kappa_k = curvature(s_k)
+            denom = 1.0 - e_k * kappa_k
+            if abs(denom) < singular_denom:
+                _singular(denom, s_k)
+            cos_t = cos(theta_k)
+            sin_t = sin(theta_k)
+            b_s = v * (cos_t - ratio_tan * sin_t) / denom
+            b_e = v * (sin_t + ratio_tan * cos_t)
+            b_t = yaw_rate - kappa_k * b_s
+            # Stage 3, at the half step along stage 2's rates.
+            s_k = s + half * b_s
+            e_k = e + half * b_e
+            theta_k = theta + half * b_t
+            kappa_k = curvature(s_k)
+            denom = 1.0 - e_k * kappa_k
+            if abs(denom) < singular_denom:
+                _singular(denom, s_k)
+            cos_t = cos(theta_k)
+            sin_t = sin(theta_k)
+            c_s = v * (cos_t - ratio_tan * sin_t) / denom
+            c_e = v * (sin_t + ratio_tan * cos_t)
+            c_t = yaw_rate - kappa_k * c_s
+            # Stage 4, at the full step along stage 3's rates.
+            s_k = s + dt * c_s
+            e_k = e + dt * c_e
+            theta_k = theta + dt * c_t
+            kappa_k = curvature(s_k)
+            denom = 1.0 - e_k * kappa_k
+            if abs(denom) < singular_denom:
+                _singular(denom, s_k)
+            cos_t = cos(theta_k)
+            sin_t = sin(theta_k)
+            d_s = v * (cos_t - ratio_tan * sin_t) / denom
+            d_e = v * (sin_t + ratio_tan * cos_t)
+            d_t = yaw_rate - kappa_k * d_s
             s, e, theta = (s + dt * (a_s + 2.0 * b_s + 2.0 * c_s + d_s) / 6.0,
                            e + dt * (a_e + 2.0 * b_e + 2.0 * c_e + d_e) / 6.0,
                            theta + dt * (a_t + 2.0 * b_t + 2.0 * c_t + d_t) / 6.0)

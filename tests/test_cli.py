@@ -484,14 +484,32 @@ def test_exit_code_config_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+# A 1.5 m circle: |d*kappa| > 1 for the 2 m sensor offset, so the run fails.
+UNTRACKABLE_YAML = SCENARIO_YAML.replace(
+    "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
+    "  period_m: 250.0\n  periods: 4",
+    "  kind: circular\n  radius_m: 1.5")
+
+
 def test_exit_code_domain_error(tmp_path):
     config = tmp_path / "tight.yaml"
-    config.write_text(SCENARIO_YAML.replace(
-        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
-        "  period_m: 250.0\n  periods: 4",
-        "  kind: circular\n  radius_m: 1.5"))
+    config.write_text(UNTRACKABLE_YAML)
     assert main(["simulate", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("existing", ["", "runs", "runs/out"], ids=["none", "parent", "out"])
+def test_failed_run_removes_only_the_directories_it_made(tmp_path, existing):
+    config = tmp_path / "tight.yaml"
+    config.write_text(UNTRACKABLE_YAML)
+    if existing:
+        (tmp_path / existing).mkdir(parents=True)
+        (tmp_path / existing / "keep.txt").write_text("kept")
+    before = set(tmp_path.rglob("*"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "runs" / "out")]) == EXIT_DOMAIN
+    # What was there before the run is all that is left.
+    assert set(tmp_path.rglob("*")) == before
 
 
 def test_exit_code_io_error(tmp_path):

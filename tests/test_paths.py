@@ -113,9 +113,11 @@ def test_sampled_outside_range_raises():
         # array reports its first arc length outside the table.
         assert len(messages) == 1
         assert f"s={s:.6g} outside sampled table range [0, 20]" in messages
-    # NaN fails every range comparison without being outside: the lookup
-    # returns NaN, as it always has.
-    assert math.isnan(path.curvature(math.nan))
+    # NaN fails every range comparison without being outside; it is not an
+    # arc length, and every lookup says so.
+    for lookup in (path.curvature, path.pose, pose_array, to_earth_array):
+        with pytest.raises(DomainError, match="arc length must be finite, got s=nan"):
+            lookup(math.nan)
 
 
 def test_scipy_is_loaded_only_for_sampled_roads():
@@ -164,6 +166,70 @@ def test_sampled_curvature_equals_pchip_exactly(table_s, table_kappa):
     for s in queries:
         got, want = path.curvature(s), float(pchip(s))
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), s
+
+
+_SHIFTED_TABLE = (_random_table()[0] - 100.0, _random_table()[1])
+
+
+def _closed_form_kappa(spec):
+    """The road's curvature as a function of s, written from its definition
+    in scalar math (the sampled road's is its PCHIP interpolant)."""
+    if spec.kind == "straight":
+        return lambda s: 0.0
+    if spec.kind == "circular":
+        return lambda s: 1.0 / spec.radius
+    if spec.kind == "cosine":
+        s_end = spec.periods * spec.period
+        return lambda s: (0.5 * spec.kappa_max * (1.0 - math.cos(2.0 * math.pi / spec.period * s))
+                          if 0.0 <= s <= s_end else 0.0)
+    pchip = PchipInterpolator(spec.table_s, spec.table_kappa)
+    return lambda s: float(pchip(s))
+
+
+_COSINE_EDGES = [v for end in (0.0, -0.0, COSINE_PERIODS * COSINE_PERIOD)
+                 for v in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf))]
+
+
+@pytest.mark.parametrize("spec, special, lo, hi", [
+    (PathSpec.straight(), [0.0, -0.0], -100.0, 1e4),
+    (PathSpec.circular(137.0), [0.0, -0.0], -100.0, 1e4),
+    (PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS), _COSINE_EDGES,
+     -100.0, COSINE_PERIODS * COSINE_PERIOD + 100.0),
+    # A table that starts before s = 0.
+    (PathSpec.sampled(*_SHIFTED_TABLE), [-0.0, 0.0, *_SHIFTED_TABLE[0]],
+     _SHIFTED_TABLE[0][0], _SHIFTED_TABLE[0][-1]),
+], ids=["straight", "circular", "cosine", "sampled"])
+def test_curvature_equals_closed_forms_bit_for_bit(spec, special, lo, hi):
+    # Before s = 0, at and past the cosine road's end and at seeded arc
+    # lengths, the lookup returns the closed form's bits, sign of zero
+    # included.
+    path, kappa = build_path(spec), _closed_form_kappa(spec)
+    rng = np.random.default_rng(23)
+    for s in (*special, *rng.uniform(lo, hi, 2000)):
+        got, want = path.curvature(s), kappa(s)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), s
+
+
+@pytest.mark.parametrize("spec", [
+    PathSpec.straight(), PathSpec.circular(200.0),
+    PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS),
+    PathSpec.sampled(*_random_table()),
+], ids=["straight", "circular", "cosine", "sampled"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arc_length_raises(spec, bad):
+    # A non-finite s is no place on any road: the pose lookups reject it,
+    # as a float or anywhere in an array, and so does a curvature lookup
+    # that has a range to test (a straight or circular road has one kappa).
+    path = build_path(spec)
+    array = np.array([1.0, bad, math.nan])
+    checks = [lambda: path.pose(bad), lambda: path.to_earth(PathState(bad, 0.0, 0.0)),
+              lambda: path.pose(array),
+              lambda: path.to_earth(PathState(array, np.zeros(3), np.zeros(3)))]
+    if spec.kind in ("cosine", "sampled"):
+        checks.append(lambda: path.curvature(bad))
+    for check in checks:
+        with pytest.raises(DomainError, match=f"^arc length must be finite, got s={bad}$"):
+            check()
 
 
 def _single_pass_nodes(path):
