@@ -21,9 +21,8 @@ from .sim import (ComparisonReport, ScenarioConfig, TrackingMetrics,
                   Trajectory, compare_controllers, run_scenario, step_rk4,
                   write_metrics, write_trajectory_csv)
 from .steering import (ControlConfig, SteeringDecision, VARIANTS, control,
-                       desired_heading, desired_yaw_error, feedback,
-                       feedforward, feedforward_error, max_allowable_steer,
-                       wrapper)
+                       desired_heading, desired_yaw_error, feedforward,
+                       feedforward_error, max_allowable_steer, wrapper)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "SteeringDecision", "TrackingMetrics", "Trajectory", "VARIANTS",
     "VehicleParams", "amplification", "build_path", "compare_controllers",
     "control", "desired_heading", "desired_yaw_error", "earth_derivatives",
-    "eigenvalues", "feedback", "feedforward", "feedforward_error",
+    "eigenvalues", "feedforward", "feedforward_error",
     "frequency_response", "hat_path_derivatives", "is_stable", "kappa_bar",
     "lambdas", "linearize", "load_curvature_table", "max_allowable_steer",
     "path_derivatives", "peak_amplification", "rear_axle_lateral_accel",

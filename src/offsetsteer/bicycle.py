@@ -73,7 +73,7 @@ def _check_steer(steer: float) -> None:
 
 
 def _singular(denom: float, s: float) -> NoReturn:
-    """Raise for a path-frame rate evaluated where |1 - e*kappa| < SINGULAR_DENOM."""
+    """Raise for 1 - e*kappa = ``denom`` at ``s``: every singularity guard's one text."""
     raise SingularityError(
         f"curvature-center singularity: 1 - e*kappa = {denom:.3g} at s={s:.6g}")
 

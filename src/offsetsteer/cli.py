@@ -17,6 +17,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from importlib import resources
@@ -235,12 +236,11 @@ def _read_path(data, base_dir: FsPath) -> PathSpec:
     if not isinstance(kind, str) or kind not in _PATH_KINDS:
         raise ConfigError(f"path: unknown kind {kind!r}; expected {'|'.join(_PATH_KINDS)}")
     if kind == "sampled":
-        spec = PathSpec.sampled(*_sampled_table(data, name, base_dir), **anchor)
+        make = partial(PathSpec.sampled, *_sampled_table(data, name, base_dir))
     else:
-        spec = PathSpec(kind, **_take(data, name, _PATH_KINDS[kind]), **anchor)
+        make = partial(PathSpec, kind, **_take(data, name, _PATH_KINDS[kind]))
     _finish(name, data)
-    spec.validate()
-    return spec
+    return make(**anchor)
 
 
 def _parse_kappa0(raw, vehicle: VehicleParams) -> tuple[float, ...]:
@@ -369,19 +369,30 @@ def _load(config_path, expected: type, dt=None) -> tuple:
     return cfg, extras, {str(config_path): _digest(config_path)}
 
 
+@contextmanager
+def _out_dir(out_dir):
+    """Make ``out_dir`` for a run; if the run fails, interrupts included, remove
+    the directories made on the way to it (one that was there stays)."""
+    out_dir = FsPath(out_dir)
+    made = next((p for p in reversed((out_dir, *out_dir.parents)) if not p.exists()), None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out_dir
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+
+
 def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
          render, seedless: bool) -> RunManifest:
     """Render into ``out_dir`` and write the manifest.
 
     ``render(target)`` writes the artifacts under ``target`` and returns their
     names. With ``seedless`` it runs a second time into a scratch directory and
-    every artifact must come out byte-identical. A run that fails removes the
-    directories it made on the way to ``out_dir``; one that was there stays.
+    every artifact must come out byte-identical.
     """
-    out_dir = FsPath(out_dir)
-    made = next((p for p in reversed((out_dir, *out_dir.parents)) if not p.exists()), None)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _out_dir(out_dir) as out_dir:
         outputs = render(out_dir)
         if seedless:
             with tempfile.TemporaryDirectory() as tmp:
@@ -390,10 +401,6 @@ def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
                     if _digest(out_dir / name) != _digest(FsPath(tmp) / name):
                         raise OffsetSteerError(f"determinism check failed for {name}")
         return _write_manifest(command, started, echo, digests, out_dir, outputs, seedless)
-    except BaseException:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
-        raise
 
 
 def _write_manifest(command: str, started: float, echo: dict, digests: dict,
@@ -536,8 +543,6 @@ def _write_sweep_csvs(target: FsPath, vehicle: VehicleParams) -> list[str]:
 def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
     """Run every bundled preset and emit the full plot-ready data set."""
     started = time.perf_counter()
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     compare, simulate = partial(cmd_compare, dt=dt), partial(cmd_simulate, dt=dt)
     runs = (("straight_compare", compare), ("circular_compare", compare),
             ("varying_curvature_compare", compare), ("optimal_gain", simulate),
@@ -545,7 +550,7 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
             ("stability_map_d3", cmd_stability_map), ("freq_response", cmd_freq_response))
     outputs: list[str] = []
     digests: dict[str, str] = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with _out_dir(out_dir) as out_dir, tempfile.TemporaryDirectory() as tmp:
         for name, command in runs:
             config = FsPath(tmp) / f"{name}.yaml"
             config.write_text(preset_text(name))
@@ -553,12 +558,12 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
             digests[f"preset:{name}"] = next(iter(manifest.input_digests.values()))
             outputs += [f"{name}/{out}" for out in manifest.outputs]
 
-    table1 = VehicleParams(wheelbase=2.57, sensor_offset=2.0,
-                           max_steer=math.radians(30.0), speed=20.0)
-    outputs += _write_sweep_csvs(out_dir, table1)
+        table1 = VehicleParams(wheelbase=2.57, sensor_offset=2.0,
+                               max_steer=math.radians(30.0), speed=20.0)
+        outputs += _write_sweep_csvs(out_dir, table1)
 
-    return _write_manifest("figs-repro", started, {"presets": sorted(name for name, _ in runs)},
-                           digests, out_dir, outputs, seedless)
+        echo = {"presets": sorted(name for name, _ in runs)}
+        return _write_manifest("figs-repro", started, echo, digests, out_dir, outputs, seedless)
 
 
 # -- entry point ------------------------------------------------------------

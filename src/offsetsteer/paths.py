@@ -63,7 +63,7 @@ class PathSpec:
     """Declarative description of a reference path.
 
     Exactly one geometry kind is populated; use the classmethod
-    constructors instead of filling fields by hand.
+    constructors instead of filling fields by hand. A spec checks itself when made.
     """
 
     kind: str                      # straight | circular | cosine | sampled
@@ -97,14 +97,12 @@ class PathSpec:
                    table_kappa=tuple(float(v) for v in kappa),
                    x0=x0, y0=y0, psi0=psi0)
 
-    def validate(self) -> None:
-        if self.kind == "straight":
-            return
+    def __post_init__(self):
+        # Written so that NaN fails each check.
         if self.kind == "circular":
             if self.radius is None or not 0.0 < self.radius < math.inf:
                 raise ConfigError(f"circular path needs a finite radius > 0, got {self.radius}")
-            return
-        if self.kind == "cosine":
+        elif self.kind == "cosine":
             if self.period is None or not 0.0 < self.period < math.inf:
                 raise ConfigError(f"cosine path needs a finite period > 0, got {self.period}")
             if self.kappa_max is None or not 0.0 <= self.kappa_max < math.inf:
@@ -113,21 +111,19 @@ class PathSpec:
             if not (self.periods >= 1 and float(self.periods).is_integer()):
                 raise ConfigError(
                     f"cosine path needs a whole number of periods >= 1, got {self.periods}")
-            return
-        if self.kind == "sampled":
+        elif self.kind == "sampled":
             if not self.table_s or self.table_kappa is None:
                 raise ConfigError("sampled path needs a non-empty (s, kappa) table")
             if len(self.table_s) != len(self.table_kappa):
                 raise ConfigError("sampled path table columns differ in length")
             if len(self.table_s) < 2:
                 raise ConfigError("sampled path table needs at least two rows")
-            s = np.asarray(self.table_s)
-            if not np.all(np.isfinite(s)) or not np.all(np.isfinite(self.table_kappa)):
+            if not (np.all(np.isfinite(self.table_s)) and np.all(np.isfinite(self.table_kappa))):
                 raise ConfigError("sampled path table must hold finite numbers only")
-            if not np.all(np.diff(s) > 0.0):
+            if not np.all(np.diff(self.table_s) > 0.0):
                 raise ConfigError("sampled path table must be strictly increasing in s")
-            return
-        raise ConfigError(f"unknown path kind {self.kind!r}")
+        elif self.kind != "straight":
+            raise ConfigError(f"unknown path kind {self.kind!r}")
 
 
 def load_curvature_table(csv_path) -> PathSpec:
@@ -153,17 +149,7 @@ def load_curvature_table(csv_path) -> PathSpec:
                 k_vals.append(float(row[1]))
             except (ValueError, IndexError):
                 raise ConfigError(f"{csv_path}: bad table row {row!r}") from None
-    spec = PathSpec.sampled(s_vals, k_vals)
-    spec.validate()
-    return spec
-
-
-def _check_arc_length(s) -> None:
-    """Roads are evaluated at finite arc lengths only; an array of arc
-    lengths is reported at its first non-finite one."""
-    bad = np.asarray(s)[~np.isfinite(s)]
-    if bad.size:
-        raise DomainError(f"arc length must be finite, got s={bad[0]}")
+    return PathSpec.sampled(s_vals, k_vals)
 
 
 def _line(x0: float, y0: float, psi0: float, ds: np.ndarray):
@@ -294,7 +280,6 @@ class Path:
     """
 
     def __init__(self, spec: PathSpec):
-        spec.validate()
         self.spec = spec
         # The curvature lookup reads these fields, not the kind: a constant
         # kappa (straight and circular roads) or, on the cosine road,
@@ -327,26 +312,29 @@ class Path:
             self._grid = _PoseGrid(pchip, self._s_start, self._s_end,
                                    spec.x0, spec.y0, spec.psi0)
 
-    def _check_sampled_range(self, s) -> None:
-        """A sampled path is defined only over its table's arc lengths; an
-        array of arc lengths is reported at its first one outside."""
-        lo, hi = self._s_start, self._s_end
-        if isinstance(s, np.ndarray):
+    def _check_domain(self, s) -> None:
+        """A road is evaluated at finite arc lengths only, and a sampled road
+        only over its table's; an array of arc lengths is reported at its
+        first one that breaks the rule."""
+        s = np.asarray(s)
+        bad = s[~np.isfinite(s)]
+        if bad.size:
+            raise DomainError(f"arc length must be finite, got s={bad[0]}")
+        if self.spec.kind == "sampled":
+            lo, hi = self._s_start, self._s_end
             outside = s[(s < lo) | (s > hi)]
-            if not outside.size:
-                return
-            s = outside[0]
-        if s < lo or s > hi:
-            raise DomainError(f"s={s:.6g} outside sampled table range [{lo:.6g}, {hi:.6g}]")
+            if outside.size:
+                raise DomainError(
+                    f"s={outside[0]:.6g} outside sampled table range [{lo:.6g}, {hi:.6g}]")
 
     # -- curvature -----------------------------------------------------
 
     def curvature(self, s: float) -> float:
         """Curvature kappa [1/m] at arc length s.
 
-        A straight or circular road has one kappa for every s. On the other
-        roads a non-finite s raises ``DomainError``, tested only once s has
-        failed the range comparison that a finite s inside the road passes.
+        A straight or circular road has one kappa for every s. The other
+        roads run the domain check only once s has failed the range
+        comparison that a finite s inside the road passes.
         """
         kappa = self._kappa
         if kappa is not None:
@@ -356,13 +344,12 @@ class Path:
             if 0.0 <= s <= self._s_end:
                 return half_kappa_max * (1.0 - math.cos(self._omega * s))
             if not math.isfinite(s):
-                _check_arc_length(s)
+                self._check_domain(s)
             # Constant continuation with the boundary value (zero, as periods
             # is whole), so simulations may run past the profile.
             return 0.0
         if not self._s_start <= s <= self._s_end:
-            _check_arc_length(s)
-            self._check_sampled_range(s)
+            self._check_domain(s)
         # The same interval and the same sum as PPoly's evaluation, so the
         # value is bit-equal to the PchipInterpolator's float(pchip(s)).
         knots = self._knots
@@ -384,7 +371,7 @@ class Path:
         """
         spec = self.spec
         s = np.asarray(s, dtype=float)
-        _check_arc_length(s)
+        self._check_domain(s)
         if spec.kind == "straight":
             pose = _line(spec.x0, spec.y0, spec.psi0, s)
         elif spec.kind == "circular":
@@ -403,7 +390,6 @@ class Path:
             pose = tuple(np.where(s < 0.0, b, np.where(past, a, g))
                          for b, a, g in zip(before, after, inside))
         else:
-            self._check_sampled_range(s)
             pose = self._grid.pose(s)
         return _floats_for_scalar(s, pose)
 
@@ -418,5 +404,5 @@ class Path:
 
 
 def build_path(spec: PathSpec) -> Path:
-    """Construct an evaluable path, validating the specification."""
+    """Construct an evaluable path from a specification, which checked itself when made."""
     return Path(spec)

@@ -95,8 +95,6 @@ class ScenarioConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.frame not in ("path", "earth", "both"):
             raise ConfigError(f"frame must be path|earth|both, got {self.frame!r}")
-        if self.t_end is not None and not self.dt < self.t_end < math.inf:
-            raise ConfigError(f"t_end must be finite and exceed dt, got {self.t_end}")
         if self.control_dt is not None:
             ratio = self.control_dt / self.dt
             if not (math.isfinite(ratio) and round(ratio) >= 1
@@ -110,6 +108,11 @@ class ScenarioConfig:
         for name, value in zip(PathState._fields, self.initial):
             if not -math.inf < value < math.inf:
                 raise ConfigError(f"initial {name} must be finite, got {value}")
+        t_end = self.resolved_t_end()
+        if not self.dt < t_end < math.inf:
+            note = "" if self.t_end is not None else " (the road's default horizon)"
+            raise ConfigError(
+                f"t_end must be finite and exceed dt ({self.dt}), got {t_end}{note}")
 
     def resolved_t_end(self) -> float:
         if self.t_end is not None:
@@ -308,8 +311,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                 theta_0 = desired_yaw_error(kappa, offset)
             denom = 1.0 - e * kappa
             if abs(denom) < SINGULARITY_TOL:
-                raise SingularityError(
-                    f"curvature-center singularity (1 - e*kappa = {denom:.3g})")
+                _singular(denom, s)
 
             pack(buf, row_bytes * i, i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa,
                  fb, x_e, y_e, psi_e)

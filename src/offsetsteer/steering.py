@@ -12,8 +12,8 @@ provided for comparison studies:
 One function, ``_law``, evaluates the law: it binds the variant, the gains,
 the wrap decision and the feedback bound g_sat once, and each update returns
 a plain tuple, with the ``full`` law's desired heading error -asin(d*kappa)
-so that a closed-loop run need not compute it again. ``control`` and
-``feedback`` evaluate it for one state.
+so that a closed-loop run need not compute it again. ``control`` evaluates
+it for one state; its ``gamma_fb`` is the feedback correction alone.
 """
 
 from __future__ import annotations
@@ -169,16 +169,6 @@ def _law(cfg: ControlConfig, params: VehicleParams):
         return gamma_des, gamma_ff, gamma_fb, raw, theta_0
 
     return law
-
-
-def feedback(e: float, theta: float, kappa: float, cfg: ControlConfig,
-             params: VehicleParams) -> float:
-    """Feedback steering correction for the configured variant.
-
-    It is ``control``'s ``gamma_fb``, from the same law; like ``control`` it
-    logs the clip warning when the total command is clipped.
-    """
-    return _law(cfg, params)(e, theta, kappa)[2]
 
 
 def control(state: PathState, kappa: float, cfg: ControlConfig,

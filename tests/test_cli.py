@@ -7,6 +7,7 @@ import logging
 import math
 import re
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -243,12 +244,16 @@ def _path_specs(draw):
 @st.composite
 def _scenarios(draw):
     dt = draw(st.floats(0.0, 1e3, exclude_min=True))
+    fields = dict(path_spec=draw(_path_specs()), vehicle=draw(_vehicles),
+                  initial=draw(st.builds(PathState, _finite, _finite, _finite)),
+                  t_end=draw(st.none() | st.floats(2e3, 1e300)))
+    # dt must stay below the horizon. Without a t_end that is the road's
+    # default horizon, which follows from these fields alone.
+    assume(dt < ScenarioConfig.resolved_t_end(SimpleNamespace(**fields)) < math.inf)
     return ScenarioConfig(
-        path_spec=draw(_path_specs()), vehicle=draw(_vehicles),
+        **fields, dt=dt,
         control=draw(st.builds(ControlConfig, k1=_finite, k2=_finite, max_lat_accel=_positive,
                                variant=st.sampled_from(VARIANTS))),
-        initial=draw(st.builds(PathState, _finite, _finite, _finite)), dt=dt,
-        t_end=draw(st.none() | st.floats(2e3, 1e300)),
         frame=draw(st.sampled_from(("path", "earth", "both"))),
         control_dt=draw(st.none() | st.integers(1, 1000).map(lambda n: n * dt)),
         settle_threshold=draw(_positive))
@@ -510,6 +515,29 @@ def test_failed_run_removes_only_the_directories_it_made(tmp_path, existing):
                  "--out", str(tmp_path / "runs" / "out")]) == EXIT_DOMAIN
     # What was there before the run is all that is left.
     assert set(tmp_path.rglob("*")) == before
+
+
+def test_failed_figs_repro_removes_only_the_directories_it_made(tmp_path):
+    # The first preset rejects the step after figs-repro has made --out.
+    (tmp_path / "runs").mkdir()
+    before = set(tmp_path.rglob("*"))
+    assert main(["figs-repro", "--dt", "-1",
+                 "--out", str(tmp_path / "runs" / "new" / "figs")]) == EXIT_CONFIG
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--dt", "100"], ["figs-repro", "--dt", "1000"]],
+                         ids=["simulate", "figs-repro"])
+def test_step_longer_than_the_default_horizon_exits_config(tmp_path, capsys, argv):
+    # No t_end: the straight road's default horizon is 30 s, and one step may
+    # not outlast it.
+    config = tmp_path / "straight.yaml"
+    config.write_text(preset_text("straight_compare"))
+    if argv[0] == "simulate":
+        argv = [*argv, "--config", str(config)]
+    assert main([*argv, "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert "got 30.0 (the road's default horizon)" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_exit_code_io_error(tmp_path):

@@ -71,11 +71,11 @@ def test_invalid_specs_rejected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_sampled_table_must_be_finite(bad):
-    spec = PathSpec.sampled([0.0, 500.0, 1000.0], [0.0, bad, 0.0])
+    # A spec checks itself when it is made: a bad table never becomes a spec.
     with pytest.raises(ConfigError, match="finite"):
-        spec.validate()
+        PathSpec.sampled([0.0, 500.0, 1000.0], [0.0, bad, 0.0])
     with pytest.raises(ConfigError, match="finite"):
-        build_path(spec)
+        PathSpec.sampled([0.0, bad, 1000.0], [0.0, 0.0, 0.0])
 
 
 def test_sampled_tracks_its_source_profile():

@@ -453,7 +453,9 @@ def test_singularity_abort():
                          control=benchmark_control("full"),
                          initial=PathState(0.0, 20.0 * (1.0 - 5e-7), 1.3),
                          dt=1e-3, t_end=10.0, frame="path")
-    with pytest.raises(OffsetSteerError, match="singularity"):
+    # The step's guard raises the rate guard's text, and the loop names the step.
+    message = "curvature-center singularity: 1 - e*kappa = 5e-07 at s=0 (at t=0 s, s=0 m)"
+    with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
         run_scenario(cfg)
 
 
@@ -635,6 +637,22 @@ def test_config_validation_errors():
 def test_non_finite_initial_state_is_a_config_error(initial):
     with pytest.raises(ConfigError, match="initial"):
         run_scenario(make_scenario(cosine_spec(), t_end=1.0, initial=initial))
+
+
+@pytest.mark.parametrize("spec, initial, horizon", [
+    (PathSpec.straight(), PathState(0.0, 0.0, 0.0), 30.0),
+    # Started past the end of its table, a sampled road has no time left.
+    (PathSpec.sampled([0.0, 500.0, 1000.0], [0.0, 0.002, 0.0]), PathState(1100.0, 0.0, 0.0),
+     -4.5),
+], ids=["straight", "sampled-past-its-end"])
+def test_dt_must_be_below_the_default_horizon(spec, initial, horizon):
+    # The rule dt < t_end holds for the default horizon as for a given one.
+    message = (f"t_end must be finite and exceed dt (30.0), got {horizon}"
+               " (the road's default horizon)")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make_scenario(spec, dt=30.0, initial=initial)
+    if horizon > 0.0:
+        assert make_scenario(spec, dt=29.0, initial=initial).resolved_t_end() == horizon
 
 
 def test_untrackable_path_aborts():

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from offsetsteer import (VARIANTS, ConfigError, ControlConfig, DomainError,
                          PathState, control, desired_heading, desired_yaw_error,
-                         feedback, feedforward, feedforward_error,
+                         feedforward, feedforward_error,
                          max_allowable_steer, rear_axle_lateral_accel, steering,
                          wrapper)
 
@@ -129,12 +129,12 @@ def test_feedback_zero_at_equilibrium(params):
     cfg = benchmark_control("full")
     kappa = 0.005
     theta_0 = desired_yaw_error(kappa, params.sensor_offset)
-    assert feedback(0.0, theta_0, kappa, cfg, params) == 0.0
+    assert control(PathState(0.0, 0.0, theta_0), kappa, cfg, params).gamma_fb == 0.0
 
 
 def test_feedback_reference_value(params):
     cfg = benchmark_control("full")
-    got = feedback(-10.0, 0.0, 0.0, cfg, params)
+    got = control(PathState(0.0, -10.0, 0.0), 0.0, cfg, params).gamma_fb
     assert got == pytest.approx(0.024005996439577642, rel=1e-12)
     # Large initial deviation drives the command close to its bound.
     assert got > 0.9 * max_allowable_steer(params, cfg.max_lat_accel)
@@ -143,7 +143,7 @@ def test_feedback_reference_value(params):
 def test_feedback_matches_linearization_for_small_errors(params):
     cfg = benchmark_control("full")
     e, dtheta = 1e-4, 1e-4
-    full = feedback(e, dtheta, 0.0, cfg, params)
+    full = control(PathState(0.0, e, dtheta), 0.0, cfg, params).gamma_fb
     linear = cfg.k1 * dtheta + cfg.k1 * cfg.k2 * e
     assert abs(full - linear) < 1e-6
 
@@ -156,8 +156,8 @@ def test_feedback_bounded_for_wrapped_variants(params):
             e = rng.uniform(-1e4, 1e4)
             theta = rng.uniform(-math.pi, math.pi)
             kappa = rng.uniform(-0.2, 0.2)
-            assert abs(feedback(e, theta, kappa, cfg, params)) <= max_allowable_steer(
-                params, cfg.max_lat_accel)
+            fb = control(PathState(0.0, e, theta), kappa, cfg, params).gamma_fb
+            assert abs(fb) <= max_allowable_steer(params, cfg.max_lat_accel)
 
 
 def test_feedback_odd_about_equilibrium(params):
@@ -167,8 +167,10 @@ def test_feedback_odd_about_equilibrium(params):
         e = rng.uniform(-50, 50)
         dtheta = rng.uniform(-1, 1)
         kappa = rng.uniform(-0.2, 0.2)
-        pos = feedback(e, desired_yaw_error(kappa, 2.0) + dtheta, kappa, cfg, params)
-        neg = feedback(-e, desired_yaw_error(-kappa, 2.0) - dtheta, -kappa, cfg, params)
+        pos = control(PathState(0.0, e, desired_yaw_error(kappa, 2.0) + dtheta), kappa,
+                      cfg, params).gamma_fb
+        neg = control(PathState(0.0, -e, desired_yaw_error(-kappa, 2.0) - dtheta), -kappa,
+                      cfg, params).gamma_fb
         assert neg == pytest.approx(-pos, rel=1e-12, abs=1e-15)
 
 
@@ -176,9 +178,9 @@ def test_feedback_unwrapped_and_linear_forms(params):
     cfg_u = benchmark_control("unwrapped")
     cfg_l = benchmark_control("linear")
     e, theta = -3.0, 0.2
-    assert feedback(e, theta, 0.0, cfg_u, params) == pytest.approx(
+    assert control(PathState(0.0, e, theta), 0.0, cfg_u, params).gamma_fb == pytest.approx(
         cfg_u.k1 * (theta + math.atan(cfg_u.k2 * e)), rel=1e-15)
-    assert feedback(e, theta, 0.0, cfg_l, params) == pytest.approx(
+    assert control(PathState(0.0, e, theta), 0.0, cfg_l, params).gamma_fb == pytest.approx(
         cfg_l.k1 * theta + cfg_l.k1 * cfg_l.k2 * e, rel=1e-15)
 
 
@@ -191,7 +193,8 @@ def test_feedback_implies_lateral_accel_bound(params):
     cap = params.speed ** 2 * math.tan(g_sat) / params.wheelbase
     assert cap <= cfg.max_lat_accel + 1e-12
     for _ in range(100):
-        fb = feedback(rng.uniform(-100, 100), rng.uniform(-3, 3), 0.0, cfg, params)
+        state = PathState(0.0, rng.uniform(-100, 100), rng.uniform(-3, 3))
+        fb = control(state, 0.0, cfg, params).gamma_fb
         assert rear_axle_lateral_accel(params.speed, fb, params.wheelbase) < cap + 1e-15
 
 
@@ -257,7 +260,6 @@ def test_control_agrees_with_its_parts(params):
             kappa = rng.uniform(-0.2, 0.2)
             dec = control(PathState(0.0, e, theta), kappa, cfg, params)
             assert dec.gamma_ff == feedforward(kappa, params, variant)
-            assert dec.gamma_fb == feedback(e, theta, kappa, cfg, params)
             if variant in ("full", "naive"):
                 assert dec.gamma_fb == wrapper(dec.fb_input, g_sat)
             else:
