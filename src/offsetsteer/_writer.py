@@ -2,7 +2,9 @@
 
 Numbers are written with 17 significant digits, enough for every double to
 read back exactly, so one format serves lossless re-reading and byte-wise
-determinism checks alike.
+determinism checks alike. That format has one home, ``_FORMATS["g"]``: a
+column whose values repeat across rows (a grid axis) is formatted once with
+:func:`format_numbers` and written as text.
 """
 
 from __future__ import annotations
@@ -10,6 +12,12 @@ from __future__ import annotations
 import json
 
 _FORMATS = {"g": "%.17g", "d": "%d", "s": "%s"}
+
+
+def format_numbers(values) -> list[str]:
+    """Each number of the 1-D ``values`` as the ``g`` column writes it."""
+    number = _FORMATS["g"]
+    return [number % v for v in values.tolist()]
 
 
 def write_rows(path, header, rows, kinds: str | None = None, sep: str = ",") -> None:

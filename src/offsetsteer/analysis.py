@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._writer import write_rows
+from ._writer import format_numbers, write_rows
 from .bicycle import VehicleParams, check_trackable
 from .errors import DomainError
 
@@ -299,17 +299,22 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
 
 def write_stability_csv(result: StabilityMap, path) -> None:
     """Emit the scan as rows of k1,k2,kappa0,stable,marginal,M_max,omega_m."""
-    n1, n2 = result.k1_values.size, result.k2_values.size
-    k1 = np.repeat(result.k1_values, n2)
-    k2 = np.tile(result.k2_values, n1)
-    slices = (zip(k1, k2, itertools.repeat(kappa0), result.stable[i].ravel(),
-                  result.marginal[i].ravel(), result.m_max[i].ravel(),
-                  result.omega_m[i].ravel())
-              for i, kappa0 in enumerate(result.kappa0_values))
+    k1_text, k2_text, kappa0_text = (format_numbers(v) for v in (
+        result.k1_values, result.k2_values, result.kappa0_values))
+    slices = (zip(itertools.repeat(k1), k2_text, itertools.repeat(kappa0),
+                  result.stable[i, j].tolist(), result.marginal[i, j].tolist(),
+                  result.m_max[i, j].tolist(), result.omega_m[i, j].tolist())
+              for i, kappa0 in enumerate(kappa0_text) for j, k1 in enumerate(k1_text))
     write_rows(path, ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
-               itertools.chain.from_iterable(slices), "gggddgg")
+               itertools.chain.from_iterable(slices), "sssddgg")
 
 
-def write_freq_csv(response: FreqResponse, path) -> None:
-    """Emit the sampled response as rows of omega_rad_s,M (M in m^2)."""
-    write_rows(path, ("omega_rad_s", "M"), zip(response.omega, response.magnitude))
+def write_freq_csv(response: FreqResponse, path, *, _omega_text=None) -> None:
+    """Emit the sampled response as rows of omega_rad_s,M (M in m^2).
+
+    ``_omega_text`` is ``response.omega`` already formatted, for callers that
+    write many responses on one grid.
+    """
+    if _omega_text is None:
+        _omega_text = format_numbers(response.omega)
+    write_rows(path, ("omega_rad_s", "M"), zip(_omega_text, response.magnitude.tolist()), "sg")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from ._writer import write_json, write_rows
+from ._writer import format_numbers, write_json, write_rows
 from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
                        stability_region_scan, write_freq_csv, write_stability_csv)
 from .bicycle import VehicleParams
@@ -486,14 +486,15 @@ def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
         if cfg.omega is not None:
             lo, hi, pts = cfg.omega
             omega = np.logspace(math.log10(lo), math.log10(hi), pts)
+            omega_text = format_numbers(omega)
         else:
-            omega = None
+            omega = omega_text = None  # each response then has its own grid
         names, points = [], []
         for k1, k2 in cfg.gains:
             for kappa0 in cfg.kappa0:
                 resp = frequency_response(kappa0, k1, k2, cfg.vehicle, omega)
                 name = f"freq_response_{len(points):02d}.csv"
-                write_freq_csv(resp, target / name)
+                write_freq_csv(resp, target / name, _omega_text=omega_text)
                 names.append(name)
                 points.append((len(points), k1, k2, kappa0, resp.stable,
                                resp.m_max, resp.omega_m))

@@ -129,7 +129,9 @@ class PathSpec:
 def load_curvature_table(csv_path) -> PathSpec:
     """Read a sampled curvature profile from a two-column CSV file.
 
-    The header row must be exactly ``s_meters,kappa_per_meter``.
+    The header row must be exactly ``s_meters,kappa_per_meter``. Every
+    ``ConfigError`` it raises, the table checks of :class:`PathSpec` included,
+    starts with ``csv_path``.
     """
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -149,7 +151,10 @@ def load_curvature_table(csv_path) -> PathSpec:
                 k_vals.append(float(row[1]))
             except (ValueError, IndexError):
                 raise ConfigError(f"{csv_path}: bad table row {row!r}") from None
-    return PathSpec.sampled(s_vals, k_vals)
+    try:
+        return PathSpec.sampled(s_vals, k_vals)
+    except ConfigError as exc:
+        raise ConfigError(f"{csv_path}: {exc}") from None
 
 
 def _line(x0: float, y0: float, psi0: float, ds: np.ndarray):

@@ -113,6 +113,11 @@ class ScenarioConfig:
             note = "" if self.t_end is not None else " (the road's default horizon)"
             raise ConfigError(
                 f"t_end must be finite and exceed dt ({self.dt}), got {t_end}{note}")
+        if self.path_spec.kind == "sampled":
+            lo, hi, s = self.path_spec.table_s[0], self.path_spec.table_s[-1], self.initial.s
+            if not lo <= s <= hi:
+                raise ConfigError(
+                    f"initial s={s:.6g} outside sampled table range [{lo:.6g}, {hi:.6g}]")
 
     def resolved_t_end(self) -> float:
         if self.t_end is not None:

@@ -1,6 +1,8 @@
 """Linearized closed loop: coefficients, stability, frequency response."""
 
+import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from offsetsteer import (ControlConfig, DomainError, HatPathState, PathState,
                          is_stable, kappa_bar, lambdas, linearize,
                          max_allowable_steer, peak_amplification,
                          stability_region_scan)
-from offsetsteer.analysis import (prop1_k2_threshold, write_freq_csv,
+from offsetsteer.analysis import (StabilityMap, prop1_k2_threshold, write_freq_csv,
                                   write_stability_csv)
+from offsetsteer.cli import cmd_freq_response, parse_config
 
 from conftest import benchmark_control, benchmark_params
 
@@ -386,3 +389,74 @@ def test_freq_csv_round_trip(tmp_path, params):
     assert len(lines) == 1 + resp.omega.size
     w, m = map(float, lines[1].split(","))
     assert m == pytest.approx(amplification(w, 0.0, -0.8, 0.02, params), rel=1e-12)
+
+
+def _reference_csv(path, header, rows, kinds):
+    """The writers' former form: every value of every row formatted as it comes."""
+    line = ",".join({"g": "%.17g", "d": "%d"}[k] for k in kinds) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
+
+
+def test_stability_csv_matches_the_reference_writer_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(7)
+    shape = (2, 3, 4)
+    m_max = rng.uniform(0.0, 5.0, shape)
+    omega_m = rng.uniform(0.0, 50.0, shape)
+    m_max[0, 0, :2] = np.nan, np.inf
+    omega_m[1, 2, 1:3] = np.inf, np.nan
+    stable = rng.random(shape) < 0.5
+    marginal = rng.random(shape) < 0.5
+    result = StabilityMap(np.array([-0.0, 1.0 / 3.0, 2.5e10]),
+                          np.array([-1e-300, 0.0, -0.0, 0.1]), np.array([0.0, -0.05]),
+                          stable, marginal, m_max, omega_m, np.ones(shape, dtype=bool))
+    assert stable.any() and not stable.all() and marginal.any() and not marginal.all()
+    n1, n2 = shape[1:]
+    k1, k2 = np.repeat(result.k1_values, n2), np.tile(result.k2_values, n1)
+    rows = itertools.chain.from_iterable(
+        zip(k1, k2, itertools.repeat(kappa0), stable[i].ravel(), marginal[i].ravel(),
+            m_max[i].ravel(), omega_m[i].ravel())
+        for i, kappa0 in enumerate(result.kappa0_values))
+    _reference_csv(tmp_path / "want.csv",
+                   ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
+                   rows, "gggddgg")
+    write_stability_csv(result, tmp_path / "got.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    # Both signed zeros of the k2 axis, under the -0 of the k1 axis, keep their sign.
+    assert b"\n-0,0,0," in got and b"\n-0,-0,0," in got
+    assert b",nan" in got and b",inf" in got
+
+
+@pytest.mark.parametrize("omega", ["omega:\n  min_rad_s: 0.01\n  max_rad_s: 100.0\n"
+                                   "  points: 37\n", ""], ids=["shared-grid", "own-grids"])
+def test_freq_response_files_match_the_reference_writer_byte_for_byte(tmp_path, omega):
+    text = textwrap.dedent("""\
+        vehicle:
+          wheelbase_m: 2.57
+          sensor_offset_m: 2.0
+          max_steer_deg: 30.0
+          speed_mps: 20.0
+        gains:
+          - {k1: -0.8, k2_per_m: 0.02}
+          - {k1: -1.285, k2_per_m: 0.02}
+          - {k1: 0.8, k2_per_m: -2.0}
+        kappa0_per_m: [0.0, 0.05, -0.1]
+        """) + omega
+    config = tmp_path / "analysis.yaml"
+    config.write_text(text)
+    manifest = cmd_freq_response(config, tmp_path / "out")
+    cfg = parse_config(text)
+    grid = None
+    if cfg.omega is not None:
+        lo, hi, pts = cfg.omega
+        grid = np.logspace(math.log10(lo), math.log10(hi), pts)
+    cases = [(k1, k2, kappa0) for k1, k2 in cfg.gains for kappa0 in cfg.kappa0]
+    assert len([name for name in manifest.outputs if name.startswith("freq_")]) == len(cases)
+    for index, (k1, k2, kappa0) in enumerate(cases):
+        resp = frequency_response(kappa0, k1, k2, cfg.vehicle, grid)
+        want = tmp_path / f"want_{index:02d}.csv"
+        _reference_csv(want, ("omega_rad_s", "M"), zip(resp.omega, resp.magnitude), "gg")
+        got = tmp_path / "out" / f"freq_response_{index:02d}.csv"
+        assert got.read_bytes() == want.read_bytes()

@@ -189,6 +189,24 @@ def test_bad_sampled_path_exits_config(tmp_path, csv, kappa):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kappa, s_m, message", [
+    ("nan", "0.0", "table.csv: sampled path table must hold finite numbers only"),
+    ("0.002", "-10.0", "initial s=-10 outside sampled table range [0, 1000]"),
+], ids=["nan-cell-names-the-file", "started-before-its-table"])
+def test_bad_sampled_road_names_its_cause(tmp_path, capsys, kappa, s_m, message):
+    (tmp_path / "table.csv").write_text(
+        f"s_meters,kappa_per_meter\n0.0,0.0\n500.0,{kappa}\n1000.0,0.0\n")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
+        "  period_m: 250.0\n  periods: 4",
+        "  kind: sampled\n  csv: table.csv").replace("s_m: 0.0", f"s_m: {s_m}"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_parse_warns_on_negative_offset(caplog):
     text = SCENARIO_YAML.replace("sensor_offset_m: 2.0", "sensor_offset_m: -0.4")
     with caplog.at_level(logging.WARNING):
@@ -244,8 +262,11 @@ def _path_specs(draw):
 @st.composite
 def _scenarios(draw):
     dt = draw(st.floats(0.0, 1e3, exclude_min=True))
-    fields = dict(path_spec=draw(_path_specs()), vehicle=draw(_vehicles),
-                  initial=draw(st.builds(PathState, _finite, _finite, _finite)),
+    spec = draw(_path_specs())
+    # A sampled road starts inside its table.
+    s = st.floats(spec.table_s[0], spec.table_s[-1]) if spec.kind == "sampled" else _finite
+    fields = dict(path_spec=spec, vehicle=draw(_vehicles),
+                  initial=draw(st.builds(PathState, s, _finite, _finite)),
                   t_end=draw(st.none() | st.floats(2e3, 1e300)))
     # dt must stay below the horizon. Without a t_end that is the road's
     # default horizon, which follows from these fields alone.

@@ -339,6 +339,19 @@ def test_curvature_table_csv_round_trip(tmp_path):
         load_curvature_table(empty)
 
 
+@pytest.mark.parametrize("body", [
+    "s,kappa\n0.0,0.0\n1.0,0.1\n", "s_meters,kappa_per_meter\n0.0,0.0\n1.0,x\n",
+    "s_meters,kappa_per_meter\n0.0,0.0\n1.0,nan\n",
+    "s_meters,kappa_per_meter\n0.0,0.0\n0.0,0.1\n", "s_meters,kappa_per_meter\n0.0,0.0\n",
+], ids=["header", "row", "non-finite", "not-increasing", "one-row"])
+def test_curvature_table_errors_name_the_file(tmp_path, body):
+    table = tmp_path / "profile.csv"
+    table.write_text(body)
+    with pytest.raises(ConfigError) as info:
+        load_curvature_table(table)
+    assert str(info.value).startswith(f"{table}: ")
+
+
 # -- pose consistency -------------------------------------------------------
 
 @pytest.mark.parametrize("spec", [

@@ -655,6 +655,21 @@ def test_dt_must_be_below_the_default_horizon(spec, initial, horizon):
         assert make_scenario(spec, dt=29.0, initial=initial).resolved_t_end() == horizon
 
 
+@pytest.mark.parametrize("t_end", [None, 30.0], ids=["default-horizon", "t_end"])
+@pytest.mark.parametrize("s", [-10.0, math.nextafter(0.0, -1.0), math.nextafter(1000.0, 2000.0),
+                               1100.0], ids=["before", "just-before", "just-past", "past"])
+def test_sampled_road_must_start_inside_its_table(s, t_end):
+    spec = PathSpec.sampled([0.0, 500.0, 1000.0], [0.0, 0.002, 0.0])
+    for inside in (0.0, 999.0 if t_end is None else 1000.0):
+        make_scenario(spec, t_end=t_end, initial=PathState(inside, 0.0, 0.0))
+    if t_end is None and s > 1000.0:
+        match = "the road's default horizon"  # no time left: that check comes first
+    else:
+        match = "^" + re.escape(f"initial s={s:.6g} outside sampled table range [0, 1000]") + "$"
+    with pytest.raises(ConfigError, match=match):
+        make_scenario(spec, t_end=t_end, initial=PathState(s, 0.0, 0.0))
+
+
 def test_untrackable_path_aborts():
     cfg = ScenarioConfig(path_spec=PathSpec.circular(1.5),
                          vehicle=benchmark_params(),
