@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._writer import format_numbers, write_rows
+from ._writer import format_numbers, literal, template, write_lines
 from .bicycle import VehicleParams, check_trackable
 from .errors import DomainError
 
@@ -297,24 +297,47 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
 
 # -- CSV emission -------------------------------------------------------
 
+# The (stable, marginal) text of a map row, picked by 2 * stable + marginal.
+_FLAG_TEXT = np.array(["0,0", "0,1", "1,0", "1,1"], dtype=object)
+
+
 def write_stability_csv(result: StabilityMap, path) -> None:
-    """Emit the scan as rows of k1,k2,kappa0,stable,marginal,M_max,omega_m."""
+    """Emit the scan as rows of k1,k2,kappa0,stable,marginal,M_max,omega_m.
+
+    Each (kappa0, k1) slice is written by one ``%`` from a template that holds
+    the texts its lines repeat: k1, each line's k2 and kappa0. The rows supply
+    their (stable, marginal) text and the M_max and omega_m numbers.
+    """
     k1_text, k2_text, kappa0_text = (format_numbers(v) for v in (
         result.k1_values, result.k2_values, result.kappa0_values))
-    slices = (zip(itertools.repeat(k1), k2_text, itertools.repeat(kappa0),
-                  result.stable[i, j].tolist(), result.marginal[i, j].tolist(),
-                  result.m_max[i, j].tolist(), result.omega_m[i, j].tolist())
-              for i, kappa0 in enumerate(kappa0_text) for j, k1 in enumerate(k1_text))
-    write_rows(path, ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
-               itertools.chain.from_iterable(slices), "sssddgg")
+    flags = _FLAG_TEXT[2 * result.stable + result.marginal]
+    rest = "," + template("sgg")
+
+    def slices():
+        for i, kappa0 in enumerate(kappa0_text):
+            lines = ["", *(literal(f"{k2},{kappa0}") + rest for k2 in k2_text)]
+            for j, k1 in enumerate(k1_text):
+                row_args = zip(flags[i, j].tolist(), result.m_max[i, j].tolist(),
+                               result.omega_m[i, j].tolist())
+                yield (literal(k1) + ",").join(lines) % tuple(
+                    itertools.chain.from_iterable(row_args))
+
+    write_lines(path, ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
+                slices())
 
 
-def write_freq_csv(response: FreqResponse, path, *, _omega_text=None) -> None:
+def freq_csv_template(omega) -> str:
+    """The lines of a response file on the grid ``omega`` as one template of its M column."""
+    rest = "," + template("g")
+    return "".join(literal(w) + rest for w in format_numbers(omega))
+
+
+def write_freq_csv(response: FreqResponse, path, *, _template=None) -> None:
     """Emit the sampled response as rows of omega_rad_s,M (M in m^2).
 
-    ``_omega_text`` is ``response.omega`` already formatted, for callers that
+    ``_template`` is ``freq_csv_template(response.omega)``, for callers that
     write many responses on one grid.
     """
-    if _omega_text is None:
-        _omega_text = format_numbers(response.omega)
-    write_rows(path, ("omega_rad_s", "M"), zip(_omega_text, response.magnitude.tolist()), "sg")
+    if _template is None:
+        _template = freq_csv_template(response.omega)
+    write_lines(path, ("omega_rad_s", "M"), [_template % tuple(response.magnitude.tolist())])

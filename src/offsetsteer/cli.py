@@ -27,9 +27,10 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from ._writer import format_numbers, write_json, write_rows
-from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
-                       stability_region_scan, write_freq_csv, write_stability_csv)
+from ._writer import write_json, write_rows
+from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, freq_csv_template,
+                       frequency_response, kappa_bar, stability_region_scan, write_freq_csv,
+                       write_stability_csv)
 from .bicycle import VehicleParams
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, load_curvature_table
@@ -46,6 +47,9 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 _REQUIRED = object()
+# libyaml's parser where PyYAML was built with it; both build the same objects
+# (SafeConstructor, Resolver), so a config reads the same either way.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _number(value, what: str) -> float:
@@ -119,7 +123,7 @@ _SIM = (_Key("dt_s", "dt", default=ScenarioConfig.dt),
         _Key("settle_threshold_m", "settle_threshold", default=ScenarioConfig.settle_threshold))
 _ANCHOR = (_Key("x_m", "x0", default=0.0), _Key("y_m", "y0", default=0.0),
            _Key("heading", "psi0", "angle", 0.0))
-# The sampled kind's csv / inline table is read in code (``_sampled_table``).
+# The sampled kind's csv / inline table is read in code (``_sampled_path``).
 _PATH_KINDS = {"straight": (),
                "circular": (_Key("radius_m", "radius"),),
                "cosine": (_Key("kappa_max_per_m", "kappa_max"), _Key("period_m", "period"),
@@ -209,8 +213,8 @@ def _needs(name: str, schema) -> str:
     return f"{name}({', '.join(keys)})"
 
 
-def _sampled_table(data: dict, name: str, base_dir: FsPath):
-    """(s, kappa) of a sampled path: an inline ``table`` or a ``csv`` file."""
+def _sampled_path(data: dict, name: str, base_dir: FsPath):
+    """Maker of a sampled path's spec from its anchor: an inline ``table`` or a ``csv`` file."""
     if "table" in data:
         table_name = f"{name}.table"
         table = _mapping(table_name, data.pop("table"))
@@ -219,13 +223,13 @@ def _sampled_table(data: dict, name: str, base_dir: FsPath):
         _finish(table_name, table)
         if not isinstance(s_vals, list) or not isinstance(k_vals, list):
             raise ConfigError("path.table: s_m and kappa_per_m must be lists")
-        return ([_number(v, "path.table.s_m") for v in s_vals],
-                [_number(v, "path.table.kappa_per_m") for v in k_vals])
+        return partial(PathSpec.sampled, [_number(v, "path.table.s_m") for v in s_vals],
+                       [_number(v, "path.table.kappa_per_m") for v in k_vals])
     csv_name = _pop(data, name, "csv")
     if not isinstance(csv_name, str):
         raise ConfigError(f"{name}: key 'csv' must be a file name, got {csv_name!r}")
-    table = load_curvature_table(base_dir / csv_name)  # an absolute name replaces base_dir
-    return table.table_s, table.table_kappa
+    # An absolute name replaces base_dir; the table's errors name the file.
+    return partial(load_curvature_table, base_dir / csv_name)
 
 
 def _read_path(data, base_dir: FsPath) -> PathSpec:
@@ -236,7 +240,7 @@ def _read_path(data, base_dir: FsPath) -> PathSpec:
     if not isinstance(kind, str) or kind not in _PATH_KINDS:
         raise ConfigError(f"path: unknown kind {kind!r}; expected {'|'.join(_PATH_KINDS)}")
     if kind == "sampled":
-        make = partial(PathSpec.sampled, *_sampled_table(data, name, base_dir))
+        make = _sampled_path(data, name, base_dir)
     else:
         make = partial(PathSpec, kind, **_take(data, name, _PATH_KINDS[kind]))
     _finish(name, data)
@@ -255,7 +259,7 @@ def _parse_kappa0(raw, vehicle: VehicleParams) -> tuple[float, ...]:
 
 def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig, dict]:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from None
     if doc is None:
@@ -486,15 +490,15 @@ def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
         if cfg.omega is not None:
             lo, hi, pts = cfg.omega
             omega = np.logspace(math.log10(lo), math.log10(hi), pts)
-            omega_text = format_numbers(omega)
+            csv_template = freq_csv_template(omega)
         else:
-            omega = omega_text = None  # each response then has its own grid
+            omega = csv_template = None  # each response then has its own grid
         names, points = [], []
         for k1, k2 in cfg.gains:
             for kappa0 in cfg.kappa0:
                 resp = frequency_response(kappa0, k1, k2, cfg.vehicle, omega)
                 name = f"freq_response_{len(points):02d}.csv"
-                write_freq_csv(resp, target / name, _omega_text=omega_text)
+                write_freq_csv(resp, target / name, _template=csv_template)
                 names.append(name)
                 points.append((len(points), k1, k2, kappa0, resp.stable,
                                resp.m_max, resp.omega_m))

@@ -126,10 +126,11 @@ class PathSpec:
             raise ConfigError(f"unknown path kind {self.kind!r}")
 
 
-def load_curvature_table(csv_path) -> PathSpec:
+def load_curvature_table(csv_path, x0=0.0, y0=0.0, psi0=0.0) -> PathSpec:
     """Read a sampled curvature profile from a two-column CSV file.
 
-    The header row must be exactly ``s_meters,kappa_per_meter``. Every
+    The path is anchored at (``x0``, ``y0``) with heading ``psi0``. The header
+    row must be exactly ``s_meters,kappa_per_meter``. Every
     ``ConfigError`` it raises, the table checks of :class:`PathSpec` included,
     starts with ``csv_path``.
     """
@@ -152,7 +153,7 @@ def load_curvature_table(csv_path) -> PathSpec:
             except (ValueError, IndexError):
                 raise ConfigError(f"{csv_path}: bad table row {row!r}") from None
     try:
-        return PathSpec.sampled(s_vals, k_vals)
+        return PathSpec.sampled(s_vals, k_vals, x0, y0, psi0)
     except ConfigError as exc:
         raise ConfigError(f"{csv_path}: {exc}") from None
 

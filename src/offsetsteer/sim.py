@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._writer import write_json, write_rows
+from ._writer import write_columns, write_json, write_rows
 # The loop calls the private step functions; earth_derivatives and
 # path_derivatives stay importable from here, where perfbench's tracer wraps them.
 from .bicycle import (SINGULAR_DENOM, _HALF_PI, VehicleParams,  # noqa: F401
@@ -451,7 +451,7 @@ def compare_controllers(cfg: ScenarioConfig, variants) -> ComparisonReport:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Emit the run with the fixed column set, SI units and radians."""
-    write_rows(path, TRAJECTORY_COLUMNS, zip(*traj.signals().values()))
+    write_columns(path, TRAJECTORY_COLUMNS, traj.signals().values())
 
 
 def write_metrics(metrics: TrackingMetrics, txt_path, json_path) -> None:

@@ -7,6 +7,7 @@ import logging
 import math
 import re
 import textwrap
+from importlib import resources
 from types import SimpleNamespace
 
 import pytest
@@ -232,6 +233,71 @@ def test_parse_sampled_path_from_csv(tmp_path):
     cfg = parse_config(text, base_dir=tmp_path)
     assert cfg.path_spec.kind == "sampled"
     assert len(cfg.path_spec.table_s) == 3
+
+
+def test_csv_road_builds_its_spec_once(tmp_path, monkeypatch):
+    (tmp_path / "table.csv").write_text(
+        "s_meters,kappa_per_meter\n0.0,0.0\n500.0,0.002\n1000.0,0.0\n")
+    text = SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
+        "  period_m: 250.0\n  periods: 4",
+        "  kind: sampled\n  csv: table.csv\n  anchor:\n    x_m: 5.0\n    heading_deg: 90.0")
+    checked = []
+    check = PathSpec.__post_init__
+
+    def counted(spec):
+        checked.append(spec.kind)
+        check(spec)
+
+    monkeypatch.setattr(PathSpec, "__post_init__", counted)
+    spec = parse_config(text, base_dir=tmp_path).path_spec
+    assert checked == ["sampled"]
+    assert (spec.x0, spec.y0, spec.psi0) == (5.0, 0.0, math.radians(90.0))
+    assert spec.table_kappa == (0.0, 0.002, 0.0)
+
+
+@pytest.mark.parametrize("command, text", [("simulate", SCENARIO_YAML),
+                                           ("stability-map", ANALYSIS_YAML)],
+                         ids=["simulate", "stability-map"])
+def test_malformed_yaml_exits_config_and_names_the_place(tmp_path, capsys, command, text):
+    # The flow sequence opened on line 4 is still open at the key on line 5.
+    config = tmp_path / "config.yaml"
+    config.write_text(text.replace("  max_steer_deg: 30.0", "  max_steer_deg: [30.0"))
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed YAML: ")
+    assert "line 4, column 18" in err and "line 5, column 12" in err
+    assert not (tmp_path / "bad").exists()
+
+
+# Scalars whose type the YAML 1.1 resolver decides; 1.0e2 stays text.
+_RESOLVED_YAML = textwrap.dedent("""\
+    texts: [1.0e2, 1e3, "5", yes please, 0.5.1]
+    numbers: [1.0e+2, -0.0, .inf, -.Inf, 0x1f, 0o17, 1_000, 3.]
+    other: [yes, No, ~, null, 2001-12-14, 2001-12-14t21:59:43.10-05:00]
+    """)
+
+
+_PRESETS = sorted(p.name[:-len(".yaml")]
+                  for p in resources.files("offsetsteer").joinpath("presets").iterdir()
+                  if p.name.endswith(".yaml"))
+
+
+@pytest.mark.parametrize("text", [*map(preset_text, _PRESETS), SCENARIO_YAML, ANALYSIS_YAML,
+                                  _RESOLVED_YAML],
+                         ids=[*_PRESETS, "scenario", "analysis", "resolved-scalars"])
+def test_config_loader_reads_what_the_pure_python_loader_reads(text):
+    assert yaml.load(text, Loader=cli._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_yaml_resolver_keeps_an_unsigned_exponent_as_text():
+    doc = yaml.load(_RESOLVED_YAML, Loader=cli._YAML_LOADER)
+    assert doc["texts"][:2] == ["1.0e2", "1e3"] and doc["numbers"][:2] == [100.0, -0.0]
+
+
+def test_config_loader_is_libyaml_where_pyyaml_has_it():
+    assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
 # Generated valid configs: the echo must parse back to the same config.

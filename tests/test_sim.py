@@ -17,7 +17,7 @@ from offsetsteer import (ConfigError, DomainError, OffsetSteerError, PathSpec, P
                          max_allowable_steer, path_derivatives, run_scenario,
                          step_rk4, wrap_angle_error, write_metrics,
                          write_trajectory_csv)
-from offsetsteer import sim, steering
+from offsetsteer import _writer, sim, steering
 from offsetsteer.bicycle import _arc_chord
 from offsetsteer.paths import POSE_GRID_CHUNK, Path
 from offsetsteer.sim import TRAJECTORY_COLUMNS
@@ -597,6 +597,68 @@ def test_trajectory_csv_layout(tmp_path):
     assert row[:3] == [0.0, 0.0, -10.0]
     write_trajectory_csv(traj, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+
+def _reference_trajectory_csv(traj, path):
+    """The writer's former form: every value of every row formatted as it comes."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        for row in zip(*traj.signals().values()):
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+def _assert_matches_reference(traj, tmp_path):
+    write_trajectory_csv(traj, tmp_path / "got.csv")
+    _reference_trajectory_csv(traj, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    return got
+
+
+@pytest.mark.parametrize("spec", [PathSpec.straight(), PathSpec.circular(CIRCLE_RADIUS)],
+                         ids=["straight", "circular"])
+def test_trajectory_csv_matches_the_reference_writer_byte_for_byte(tmp_path, spec):
+    traj, _ = run_scenario(make_scenario(spec, t_end=2.0))
+    # These roads hold theta_0, gamma_ff and kappa_D fixed, so the writer bakes them in.
+    for column in (traj.theta_0, traj.gamma_ff, traj.kappa_d):
+        assert np.all(column.view(np.int64) == column.view(np.int64)[0])
+    _assert_matches_reference(traj, tmp_path)
+
+
+def _synthetic_trajectory(n=5, **columns):
+    rng = np.random.default_rng(11)
+    fields = {name.lower(): rng.normal(size=n) for name in TRAJECTORY_COLUMNS}
+    fields.update(columns)
+    return sim.Trajectory(**fields, g_sat=0.1, fb_saturated=np.zeros(n, dtype=bool))
+
+
+def test_trajectory_csv_keeps_a_lone_negative_zero(tmp_path):
+    kappa = np.zeros(5)
+    kappa[2] = -0.0
+    got = _assert_matches_reference(_synthetic_trajectory(kappa_d=kappa), tmp_path)
+    assert [line.rsplit(b",", 1)[1] for line in got.splitlines()[1:]] == [
+        b"0", b"0", b"-0", b"0", b"0"]
+
+
+@pytest.mark.parametrize("columns", [
+    {"e_d": np.full(5, np.nan)},
+    {"gamma_ff": np.array([1.5, 1.5, 1.5, 1.5, -2.25])},
+], ids=["all-nan", "changes-in-the-last-row"])
+def test_trajectory_csv_fixed_and_nearly_fixed_columns(tmp_path, columns):
+    _assert_matches_reference(_synthetic_trajectory(**columns), tmp_path)
+
+
+def test_trajectory_csv_with_every_column_fixed_writes_every_row(tmp_path):
+    n = 4
+    traj = _synthetic_trajectory(n, **{name.lower(): np.full(n, 0.1 * i - 0.5)
+                                       for i, name in enumerate(TRAJECTORY_COLUMNS)})
+    got = _assert_matches_reference(traj, tmp_path)
+    assert len(got.splitlines()) == 1 + n
+
+
+def test_fixed_text_keeps_its_percent_signs():
+    line = _writer.template("sgs", fixed={0: "50%", 2: "%s%%d"})
+    assert [line % row for row in [(1.5,), (-0.0,)]] == ["50%,1.5,%s%%d\n", "50%,-0,%s%%d\n"]
 
 
 def test_metrics_files(tmp_path):
