@@ -14,6 +14,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -326,18 +327,15 @@ def write_stability_csv(result: StabilityMap, path) -> None:
                 slices())
 
 
-def freq_csv_template(omega) -> str:
-    """The lines of a response file on the grid ``omega`` as one template of its M column."""
+@lru_cache(maxsize=1)
+def _freq_template(omega_bytes: bytes) -> str:
+    """A response file's lines on the float64 grid ``omega_bytes`` as one template of
+    its M column, kept for the next response on the same grid."""
     rest = "," + template("g")
-    return "".join(literal(w) + rest for w in format_numbers(omega))
+    return "".join(literal(w) + rest for w in format_numbers(np.frombuffer(omega_bytes)))
 
 
-def write_freq_csv(response: FreqResponse, path, *, _template=None) -> None:
-    """Emit the sampled response as rows of omega_rad_s,M (M in m^2).
-
-    ``_template`` is ``freq_csv_template(response.omega)``, for callers that
-    write many responses on one grid.
-    """
-    if _template is None:
-        _template = freq_csv_template(response.omega)
-    write_lines(path, ("omega_rad_s", "M"), [_template % tuple(response.magnitude.tolist())])
+def write_freq_csv(response: FreqResponse, path) -> None:
+    """Emit the sampled response as rows of omega_rad_s,M (M in m^2)."""
+    lines = _freq_template(np.asarray(response.omega, dtype=float).tobytes())
+    write_lines(path, ("omega_rad_s", "M"), [lines % tuple(response.magnitude.tolist())])

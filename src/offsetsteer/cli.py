@@ -28,9 +28,8 @@ import numpy as np
 import yaml
 
 from ._writer import write_json, write_rows
-from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, freq_csv_template,
-                       frequency_response, kappa_bar, stability_region_scan, write_freq_csv,
-                       write_stability_csv)
+from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
+                       stability_region_scan, write_freq_csv, write_stability_csv)
 from .bicycle import VehicleParams
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, load_curvature_table
@@ -357,20 +356,18 @@ def _echo_analysis(cfg: AnalysisConfig) -> dict:
 
 # -- command implementations ----------------------------------------------
 
-def _digest(path) -> str:
-    return hashlib.sha256(FsPath(path).read_bytes()).hexdigest()
-
-
 def _load(config_path, expected: type, dt=None) -> tuple:
-    """(config, extras, input digests) of the config file, which must be of ``expected`` type."""
+    """(config, extras, input digests) of the config file, which must be of ``expected``
+    type. The file is read once: its digest is of the bytes that were parsed."""
     config_path = FsPath(config_path)
-    cfg, extras = _parse(config_path.read_text(), config_path.parent)
+    data = config_path.read_bytes()
+    cfg, extras = _parse(data.decode(), config_path.parent)
     if not isinstance(cfg, expected):
         what = "a scenario" if expected is ScenarioConfig else "an analysis"
         raise ConfigError(f"{config_path}: expected {what} config")
     if dt is not None:
         cfg = replace(cfg, dt=dt)
-    return cfg, extras, {str(config_path): _digest(config_path)}
+    return cfg, extras, {str(config_path): hashlib.sha256(data).hexdigest()}
 
 
 @contextmanager
@@ -402,7 +399,7 @@ def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
             with tempfile.TemporaryDirectory() as tmp:
                 render(FsPath(tmp))
                 for name in outputs:
-                    if _digest(out_dir / name) != _digest(FsPath(tmp) / name):
+                    if (out_dir / name).read_bytes() != (FsPath(tmp) / name).read_bytes():
                         raise OffsetSteerError(f"determinism check failed for {name}")
         return _write_manifest(command, started, echo, digests, out_dir, outputs, seedless)
 
@@ -487,18 +484,16 @@ def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
         raise ConfigError("freq-response needs a 'gains' list")
 
     def render(target: FsPath):
+        omega = None  # each response then has its own grid
         if cfg.omega is not None:
             lo, hi, pts = cfg.omega
             omega = np.logspace(math.log10(lo), math.log10(hi), pts)
-            csv_template = freq_csv_template(omega)
-        else:
-            omega = csv_template = None  # each response then has its own grid
         names, points = [], []
         for k1, k2 in cfg.gains:
             for kappa0 in cfg.kappa0:
                 resp = frequency_response(kappa0, k1, k2, cfg.vehicle, omega)
                 name = f"freq_response_{len(points):02d}.csv"
-                write_freq_csv(resp, target / name, _template=csv_template)
+                write_freq_csv(resp, target / name)
                 names.append(name)
                 points.append((len(points), k1, k2, kappa0, resp.stable,
                                resp.m_max, resp.omega_m))
@@ -526,8 +521,7 @@ def _write_sweep_csvs(target: FsPath, vehicle: VehicleParams) -> list[str]:
                ("d_m", "kappa_per_m", "feedforward_error_rad", "desired_heading_offset_rad"),
                ((p.sensor_offset, kap, feedforward_error(kap, p),
                  desired_yaw_error(kap, p.sensor_offset))
-                for p in offsets for kap in np.linspace(0.0, 0.2, 401)
-                if abs(p.sensor_offset * kap) < 1.0))
+                for p in offsets for kap in np.linspace(0.0, 0.2, 401)))
 
     write_rows(target / "desired_heading_curves.csv", ("e_m", "nonlinear_rad", "linear_rad"),
                ((e, desired_heading(e, 0.02, "full"), desired_heading(e, 0.02, "linear"))

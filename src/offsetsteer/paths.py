@@ -125,6 +125,21 @@ class PathSpec:
         elif self.kind != "straight":
             raise ConfigError(f"unknown path kind {self.kind!r}")
 
+    def check_arc_length(self, s) -> None:
+        """A road is evaluated at finite arc lengths only, and a sampled road
+        only over its table's; an array of arc lengths is reported at its
+        first one that breaks the rule."""
+        s = np.asarray(s)
+        bad = s[~np.isfinite(s)]
+        if bad.size:
+            raise DomainError(f"arc length must be finite, got s={bad[0]}")
+        if self.kind == "sampled":
+            lo, hi = self.table_s[0], self.table_s[-1]
+            outside = s[(s < lo) | (s > hi)]
+            if outside.size:
+                raise DomainError(
+                    f"s={outside[0]:.6g} outside sampled table range [{lo:.6g}, {hi:.6g}]")
+
 
 def load_curvature_table(csv_path, x0=0.0, y0=0.0, psi0=0.0) -> PathSpec:
     """Read a sampled curvature profile from a two-column CSV file.
@@ -318,21 +333,6 @@ class Path:
             self._grid = _PoseGrid(pchip, self._s_start, self._s_end,
                                    spec.x0, spec.y0, spec.psi0)
 
-    def _check_domain(self, s) -> None:
-        """A road is evaluated at finite arc lengths only, and a sampled road
-        only over its table's; an array of arc lengths is reported at its
-        first one that breaks the rule."""
-        s = np.asarray(s)
-        bad = s[~np.isfinite(s)]
-        if bad.size:
-            raise DomainError(f"arc length must be finite, got s={bad[0]}")
-        if self.spec.kind == "sampled":
-            lo, hi = self._s_start, self._s_end
-            outside = s[(s < lo) | (s > hi)]
-            if outside.size:
-                raise DomainError(
-                    f"s={outside[0]:.6g} outside sampled table range [{lo:.6g}, {hi:.6g}]")
-
     # -- curvature -----------------------------------------------------
 
     def curvature(self, s: float) -> float:
@@ -350,12 +350,12 @@ class Path:
             if 0.0 <= s <= self._s_end:
                 return half_kappa_max * (1.0 - math.cos(self._omega * s))
             if not math.isfinite(s):
-                self._check_domain(s)
+                self.spec.check_arc_length(s)
             # Constant continuation with the boundary value (zero, as periods
             # is whole), so simulations may run past the profile.
             return 0.0
         if not self._s_start <= s <= self._s_end:
-            self._check_domain(s)
+            self.spec.check_arc_length(s)
         # The same interval and the same sum as PPoly's evaluation, so the
         # value is bit-equal to the PchipInterpolator's float(pchip(s)).
         knots = self._knots
@@ -377,7 +377,7 @@ class Path:
         """
         spec = self.spec
         s = np.asarray(s, dtype=float)
-        self._check_domain(s)
+        spec.check_arc_length(s)
         if spec.kind == "straight":
             pose = _line(spec.x0, spec.y0, spec.psi0, s)
         elif spec.kind == "circular":

@@ -113,11 +113,10 @@ class ScenarioConfig:
             note = "" if self.t_end is not None else " (the road's default horizon)"
             raise ConfigError(
                 f"t_end must be finite and exceed dt ({self.dt}), got {t_end}{note}")
-        if self.path_spec.kind == "sampled":
-            lo, hi, s = self.path_spec.table_s[0], self.path_spec.table_s[-1], self.initial.s
-            if not lo <= s <= hi:
-                raise ConfigError(
-                    f"initial s={s:.6g} outside sampled table range [{lo:.6g}, {hi:.6g}]")
+        try:
+            self.path_spec.check_arc_length(self.initial.s)
+        except DomainError as exc:
+            raise ConfigError(f"initial {exc}") from None
 
     def resolved_t_end(self) -> float:
         if self.t_end is not None:
@@ -174,7 +173,7 @@ class TrackingMetrics:
     steady_theta_hat: float     # mean shifted heading error over the last fifth [rad]
     sway_amplitude: float       # half peak-to-peak of e in the steady window [m]
     overshoot: float            # excursion past the path w.r.t. the initial side [m]
-    saturation_fraction: float  # fraction of steering updates beyond the bound
+    saturation_fraction: float  # fraction of rows whose held feedback command is beyond the bound
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -273,7 +272,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     dt = cfg.dt
     t_end = cfg.resolved_t_end()
     hold = 1 if cfg.control_dt is None else round(cfg.control_dt / dt)
-    n = max(1, round(t_end / dt))
+    n = round(t_end / dt)
     want_earth = cfg.frame != "path"
     mapped = cfg.frame != "earth"
 

@@ -391,6 +391,23 @@ def test_freq_csv_round_trip(tmp_path, params):
     assert m == pytest.approx(amplification(w, 0.0, -0.8, 0.02, params), rel=1e-12)
 
 
+def test_freq_csv_follows_each_response_grid(tmp_path, params):
+    # Grids A, B, A, with two responses on the second A: the kept line template
+    # switches grid twice. B differs from A only in the sign of its zero, which
+    # compares equal but is written "-0".
+    grid_a = np.array([0.0, 0.01, 1.0 / 3.0, 10.0, 1e3])
+    grid_b = grid_a.copy()
+    grid_b[0] = -0.0
+    cases = [(grid_a, -0.8), (grid_b, -0.8), (grid_a, -0.8), (grid_a, -1.285)]
+    for index, (grid, k1) in enumerate(cases):
+        resp = frequency_response(0.05, k1, 0.02, params, grid)
+        got, want = tmp_path / f"got_{index}.csv", tmp_path / f"want_{index}.csv"
+        write_freq_csv(resp, got)
+        _reference_csv(want, ("omega_rad_s", "M"), zip(resp.omega, resp.magnitude), "gg")
+        assert got.read_bytes() == want.read_bytes()
+    assert b"\n-0," in (tmp_path / "got_1.csv").read_bytes()
+
+
 def _reference_csv(path, header, rows, kinds):
     """The writers' former form: every value of every row formatted as it comes."""
     line = ",".join({"g": "%.17g", "d": "%d"}[k] for k in kinds) + "\n"

@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import math
+import pathlib
 import re
 import textwrap
 from importlib import resources
@@ -376,6 +377,36 @@ def test_echo_parses_back_to_the_same_config(cfg):
 
 
 # -- commands ---------------------------------------------------------------
+
+@pytest.mark.parametrize("command, text", [(cmd_simulate, SCENARIO_YAML),
+                                           (cmd_stability_map, ANALYSIS_YAML)],
+                         ids=["simulate", "stability-map"])
+def test_command_reads_its_config_once_and_digests_those_bytes(tmp_path, monkeypatch,
+                                                               command, text):
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    parsed = config.read_bytes()
+    opened = []
+    path_open, parse = pathlib.Path.open, cli._parse
+
+    def counted_open(self, *args, **kwargs):
+        if self == config:
+            opened.append(self)
+        return path_open(self, *args, **kwargs)
+
+    def parse_then_edit(*args):
+        result = parse(*args)
+        # The file changes after the parse; the digest is still of what was parsed.
+        with open(config, "a") as fh:
+            fh.write("# edited after the parse\n")
+        return result
+
+    monkeypatch.setattr(pathlib.Path, "open", counted_open)
+    monkeypatch.setattr(cli, "_parse", parse_then_edit)
+    manifest = command(config, tmp_path / "out")
+    assert len(opened) == 1
+    assert manifest.input_digests == {str(config): hashlib.sha256(parsed).hexdigest()}
+
 
 def test_simulate_writes_artifacts_and_reruns_identically(tmp_path):
     config = tmp_path / "scenario.yaml"

@@ -93,7 +93,8 @@ def test_sampled_tracks_its_source_profile():
 
 
 def test_sampled_outside_range_raises():
-    path = build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 0.01, 0.0]))
+    spec = PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 0.01, 0.0])
+    path = build_path(spec)
 
     def pose_array(s):
         return path.pose(np.array([0.0, 5.0, s, 20.0]))
@@ -102,10 +103,18 @@ def test_sampled_outside_range_raises():
         return path.to_earth(PathState(np.array([s, 5.0, 20.0, 30.0]), np.zeros(4),
                                        np.zeros(4)))
 
+    def check_array(s):
+        spec.check_arc_length(np.array([0.0, 5.0, s, 20.0]))
+
+    lookups = (path.curvature, path.pose, pose_array, to_earth_array,
+               spec.check_arc_length, check_array)
+    # The table's own ends are inside it.
+    assert spec.check_arc_length(20.0) is None
+    assert spec.check_arc_length(np.array([0.0, 5.0, 20.0])) is None
     for s in (-1.0, math.nextafter(0.0, -math.inf), math.nextafter(20.0, math.inf),
               20.5, 25.0):
         messages = set()
-        for lookup in (path.curvature, path.pose, pose_array, to_earth_array):
+        for lookup in lookups:
             with pytest.raises(DomainError) as info:
                 lookup(s)
             messages.add(str(info.value))
@@ -115,7 +124,7 @@ def test_sampled_outside_range_raises():
         assert f"s={s:.6g} outside sampled table range [0, 20]" in messages
     # NaN fails every range comparison without being outside; it is not an
     # arc length, and every lookup says so.
-    for lookup in (path.curvature, path.pose, pose_array, to_earth_array):
+    for lookup in lookups:
         with pytest.raises(DomainError, match="arc length must be finite, got s=nan"):
             lookup(math.nan)
 
