@@ -361,7 +361,11 @@ def _load(config_path, expected: type, dt=None) -> tuple:
     type. The file is read once: its digest is of the bytes that were parsed."""
     config_path = FsPath(config_path)
     data = config_path.read_bytes()
-    cfg, extras = _parse(data.decode(), config_path.parent)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{config_path}: not UTF-8 text: {exc}") from None
+    cfg, extras = _parse(text, config_path.parent)
     if not isinstance(cfg, expected):
         what = "a scenario" if expected is ScenarioConfig else "an analysis"
         raise ConfigError(f"{config_path}: expected {what} config")

@@ -272,6 +272,21 @@ def test_malformed_yaml_exits_config_and_names_the_place(tmp_path, capsys, comma
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("command, text", [("simulate", SCENARIO_YAML),
+                                           ("stability-map", ANALYSIS_YAML)],
+                         ids=["simulate", "stability-map"])
+def test_config_that_is_not_utf8_exits_config_and_names_the_file(tmp_path, capsys, command,
+                                                                 text):
+    config = tmp_path / "config.yaml"
+    config.write_bytes(b"# caf\xe9 (Latin-1)\n" + text.encode())
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: not UTF-8 text: ")
+    assert "0xe9" in err and "Traceback" not in err
+    assert not (tmp_path / "bad").exists()
+
+
 # Scalars whose type the YAML 1.1 resolver decides; 1.0e2 stays text.
 _RESOLVED_YAML = textwrap.dedent("""\
     texts: [1.0e2, 1e3, "5", yes please, 0.5.1]

@@ -619,7 +619,7 @@ def _assert_matches_reference(traj, tmp_path):
                          ids=["straight", "circular"])
 def test_trajectory_csv_matches_the_reference_writer_byte_for_byte(tmp_path, spec):
     traj, _ = run_scenario(make_scenario(spec, t_end=2.0))
-    # These roads hold theta_0, gamma_ff and kappa_D fixed, so the writer bakes them in.
+    # These roads hold theta_0, gamma_ff and kappa_D fixed.
     for column in (traj.theta_0, traj.gamma_ff, traj.kappa_d):
         assert np.all(column.view(np.int64) == column.view(np.int64)[0])
     _assert_matches_reference(traj, tmp_path)
@@ -656,9 +656,15 @@ def test_trajectory_csv_with_every_column_fixed_writes_every_row(tmp_path):
     assert len(got.splitlines()) == 1 + n
 
 
-def test_fixed_text_keeps_its_percent_signs():
-    line = _writer.template("sgs", fixed={0: "50%", 2: "%s%%d"})
-    assert [line % row for row in [(1.5,), (-0.0,)]] == ["50%,1.5,%s%%d\n", "50%,-0,%s%%d\n"]
+def test_trajectory_csv_over_several_chunks_matches_the_reference_writer(tmp_path):
+    # More rows than one chunk and not a multiple of it: the last chunk is short.
+    n = 2 * _writer.CHUNK_ROWS + 37
+    rng = np.random.default_rng(5)
+    columns = {name.lower(): rng.normal(size=n) * 10.0 ** rng.integers(-8, 18, size=n)
+               for name in TRAJECTORY_COLUMNS}
+    columns["kappa_d"][::3] = 0.0
+    got = _assert_matches_reference(_synthetic_trajectory(n, **columns), tmp_path)
+    assert len(got.splitlines()) == 1 + n
 
 
 def test_metrics_files(tmp_path):
