@@ -4,18 +4,16 @@ Numbers are written with 17 significant digits, enough for every double to
 read back exactly, so one format serves lossless re-reading and byte-wise
 determinism checks alike. That format is ``_FORMATS["g"]``, ``'%.17g'``.
 
-A table of numbers (:func:`write_columns`, the trajectory CSV) goes through
-:func:`encode_rows`, an array encoder that yields exactly the bytes
-``'%.17g'`` gives, a few thousand values per call. ``'%.17g'`` is its oracle
-in the tests and its fallback for the values it does not handle itself.
+Every table that holds only numbers (:func:`write_columns`: trajectories,
+stability maps, frequency responses and the CLI's point and sweep tables)
+goes through :func:`encode_rows`, an array encoder that yields exactly the
+bytes ``'%.17g'`` gives, a few thousand values per call. ``'%.17g'`` is its
+oracle in the tests and its fallback for the values it does not handle
+itself. A whole number, such as an index or a 0/1 flag, is written as
+``'%d'`` would write it.
 
-The other writers format with ``%`` templates (:func:`template`) that
-already hold, as text formatted once, the fields repeated across rows: a
-grid value formatted with :func:`format_numbers` (a stability map's k1, k2
-and kappa0, the omega grid of a frequency response). Only the fields new on
-each row go through the format. A template may hold many lines, so that one
-``%`` writes a stability-map slice or a whole response file. Text baked into
-a template has its ``%`` escaped (:func:`literal`).
+Only tables with text columns (:func:`write_rows`) format line by line,
+with a ``%`` template (:func:`template`).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_FORMATS = {"g": "%.17g", "d": "%d", "s": "%s"}
+_FORMATS = {"g": "%.17g", "s": "%s"}
 
 # Rows that write_columns encodes per call. The encoder's temporaries take
 # about 230 bytes a value, so 0.75 MB for 256 rows of 13 columns, whatever
@@ -34,46 +32,28 @@ _FORMATS = {"g": "%.17g", "d": "%d", "s": "%s"}
 CHUNK_ROWS = 256
 
 
-def format_numbers(values) -> list[str]:
-    """Each number of the 1-D ``values`` as the ``g`` column writes it."""
-    number = _FORMATS["g"]
-    return [number % v for v in values.tolist()]
-
-
-def literal(text: str) -> str:
-    """``text`` as it stands in a ``%`` template: every ``%`` escaped."""
-    return text.replace("%", "%%")
-
-
 def template(kinds: str, sep: str = ",") -> str:
     """The ``%`` format of one line, one column per letter of ``kinds``:
-    ``g`` number, ``d`` integer or ``s`` text."""
+    ``g`` number or ``s`` text."""
     return sep.join(_FORMATS[k] for k in kinds) + "\n"
 
 
-def write_lines(path, header, lines, sep: str = ",") -> None:
-    """Write the ``header`` line (``None`` writes none), then the finished ``lines``."""
-    with open(path, "w", newline="") as fh:
-        if header is not None:
-            fh.write(sep.join(header) + "\n")
-        fh.writelines(lines)
-
-
-def write_rows(path, header, rows, kinds: str | None = None, sep: str = ",") -> None:
+def write_rows(path, header, rows, kinds: str, sep: str = ",") -> None:
     """Stream ``rows`` (an iterable of tuples) to ``path``, one line each.
 
     ``header`` names the columns; ``None`` writes no header line. ``kinds``
-    gives one letter per column (see :func:`template`) and defaults to numbers
-    throughout. Rows are formatted as they are consumed, so a lazy ``rows``
-    never holds more than its source arrays.
+    gives one letter per column (see :func:`template`). Rows are formatted as
+    they are consumed, so a lazy ``rows`` never holds more than its source.
     """
-    if kinds is None:
-        kinds = "g" * len(header)
-    write_lines(path, header, map(template(kinds, sep).__mod__, rows), sep)
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        fh.writelines(map(template(kinds, sep).__mod__, rows))
 
 
 def write_columns(path, header, columns) -> None:
-    """Write the float64 ``columns``, all of one length, as number columns.
+    """Write ``columns``, 1-D arrays of one length, as float64 number columns
+    (a bool column as 0 and 1).
 
     The rows are encoded :data:`CHUNK_ROWS` at a time by :func:`encode_rows`.
     """

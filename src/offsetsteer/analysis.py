@@ -10,15 +10,13 @@ curvature perturbations [1/m] to lateral deviation [m], hence carries m^2.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from ._writer import format_numbers, literal, template, write_lines
+from ._writer import write_columns
 from .bicycle import VehicleParams, check_trackable
 from .errors import DomainError
 
@@ -298,44 +296,16 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
 
 # -- CSV emission -------------------------------------------------------
 
-# The (stable, marginal) text of a map row, picked by 2 * stable + marginal.
-_FLAG_TEXT = np.array(["0,0", "0,1", "1,0", "1,1"], dtype=object)
-
-
 def write_stability_csv(result: StabilityMap, path) -> None:
-    """Emit the scan as rows of k1,k2,kappa0,stable,marginal,M_max,omega_m.
-
-    Each (kappa0, k1) slice is written by one ``%`` from a template that holds
-    the texts its lines repeat: k1, each line's k2 and kappa0. The rows supply
-    their (stable, marginal) text and the M_max and omega_m numbers.
-    """
-    k1_text, k2_text, kappa0_text = (format_numbers(v) for v in (
-        result.k1_values, result.k2_values, result.kappa0_values))
-    flags = _FLAG_TEXT[2 * result.stable + result.marginal]
-    rest = "," + template("sgg")
-
-    def slices():
-        for i, kappa0 in enumerate(kappa0_text):
-            lines = ["", *(literal(f"{k2},{kappa0}") + rest for k2 in k2_text)]
-            for j, k1 in enumerate(k1_text):
-                row_args = zip(flags[i, j].tolist(), result.m_max[i, j].tolist(),
-                               result.omega_m[i, j].tolist())
-                yield (literal(k1) + ",").join(lines) % tuple(
-                    itertools.chain.from_iterable(row_args))
-
-    write_lines(path, ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
-                slices())
-
-
-@lru_cache(maxsize=1)
-def _freq_template(omega_bytes: bytes) -> str:
-    """A response file's lines on the float64 grid ``omega_bytes`` as one template of
-    its M column, kept for the next response on the same grid."""
-    rest = "," + template("g")
-    return "".join(literal(w) + rest for w in format_numbers(np.frombuffer(omega_bytes)))
+    """Emit the scan as rows of k1,k2,kappa0,stable,marginal,M_max,omega_m,
+    kappa0 slowest and k2 fastest, the flags as 0 and 1."""
+    columns = np.broadcast_arrays(result.k1_values[:, None], result.k2_values,
+                                  result.kappa0_values[:, None, None], result.stable,
+                                  result.marginal, result.m_max, result.omega_m)
+    write_columns(path, ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
+                  (column.ravel() for column in columns))
 
 
 def write_freq_csv(response: FreqResponse, path) -> None:
     """Emit the sampled response as rows of omega_rad_s,M (M in m^2)."""
-    lines = _freq_template(np.asarray(response.omega, dtype=float).tobytes())
-    write_lines(path, ("omega_rad_s", "M"), [lines % tuple(response.magnitude.tolist())])
+    write_columns(path, ("omega_rad_s", "M"), (response.omega, response.magnitude))

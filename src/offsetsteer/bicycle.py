@@ -19,7 +19,7 @@ from .paths import EarthState, PathState
 
 _HALF_PI = 0.5 * math.pi
 
-# Smallest |1 - e*kappa| at which the path-frame rates are evaluated.
+# Smallest 1 - e*kappa at which the path-frame rates are evaluated.
 SINGULAR_DENOM = 1e-12
 
 
@@ -119,8 +119,8 @@ def path_derivatives(state: PathState, steer: float, params: VehicleParams,
     its held-steering step, and the tests step both and require equal bits.
 
     Raises:
-        SingularityError: the state reached the curvature-center circle
-            (1 - e*kappa = 0), where the path frame degenerates.
+        SingularityError: the state reached or crossed the curvature-center
+            circle (1 - e*kappa <= 0), where the path frame degenerates.
     """
     _check_steer(steer)
     s, e, theta = state
@@ -128,7 +128,7 @@ def path_derivatives(state: PathState, steer: float, params: VehicleParams,
     tan_g = math.tan(steer)
     ratio_tan = params.sensor_offset / params.wheelbase * tan_g
     denom = 1.0 - e * kappa
-    if abs(denom) < SINGULAR_DENOM:
+    if denom < SINGULAR_DENOM:
         _singular(denom, s)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from ._writer import write_json, write_rows
+from ._writer import write_columns, write_json, write_rows
 from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
                        stability_region_scan, write_freq_csv, write_stability_csv)
 from .bicycle import VehicleParams
@@ -501,9 +501,9 @@ def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
                 names.append(name)
                 points.append((len(points), k1, k2, kappa0, resp.stable,
                                resp.m_max, resp.omega_m))
-        write_rows(target / "points.csv", ("index", "k1", "k2_per_m", "kappa0_per_m",
-                                           "stable", "m_max_m2", "omega_m_rad_s"),
-                   points, "dgggdgg")
+        write_columns(target / "points.csv", ("index", "k1", "k2_per_m", "kappa0_per_m",
+                                              "stable", "m_max_m2", "omega_m_rad_s"),
+                      np.array(points, dtype=float).T)
         names.append("points.csv")
         return names
 
@@ -521,24 +521,26 @@ def preset_text(name: str) -> str:
 def _write_sweep_csvs(target: FsPath, vehicle: VehicleParams) -> list[str]:
     """Static characteristic curves of the steering law (plot-ready)."""
     offsets = [replace(vehicle, sensor_offset=d) for d in (2.0, 3.0, 4.0)]
-    write_rows(target / "steering_offset_curves.csv",
-               ("d_m", "kappa_per_m", "feedforward_error_rad", "desired_heading_offset_rad"),
-               ((p.sensor_offset, kap, feedforward_error(kap, p),
-                 desired_yaw_error(kap, p.sensor_offset))
-                for p in offsets for kap in np.linspace(0.0, 0.2, 401)))
+    write_columns(target / "steering_offset_curves.csv",
+                  ("d_m", "kappa_per_m", "feedforward_error_rad", "desired_heading_offset_rad"),
+                  np.array([(p.sensor_offset, kap, feedforward_error(kap, p),
+                             desired_yaw_error(kap, p.sensor_offset))
+                            for p in offsets for kap in np.linspace(0.0, 0.2, 401)]).T)
 
-    write_rows(target / "desired_heading_curves.csv", ("e_m", "nonlinear_rad", "linear_rad"),
-               ((e, desired_heading(e, 0.02, "full"), desired_heading(e, 0.02, "linear"))
-                for e in np.linspace(-250.0, 250.0, 1001)))
+    write_columns(target / "desired_heading_curves.csv", ("e_m", "nonlinear_rad", "linear_rad"),
+                  np.array([(e, desired_heading(e, 0.02, "full"),
+                             desired_heading(e, 0.02, "linear"))
+                            for e in np.linspace(-250.0, 250.0, 1001)]).T)
 
     g_sat = max_allowable_steer(vehicle, 4.0)
-    write_rows(target / "wrapper_curve.csv", ("x_rad", "g_rad"),
-               ((x, wrapper(x, g_sat)) for x in np.linspace(-0.5, 0.5, 1001)))
+    write_columns(target / "wrapper_curve.csv", ("x_rad", "g_rad"),
+                  np.array([(x, wrapper(x, g_sat)) for x in np.linspace(-0.5, 0.5, 1001)]).T)
 
-    write_rows(target / "max_steer_vs_speed.csv",
-               ("max_lat_accel_mps2", "speed_mps", "gamma_sat_rad"),
-               ((a_max, v, max_allowable_steer(replace(vehicle, speed=float(v)), a_max))
-                for a_max in (2.0, 4.0, 6.0) for v in np.linspace(1.0, 40.0, 391)))
+    write_columns(target / "max_steer_vs_speed.csv",
+                  ("max_lat_accel_mps2", "speed_mps", "gamma_sat_rad"),
+                  np.array([(a_max, v,
+                             max_allowable_steer(replace(vehicle, speed=float(v)), a_max))
+                            for a_max in (2.0, 4.0, 6.0) for v in np.linspace(1.0, 40.0, 391)]).T)
     return ["steering_offset_curves.csv", "desired_heading_curves.csv",
             "wrapper_curve.csv", "max_steer_vs_speed.csv"]
 

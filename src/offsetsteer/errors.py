@@ -19,4 +19,4 @@ class DomainError(OffsetSteerError):
 
 
 class SingularityError(OffsetSteerError):
-    """State reached the curvature-center circle (1 - e*kappa -> 0)."""
+    """State reached or crossed the curvature-center circle (1 - e*kappa <= 0)."""

@@ -59,7 +59,7 @@ from .paths import PathSpec, PathState, build_path, wrap_angle_error
 from .steering import (ControlConfig, _law, control,  # noqa: F401
                        desired_yaw_error, max_allowable_steer)
 
-# Abort threshold for the path-frame singularity 1 - e*kappa -> 0.
+# A step starts only while 1 - e*kappa >= SINGULARITY_TOL (path-frame singularity).
 SINGULARITY_TOL = 1e-6
 
 # Default |e| threshold for the settling-time metric [m].
@@ -262,7 +262,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
 
     Raises:
         DomainError: the path curvature is untrackable for the sensor offset.
-        SingularityError: the state approached the curvature-center circle.
+        SingularityError: the state neared or crossed the curvature-center circle.
         Either ends with the failing step's "(at t=..., s=...)".
     """
     path = build_path(cfg.path_spec)
@@ -314,7 +314,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             if not update or theta_0 is None:
                 theta_0 = desired_yaw_error(kappa, offset)
             denom = 1.0 - e * kappa
-            if abs(denom) < SINGULARITY_TOL:
+            if denom < SINGULARITY_TOL:
                 _singular(denom, s)
 
             pack(buf, row_bytes * i, i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa,
@@ -333,7 +333,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                     chord_x, chord_y = _arc_chord(turn, v_dt, offset)
 
             # Stage 1, at the step's start, where the check above already
-            # keeps |denom| >= SINGULARITY_TOL, far above SINGULAR_DENOM.
+            # keeps denom >= SINGULARITY_TOL, far above SINGULAR_DENOM.
             cos_t = cos(theta)
             sin_t = sin(theta)
             a_s = v * (cos_t - ratio_tan * sin_t) / denom
@@ -345,7 +345,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             theta_k = theta + half * a_t
             kappa_k = curvature(s_k)
             denom = 1.0 - e_k * kappa_k
-            if abs(denom) < singular_denom:
+            if denom < singular_denom:
                 _singular(denom, s_k)
             cos_t = cos(theta_k)
             sin_t = sin(theta_k)
@@ -358,7 +358,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             theta_k = theta + half * b_t
             kappa_k = curvature(s_k)
             denom = 1.0 - e_k * kappa_k
-            if abs(denom) < singular_denom:
+            if denom < singular_denom:
                 _singular(denom, s_k)
             cos_t = cos(theta_k)
             sin_t = sin(theta_k)
@@ -371,7 +371,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             theta_k = theta + dt * c_t
             kappa_k = curvature(s_k)
             denom = 1.0 - e_k * kappa_k
-            if abs(denom) < singular_denom:
+            if denom < singular_denom:
                 _singular(denom, s_k)
             cos_t = cos(theta_k)
             sin_t = sin(theta_k)

@@ -3,17 +3,18 @@
 import itertools
 import math
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from offsetsteer import (ControlConfig, DomainError, HatPathState, PathState,
-                         amplification, control, desired_yaw_error, eigenvalues,
-                         feedforward, frequency_response, hat_path_derivatives,
-                         is_stable, kappa_bar, lambdas, linearize,
+                         amplification, cli, control, desired_heading, desired_yaw_error,
+                         eigenvalues, feedforward, feedforward_error, frequency_response,
+                         hat_path_derivatives, is_stable, kappa_bar, lambdas, linearize,
                          max_allowable_steer, peak_amplification,
-                         stability_region_scan)
+                         stability_region_scan, wrapper)
 from offsetsteer.analysis import (StabilityMap, prop1_k2_threshold, write_freq_csv,
                                   write_stability_csv)
 from offsetsteer.cli import cmd_freq_response, parse_config
@@ -392,9 +393,8 @@ def test_freq_csv_round_trip(tmp_path, params):
 
 
 def test_freq_csv_follows_each_response_grid(tmp_path, params):
-    # Grids A, B, A, with two responses on the second A: the kept line template
-    # switches grid twice. B differs from A only in the sign of its zero, which
-    # compares equal but is written "-0".
+    # Grids A, B, A, with two responses on the second A. B differs from A
+    # only in the sign of its zero, which compares equal but is written "-0".
     grid_a = np.array([0.0, 0.01, 1.0 / 3.0, 10.0, 1e3])
     grid_b = grid_a.copy()
     grid_b[0] = -0.0
@@ -477,3 +477,66 @@ def test_freq_response_files_match_the_reference_writer_byte_for_byte(tmp_path, 
         _reference_csv(want, ("omega_rad_s", "M"), zip(resp.omega, resp.magnitude), "gg")
         got = tmp_path / "out" / f"freq_response_{index:02d}.csv"
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_points_csv_matches_the_reference_writer_byte_for_byte(tmp_path):
+    # k1 = 0 on the straight road leaves M unbounded (inf) at omega_m = 0; the
+    # signed zero of the curvature list keeps its sign.
+    text = textwrap.dedent("""\
+        vehicle:
+          wheelbase_m: 2.57
+          sensor_offset_m: 2.0
+          max_steer_deg: 30.0
+          speed_mps: 20.0
+        gains:
+          - {k1: -0.8, k2_per_m: 0.02}
+          - {k1: 0.0, k2_per_m: 0.02}
+          - {k1: 0.8, k2_per_m: -2.0}
+          - {k1: -1.285, k2_per_m: 0.1}
+        kappa0_per_m: [0.0, -0.0]
+        """)
+    config = tmp_path / "analysis.yaml"
+    config.write_text(text)
+    cmd_freq_response(config, tmp_path / "out")
+    cfg = parse_config(text)
+    cases = [(k1, k2, kappa0) for k1, k2 in cfg.gains for kappa0 in cfg.kappa0]
+    rows = []
+    for index, (k1, k2, kappa0) in enumerate(cases):
+        resp = frequency_response(kappa0, k1, k2, cfg.vehicle)
+        rows.append((index, k1, k2, kappa0, resp.stable, resp.m_max, resp.omega_m))
+    _reference_csv(tmp_path / "want.csv", ("index", "k1", "k2_per_m", "kappa0_per_m",
+                                           "stable", "m_max_m2", "omega_m_rad_s"),
+                   rows, "dgggdgg")
+    got = (tmp_path / "out" / "points.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b",-0,1," in got and b"\n2,0,0.02,0,0,inf,0\n" in got
+
+
+def test_sweep_csvs_match_the_reference_writer_byte_for_byte(tmp_path):
+    vehicle = benchmark_params()
+    names = cli._write_sweep_csvs(tmp_path, vehicle)
+    offsets = [replace(vehicle, sensor_offset=d) for d in (2.0, 3.0, 4.0)]
+    g_sat = max_allowable_steer(vehicle, 4.0)
+    tables = {
+        "steering_offset_curves.csv": (
+            ("d_m", "kappa_per_m", "feedforward_error_rad", "desired_heading_offset_rad"),
+            ((p.sensor_offset, kap, feedforward_error(kap, p),
+              desired_yaw_error(kap, p.sensor_offset))
+             for p in offsets for kap in np.linspace(0.0, 0.2, 401))),
+        "desired_heading_curves.csv": (
+            ("e_m", "nonlinear_rad", "linear_rad"),
+            ((e, desired_heading(e, 0.02, "full"), desired_heading(e, 0.02, "linear"))
+             for e in np.linspace(-250.0, 250.0, 1001))),
+        "wrapper_curve.csv": (
+            ("x_rad", "g_rad"),
+            ((x, wrapper(x, g_sat)) for x in np.linspace(-0.5, 0.5, 1001))),
+        "max_steer_vs_speed.csv": (
+            ("max_lat_accel_mps2", "speed_mps", "gamma_sat_rad"),
+            ((a_max, v, max_allowable_steer(replace(vehicle, speed=float(v)), a_max))
+             for a_max in (2.0, 4.0, 6.0) for v in np.linspace(1.0, 40.0, 391))),
+    }
+    assert names == list(tables)
+    for name, (header, rows) in tables.items():
+        want = tmp_path / f"want_{name}"
+        _reference_csv(want, header, rows, "g" * len(header))
+        assert (tmp_path / name).read_bytes() == want.read_bytes(), name

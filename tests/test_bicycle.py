@@ -80,6 +80,12 @@ def test_path_singularity_raises(params):
         path_derivatives(PathState(0.0, 200.0, 0.0), 0.0, params, 0.005)
 
 
+def test_path_rates_raise_past_the_curvature_centre(params):
+    # 1 - e*kappa = -0.5: the far side of the centre, however far from zero.
+    with pytest.raises(SingularityError, match="1 - e\\*kappa = -0.5 at s=0$"):
+        path_derivatives(PathState(0.0, 300.0, 0.0), 0.0, params, 0.005)
+
+
 def test_hat_degenerates_without_offset():
     p = benchmark_params(sensor_offset=0.0)
     rng = np.random.default_rng(3)

@@ -636,6 +636,17 @@ def test_exit_code_domain_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == EXIT_DOMAIN
 
 
+def test_start_past_the_curvature_centre_exits_domain_and_leaves_no_output(tmp_path, capsys):
+    # On a 200 m circle, e = 250 m starts beyond the centre: 1 - e*kappa = -0.25.
+    config = tmp_path / "past_centre.yaml"
+    config.write_text(UNTRACKABLE_YAML.replace("radius_m: 1.5", "radius_m: 200.0")
+                      .replace("e_m: -10.0", "e_m: 250.0"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
+    assert "1 - e*kappa = -0.25 at s=0 (at t=0 s, s=0 m)" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("existing", ["", "runs", "runs/out"], ids=["none", "parent", "out"])
 def test_failed_run_removes_only_the_directories_it_made(tmp_path, existing):
     config = tmp_path / "tight.yaml"

@@ -10,13 +10,12 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 
-from offsetsteer import (ConfigError, DomainError, OffsetSteerError, PathSpec, PathState,
-                         ScenarioConfig, SingularityError, amplification, build_path,
-                         compare_controllers, control, desired_yaw_error,
-                         lambdas, linearize,
-                         max_allowable_steer, path_derivatives, run_scenario,
-                         step_rk4, wrap_angle_error, write_metrics,
-                         write_trajectory_csv)
+from offsetsteer import (VARIANTS, ConfigError, ControlConfig, DomainError, OffsetSteerError,
+                         PathSpec, PathState, ScenarioConfig, SingularityError, VehicleParams,
+                         amplification, build_path, compare_controllers, control,
+                         desired_yaw_error, lambdas, linearize, max_allowable_steer,
+                         path_derivatives, run_scenario, step_rk4, wrap_angle_error,
+                         write_metrics, write_trajectory_csv)
 from offsetsteer import _writer, sim, steering
 from offsetsteer.bicycle import _arc_chord
 from offsetsteer.paths import POSE_GRID_CHUNK, Path
@@ -107,6 +106,34 @@ def test_frame_consistency_for_standard_runs(runs):
         pos_err, psi_err = traj.frame_mismatch()
         assert pos_err < 1e-6, name
         assert psi_err < 1e-7, name
+
+
+def _clothoid_table() -> PathSpec:
+    # PCHIP reproduces a linear kappa exactly, so the table's curvature is
+    # smooth; at the knots of a general table kappa'' jumps and RK4 loses its
+    # order there.
+    s = np.linspace(0.0, 600.0, 7)
+    return PathSpec.sampled(s, -0.01 + 0.02 * s / 600.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("road", [PathSpec.straight, lambda: PathSpec.circular(CIRCLE_RADIUS),
+                                  cosine_spec, _clothoid_table],
+                         ids=["straight", "circular", "cosine", "sampled"])
+def test_frame_gap_shrinks_at_fourth_order(road, variant):
+    # The earth step is exact under the held steering, so at a fixed control
+    # period the gap between the frames is the path-frame RK4's global error:
+    # halving dt divides it by 16 until it reaches rounding.
+    spec = road()
+    gaps = []
+    for dt in (0.1, 0.05, 0.025):
+        cfg = make_scenario(spec, variant, dt=dt, control_dt=0.1, t_end=20.0,
+                            initial=PathState(0.0, -10.0, 0.3))
+        gaps.append(run_scenario(cfg)[0].frame_mismatch()[0])
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(gaps, gaps[1:])
+              if fine > 1e-11]
+    assert orders, gaps
+    assert all(3.8 <= order <= 4.2 for order in orders), gaps
 
 
 def test_frame_heading_gap_ignores_full_turns():
@@ -458,6 +485,33 @@ def test_singularity_abort():
     with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
         run_scenario(cfg)
 
+
+def test_step_across_the_curvature_centre_raises():
+    # A seeded draw of accepted configs: between two steps at t = 3.67 s,
+    # 1 - e*kappa goes from +0.0286 to -0.0125 without entering the guard band
+    # of either sign. A guard on |1 - e*kappa| let the run go on to -0.394 and
+    # a 15.6 m gap between the frames; the crossing is caught at a stage.
+    cfg = ScenarioConfig(
+        path_spec=PathSpec.cosine(0.017894875655174083, 307.7529032367293, 1),
+        vehicle=VehicleParams(wheelbase=2.5973408861940053, sensor_offset=2.598401855734136,
+                              max_steer=0.26921200171443516, speed=27.68874652414949),
+        control=ControlConfig(k1=0.7688763009017605, k2=-0.2527665413467767,
+                              max_lat_accel=3.045401513543318, variant="full"),
+        initial=PathState(0.0, -0.7431503053261856, 1.0038152436998642),
+        dt=0.002148035831934253, t_end=4.2960716638685055, frame="both")
+    message = ("curvature-center singularity: 1 - e*kappa = -0.0487 at s=104.205 "
+               "(at t=3.67099 s, s=97.964 m)")
+    with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("e, denom", [(200.0, "0"), (250.0, "-0.25")])
+def test_start_on_or_past_the_curvature_centre_raises_at_step_0(e, denom):
+    cfg = make_scenario(PathSpec.circular(CIRCLE_RADIUS), t_end=1.0,
+                        initial=PathState(0.0, e, 0.0))
+    message = f"curvature-center singularity: 1 - e*kappa = {denom} at s=0 (at t=0 s, s=0 m)"
+    with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg)
 
 
 @pytest.mark.parametrize("stage, s_stage", [(2, 0.01), (3, 0.01), (4, 0.02)])

@@ -77,8 +77,3 @@ def test_encoder_hands_a_near_tie_to_the_format(monkeypatch):
     assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.17g,0.25\n" % x
     monkeypatch.setitem(_writer._FORMATS, "g", "%.3g")
     assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.3g,0.25\n" % x
-
-
-def test_literal_keeps_its_percent_signs():
-    line = _writer.literal("50%,%s%%d,") + _writer.template("g")
-    assert [line % v for v in (1.5, -0.0)] == ["50%,%s%%d,1.5\n", "50%,%s%%d,-0\n"]
