@@ -6,11 +6,18 @@ determinism checks alike. That format is ``_FORMATS["g"]``, ``'%.17g'``.
 
 Every table that holds only numbers (:func:`write_columns`: trajectories,
 stability maps, frequency responses and the CLI's point and sweep tables)
-goes through :func:`encode_rows`, an array encoder that yields exactly the
-bytes ``'%.17g'`` gives, a few thousand values per call. ``'%.17g'`` is its
-oracle in the tests and its fallback for the values it does not handle
-itself. A whole number, such as an index or a 0/1 flag, is written as
-``'%d'`` would write it.
+goes through the array encoder behind :func:`encode_rows`, which yields
+exactly the bytes ``'%.17g'`` gives, a few thousand values per call.
+``'%.17g'`` is its oracle in the tests and its fallback for the values it
+does not handle itself. A whole number, such as an index or a 0/1 flag, is
+written as ``'%d'`` would write it.
+
+The encoder builds one 32-byte record per value and then joins the records
+into lines. :func:`write_columns` takes columns that broadcast together, one
+row per element of their broadcast shape: a grid axis (a column with fewer
+elements than the table) has each of its elements encoded once, a bool
+column has the records of 0 and 1, and each row gathers their records;
+only the other columns are encoded row by row.
 
 Only tables with text columns (:func:`write_rows`) format line by line,
 with a ``%`` template (:func:`template`).
@@ -19,6 +26,7 @@ with a ``%`` template (:func:`template`).
 from __future__ import annotations
 
 import json
+import math
 from functools import cache
 from typing import NamedTuple
 
@@ -26,10 +34,15 @@ import numpy as np
 
 _FORMATS = {"g": "%.17g", "s": "%s"}
 
-# Rows that write_columns encodes per call. The encoder's temporaries take
-# about 230 bytes a value, so 0.75 MB for 256 rows of 13 columns, whatever
+# Values that write_columns encodes per call, so rows per call are this over
+# the number of encoded columns (256 rows of a 13-column trajectory). The
+# encoder's temporaries take about 230 bytes a value, so 0.75 MB, whatever
 # the table's length.
-CHUNK_ROWS = 256
+CHUNK_VALUES = 3328
+
+# One 32-byte record of the encoder as a single element, so that a gather
+# copies whole records.
+_RECORD = np.dtype("V32")
 
 
 def template(kinds: str, sep: str = ",") -> str:
@@ -52,21 +65,55 @@ def write_rows(path, header, rows, kinds: str, sep: str = ",") -> None:
 
 
 def write_columns(path, header, columns) -> None:
-    """Write ``columns``, 1-D arrays of one length, as float64 number columns
-    (a bool column as 0 and 1).
+    """Write ``columns`` as float64 number columns (a bool column as 0 and 1).
 
-    The rows are encoded :data:`CHUNK_ROWS` at a time by :func:`encode_rows`.
+    The columns are arrays that broadcast together; the rows are the elements
+    of their broadcast shape in C order. A column with fewer elements than
+    the table (a grid axis) has its own elements encoded once, and a bool
+    column the two values 0 and 1; each row gathers those records. The other
+    ("dense") columns go through the encoder, :data:`CHUNK_VALUES` values per
+    call. A table of dense columns only is written with one :func:`encode_rows`
+    call per chunk.
     """
-    columns = list(columns)
-    n = columns[0].size
-    block = np.empty((min(n, CHUNK_ROWS), len(columns)))
+    columns = [np.asarray(column) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    n = math.prod(shape)
+    dense, axes, flags = [], [], []
+    for j, column in enumerate(columns):
+        if column.size < n:
+            # A row's element of the axis is sum(coordinate * step) over the table's axes.
+            index = np.arange(column.size).reshape(column.shape)
+            steps = [step // index.itemsize for step in np.broadcast_to(index, shape).strides]
+            axes.append((j, _record_table(column.reshape(-1)), steps))
+        elif column.dtype == bool:
+            flags.append((j, column.reshape(-1).view(np.uint8)))
+        else:
+            dense.append((j, column.reshape(-1)))
+    chunk = CHUNK_VALUES // max(len(dense), 1)
+    block = np.empty((min(n, chunk), len(dense)))
+    if axes or flags:
+        records = np.empty((len(block), len(columns)), _RECORD)
+        bits = _record_table(np.array([0.0, 1.0]))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, n, CHUNK_ROWS):
-            rows = block[:min(CHUNK_ROWS, n - lo)]
-            for j, column in enumerate(columns):
-                rows[:, j] = column[lo:lo + CHUNK_ROWS]
-            fh.write(encode_rows(rows))
+        for lo in range(0, n, chunk):
+            rows = block[:min(chunk, n - lo)]
+            for k, (_, column) in enumerate(dense):
+                rows[:, k] = column[lo:lo + chunk]
+            if not (axes or flags):
+                fh.write(encode_rows(rows))
+                continue
+            out = records[:len(rows)]
+            if dense:
+                encoded = _encode(rows.reshape(-1)).view(_RECORD)
+                out[:, [j for j, _ in dense]] = encoded.reshape(rows.shape)
+            if axes:
+                where = np.unravel_index(np.arange(lo, lo + len(rows)), shape)
+            for j, source, steps in axes:
+                out[:, j] = source[sum(at * step for at, step in zip(where, steps) if step)]
+            for j, flag in flags:
+                out[:, j] = bits[flag[lo:lo + chunk]]
+            fh.write(_join(out.view(np.uint8), len(columns)))
 
 
 def write_json(path, data) -> None:
@@ -219,9 +266,30 @@ def _significand(a, tables: _Tables):
 def encode_rows(table) -> bytes:
     """The rows of the 2-D float64 ``table`` as CSV lines, each exactly
     ``",".join("%.17g" % v for v in row) + "\\n"``."""
+    return _join(_encode(table.reshape(-1)), table.shape[1])
+
+
+def _join(records, cols: int) -> bytes:
+    """CSV lines of rows of ``cols`` records: each record ends in its separator,
+    ',' or a newline after the last column, and every NUL is deleted."""
+    seps = np.full(cols, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    records.reshape(-1, cols, 32)[:, :, 31] = seps
+    return records.tobytes().translate(None, b"\0")
+
+
+def _record_table(x) -> np.ndarray:
+    """The records of the 1-D ``x``, one :data:`_RECORD` each, encoded
+    :data:`CHUNK_VALUES` values per call."""
+    return np.concatenate([_encode(x[lo:lo + CHUNK_VALUES]).view(_RECORD)[:, 0]
+                           for lo in range(0, x.size, CHUNK_VALUES)])
+
+
+def _encode(x) -> np.ndarray:
+    """The (n, 32) uint8 records of the n values of the 1-D ``x``, each
+    ``'%.17g' % v`` padded with NULs; the separator byte 31 is NUL."""
     tables = _tables()
-    rows, cols = table.shape
-    x = table.ravel()
+    x = np.asarray(x, dtype=float)
     a = np.abs(x)
     regular = (a >= _LOW) & (a <= _HIGH)
     zero = a == 0.0
@@ -259,12 +327,9 @@ def encode_rows(table) -> bytes:
     words |= np.take(tables.constant, layout, axis=0)
     words |= np.take(tables.exponent, ie, axis=0)
 
-    seps = np.full(cols, ord(","), np.uint8)
-    seps[-1] = ord("\n")
-    records.reshape(rows, cols, 32)[:, :, 31] = seps
     redo = np.flatnonzero(~(regular | zero) | tie)
     if redo.size:
         number = _FORMATS["g"]
         texts = b"".join((number % v).encode().ljust(31, b"\0") for v in x[redo].tolist())
         records[redo, :31] = np.frombuffer(texts, np.uint8).reshape(-1, 31)
-    return records.tobytes().translate(None, b"\0")
+    return records

@@ -220,7 +220,8 @@ def amplification(omega, kappa0: float, k1: float, k2: float, params: VehiclePar
     num = (v * v * d * d / (lam1sq * lam1sq)) * (1.0 + d / l * lam.lam2 * k1) ** 2 * w * w
     den = (w ** 4 + lam.lam4 * w * w
            + v ** 4 * lam.lam3 * lam.lam3 / (l * l * lam1sq * lam1sq))
-    m = np.sqrt(num / den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.sqrt(num / den)
     return float(m) if np.isscalar(omega) else m
 
 
@@ -299,11 +300,9 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
 def write_stability_csv(result: StabilityMap, path) -> None:
     """Emit the scan as rows of k1,k2,kappa0,stable,marginal,M_max,omega_m,
     kappa0 slowest and k2 fastest, the flags as 0 and 1."""
-    columns = np.broadcast_arrays(result.k1_values[:, None], result.k2_values,
-                                  result.kappa0_values[:, None, None], result.stable,
-                                  result.marginal, result.m_max, result.omega_m)
     write_columns(path, ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
-                  (column.ravel() for column in columns))
+                  (result.k1_values[:, None], result.k2_values, result.kappa0_values[:, None, None],
+                   result.stable, result.marginal, result.m_max, result.omega_m))
 
 
 def write_freq_csv(response: FreqResponse, path) -> None:

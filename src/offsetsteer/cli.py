@@ -357,9 +357,11 @@ def _echo_analysis(cfg: AnalysisConfig) -> dict:
 # -- command implementations ----------------------------------------------
 
 def _load(config_path, expected: type, dt=None) -> tuple:
-    """(config, extras, input digests) of the config file, which must be of ``expected``
-    type. The file is read once: its digest is of the bytes that were parsed."""
-    config_path = FsPath(config_path)
+    """(config, extras, input digests) of the config file or :class:`_Preset`, which
+    must be of ``expected`` type. It is read once: its digest is of the bytes that
+    were parsed."""
+    if not isinstance(config_path, _Preset):
+        config_path = FsPath(config_path)
     data = config_path.read_bytes()
     try:
         text = data.decode()
@@ -518,6 +520,22 @@ def preset_text(name: str) -> str:
     return resources.files("offsetsteer").joinpath(f"presets/{name}.yaml").read_text()
 
 
+class _Preset(NamedTuple):
+    """A bundled preset, run in place of a config file. Its input digest is
+    keyed ``preset:<name>``, and a relative path in it is read beside it."""
+    name: str
+
+    def __str__(self) -> str:
+        return f"preset:{self.name}"
+
+    def read_bytes(self) -> bytes:
+        return preset_text(self.name).encode()
+
+    @property
+    def parent(self):
+        return resources.files("offsetsteer").joinpath("presets")
+
+
 def _write_sweep_csvs(target: FsPath, vehicle: VehicleParams) -> list[str]:
     """Static characteristic curves of the steering law (plot-ready)."""
     offsets = [replace(vehicle, sensor_offset=d) for d in (2.0, 3.0, 4.0)]
@@ -555,12 +573,10 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
             ("stability_map_d3", cmd_stability_map), ("freq_response", cmd_freq_response))
     outputs: list[str] = []
     digests: dict[str, str] = {}
-    with _out_dir(out_dir) as out_dir, tempfile.TemporaryDirectory() as tmp:
+    with _out_dir(out_dir) as out_dir:
         for name, command in runs:
-            config = FsPath(tmp) / f"{name}.yaml"
-            config.write_text(preset_text(name))
-            manifest = command(config, out_dir / name, seedless=seedless)
-            digests[f"preset:{name}"] = next(iter(manifest.input_digests.values()))
+            manifest = command(_Preset(name), out_dir / name, seedless=seedless)
+            digests.update(manifest.input_digests)
             outputs += [f"{name}/{out}" for out in manifest.outputs]
 
         table1 = VehicleParams(wheelbase=2.57, sensor_offset=2.0,

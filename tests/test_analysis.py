@@ -15,6 +15,7 @@ from offsetsteer import (ControlConfig, DomainError, HatPathState, PathState,
                          hat_path_derivatives, is_stable, kappa_bar, lambdas, linearize,
                          max_allowable_steer, peak_amplification,
                          stability_region_scan, wrapper)
+from offsetsteer import _writer
 from offsetsteer.analysis import (StabilityMap, prop1_k2_threshold, write_freq_csv,
                                   write_stability_csv)
 from offsetsteer.cli import cmd_freq_response, parse_config
@@ -301,6 +302,20 @@ def test_unbounded_response_without_heading_gain(params):
     assert math.isinf(m_max)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unbounded_response_on_a_curve_is_inf_at_its_peak_without_a_warning(params, caplog):
+    # k1 = 0 at kappa0 != 0: the undamped peak lies inside the default grid,
+    # where the denominator of M is 0.
+    with caplog.at_level("WARNING", logger="offsetsteer"):
+        resp = frequency_response(0.05, 0.0, 0.02, params)
+    assert "amplification unbounded" in caplog.text
+    at_peak = resp.omega == resp.omega_m
+    assert at_peak.sum() == 1
+    assert np.isinf(resp.magnitude[at_peak]).all()
+    assert np.isfinite(resp.magnitude[~at_peak]).all()
+    assert math.isinf(amplification(resp.omega_m, 0.05, 0.0, 0.02, params))
+
+
 def test_frequency_response_bundle(params):
     resp = frequency_response(0.0, -0.8, 0.02, params)
     assert resp.stable
@@ -444,6 +459,35 @@ def test_stability_csv_matches_the_reference_writer_byte_for_byte(tmp_path):
     # Both signed zeros of the k2 axis, under the -0 of the k1 axis, keep their sign.
     assert b"\n-0,0,0," in got and b"\n-0,-0,0," in got
     assert b",nan" in got and b",inf" in got
+
+
+@pytest.mark.parametrize("kappa0", [[0.0, -0.0, 0.05], [-0.0]],
+                         ids=["three-curvatures", "one-curvature"])
+def test_stability_csv_across_chunks_matches_the_reference_writer_byte_for_byte(tmp_path,
+                                                                                kappa0):
+    # 41 x 59 cells per curvature: the writer's chunks end inside a k2 row.
+    rng = np.random.default_rng(11)
+    k1 = rng.normal(size=41) * 10.0 ** rng.integers(-5, 5, size=41)
+    k2 = rng.normal(size=59) * 10.0 ** rng.integers(-5, 5, size=59)
+    k1[[3, 7]] = 0.0, -0.0
+    k2[[0, 30]] = -0.0, 0.0
+    shape = (len(kappa0), 41, 59)
+    m_max = rng.uniform(0.0, 5.0, shape)
+    m_max[..., 5::17] = np.inf
+    m_max[..., 8::23] = np.nan
+    omega_m = rng.uniform(0.0, 50.0, shape)
+    stable = rng.random(shape) < 0.5
+    marginal = rng.random(shape) < 0.5
+    result = StabilityMap(k1, k2, np.array(kappa0), stable, marginal, m_max, omega_m,
+                          np.ones(shape, dtype=bool))
+    assert stable.size > _writer.CHUNK_VALUES // 2
+    rows = ((k1[a], k2[b], kappa0[i], stable[i, a, b], marginal[i, a, b], m_max[i, a, b],
+             omega_m[i, a, b]) for i, a, b in np.ndindex(shape))
+    _reference_csv(tmp_path / "want.csv",
+                   ("k1", "k2", "kappa0", "stable", "marginal", "M_max", "omega_m"),
+                   rows, "gggddgg")
+    write_stability_csv(result, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("omega", ["omega:\n  min_rad_s: 0.01\n  max_rad_s: 100.0\n"

@@ -543,12 +543,17 @@ def test_figs_repro_manifest_lists_every_output(tmp_path):
     assert len(on_disk) == 52
     presets = manifest["config"]["presets"]
     assert len(presets) == 8
-    assert manifest["input_digests"] == {
-        f"preset:{name}": hashlib.sha256(preset_text(name).encode()).hexdigest()
-        for name in presets}
+    digests = {f"preset:{name}": hashlib.sha256(preset_text(name).encode()).hexdigest()
+               for name in presets}
+    assert manifest["input_digests"] == digests
     assert manifest["seedless"] is False
-    scenarios = [json.loads((out / name / "manifest.json").read_text())["config"]
-                 for name in presets]
+    manifests = {name: json.loads((out / name / "manifest.json").read_text())
+                 for name in presets}
+    # Each preset's own manifest keys its input by the preset, not by a file.
+    for name, preset_manifest in manifests.items():
+        key = f"preset:{name}"
+        assert preset_manifest["input_digests"] == {key: digests[key]}
+    scenarios = [preset_manifest["config"] for preset_manifest in manifests.values()]
     scenarios = [config for config in scenarios if "sim" in config]
     assert len(scenarios) == 5
     assert all(config["sim"]["dt_s"] == 0.01 for config in scenarios)

@@ -712,7 +712,7 @@ def test_trajectory_csv_with_every_column_fixed_writes_every_row(tmp_path):
 
 def test_trajectory_csv_over_several_chunks_matches_the_reference_writer(tmp_path):
     # More rows than one chunk and not a multiple of it: the last chunk is short.
-    n = 2 * _writer.CHUNK_ROWS + 37
+    n = 2 * (_writer.CHUNK_VALUES // len(TRAJECTORY_COLUMNS)) + 37
     rng = np.random.default_rng(5)
     columns = {name.lower(): rng.normal(size=n) * 10.0 ** rng.integers(-8, 18, size=n)
                for name in TRAJECTORY_COLUMNS}

@@ -18,8 +18,8 @@ def _assert_encodes_like_reference(values, cols):
     values = np.asarray(values, dtype=float)
     values = np.concatenate([values, np.zeros(-values.size % cols)])
     table = values.reshape(-1, cols)
-    got = b"".join(_writer.encode_rows(table[lo:lo + _writer.CHUNK_ROWS])
-                   for lo in range(0, len(table), _writer.CHUNK_ROWS))
+    rows = _writer.CHUNK_VALUES // cols
+    got = b"".join(_writer.encode_rows(table[lo:lo + rows]) for lo in range(0, len(table), rows))
     want = _reference(table)
     if got != want:
         pairs = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
@@ -77,3 +77,28 @@ def test_encoder_hands_a_near_tie_to_the_format(monkeypatch):
     assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.17g,0.25\n" % x
     monkeypatch.setitem(_writer._FORMATS, "g", "%.3g")
     assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.3g,0.25\n" % x
+
+
+_RNG = np.random.default_rng(3)
+
+
+@pytest.mark.parametrize("columns", [
+    # An axis along each of the table's two axes, a constant, a dense column and
+    # a bool flag; 4,200 rows with one dense column span two chunks.
+    (np.array([0.0, -0.0, 1.5, -2e-7, 1e22, np.inf, np.nan])[:, None],
+     _RNG.normal(size=(7, 600)), np.arange(600) * 0.1, np.array(-0.0),
+     _RNG.random((7, 600)) < 0.5),
+    # A bool column with fewer elements than the table is an axis too.
+    (np.array([True, False, True])[:, None], np.array([0.25, -0.0, 3.0, 1e-300]),
+     _RNG.normal(size=(3, 4))),
+    # Axes only: no column is encoded row by row.
+    (np.array([1.0, 2.0, 3.0])[:, None], np.array([-0.5, 0.5])),
+    # A single row.
+    (np.float64(2.5), np.array(True), np.array([[-0.0]]), np.array([1e300])),
+], ids=["broadcast-axis", "broadcast-bool", "axes-only", "single-row"])
+def test_write_columns_writes_the_broadcast_table(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    header = [f"c{j}" for j in range(len(columns))]
+    _writer.write_columns(path, header, columns)
+    table = np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)]).astype(float)
+    assert path.read_bytes() == (",".join(header) + "\n").encode() + _writer.encode_rows(table)
