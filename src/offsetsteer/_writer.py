@@ -2,7 +2,7 @@
 
 Numbers are written with 17 significant digits, enough for every double to
 read back exactly, so one format serves lossless re-reading and byte-wise
-determinism checks alike. That format is ``_FORMATS["g"]``, ``'%.17g'``.
+determinism checks alike. That format is ``_NUMBER``, ``'%.17g'``.
 
 Every table that holds only numbers (:func:`write_columns`: trajectories,
 stability maps, frequency responses and the CLI's point and sweep tables)
@@ -19,8 +19,8 @@ elements than the table) has each of its elements encoded once, a bool
 column has the records of 0 and 1, and each row gathers their records;
 only the other columns are encoded row by row.
 
-Only tables with text columns (:func:`write_rows`) format line by line,
-with a ``%`` template (:func:`template`).
+Only tables with text columns (:func:`write_rows`) format line by line:
+a text field as it is, any other field with ``'%.17g'``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_FORMATS = {"g": "%.17g", "s": "%s"}
+_NUMBER = "%.17g"
 
 # Values that write_columns encodes per call, so rows per call are this over
 # the number of encoded columns (256 rows of a 13-column trajectory). The
@@ -45,23 +45,18 @@ CHUNK_VALUES = 3328
 _RECORD = np.dtype("V32")
 
 
-def template(kinds: str, sep: str = ",") -> str:
-    """The ``%`` format of one line, one column per letter of ``kinds``:
-    ``g`` number or ``s`` text."""
-    return sep.join(_FORMATS[k] for k in kinds) + "\n"
-
-
-def write_rows(path, header, rows, kinds: str, sep: str = ",") -> None:
+def write_rows(path, header, rows, sep: str = ",") -> None:
     """Stream ``rows`` (an iterable of tuples) to ``path``, one line each.
 
-    ``header`` names the columns; ``None`` writes no header line. ``kinds``
-    gives one letter per column (see :func:`template`). Rows are formatted as
-    they are consumed, so a lazy ``rows`` never holds more than its source.
+    ``header`` names the columns; ``None`` writes no header line. A ``str``
+    field is written as it is, any other with ``'%.17g'``. Rows are formatted
+    as they are consumed, so a lazy ``rows`` never holds more than its source.
     """
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(sep.join(header) + "\n")
-        fh.writelines(map(template(kinds, sep).__mod__, rows))
+        for row in rows:
+            fh.write(sep.join(v if isinstance(v, str) else _NUMBER % v for v in row) + "\n")
 
 
 def write_columns(path, header, columns) -> None:
@@ -329,7 +324,6 @@ def _encode(x) -> np.ndarray:
 
     redo = np.flatnonzero(~(regular | zero) | tie)
     if redo.size:
-        number = _FORMATS["g"]
-        texts = b"".join((number % v).encode().ljust(31, b"\0") for v in x[redo].tolist())
+        texts = b"".join((_NUMBER % v).encode().ljust(31, b"\0") for v in x[redo].tolist())
         records[redo, :31] = np.frombuffer(texts, np.uint8).reshape(-1, 31)
     return records

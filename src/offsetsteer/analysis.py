@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class StabilityMap:
     marginal: np.ndarray  # bool
     m_max: np.ndarray     # [m^2], inf where the response is unbounded
     omega_m: np.ndarray   # [rad/s]
-    valid: np.ndarray = field(default=None)  # False where |d*kappa0| >= 1
+    valid: np.ndarray     # False where |d*kappa0| >= 1
 
 
 def lambdas(kappa0: float, k1, k2, params: VehicleParams) -> Lambdas:
@@ -257,30 +257,26 @@ def frequency_response(kappa0: float, k1: float, k2: float, params: VehicleParam
 
 def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, float],
                           kappa0_values, params: VehicleParams,
-                          resolution: int = 200) -> StabilityMap:
-    """Evaluate stability and peak amplification on a dense gain grid.
+                          resolution: int) -> StabilityMap:
+    """Evaluate stability and peak amplification on a dense gain grid of
+    ``resolution`` x ``resolution`` gain pairs.
 
-    ``resolution`` may be an int (square grid) or a (n_k1, n_k2) pair.
     Results are independent of evaluation order; curvatures the sensor
     offset cannot track are recorded as invalid cells rather than raised.
     """
-    if isinstance(resolution, int):
-        n1 = n2 = resolution
-    else:
-        n1, n2 = resolution
-    k1_vals = np.linspace(k1_range[0], k1_range[1], n1)
-    k2_vals = np.linspace(k2_range[0], k2_range[1], n2)
+    k1_vals = np.linspace(k1_range[0], k1_range[1], resolution)
+    k2_vals = np.linspace(k2_range[0], k2_range[1], resolution)
     kappa0_values = np.asarray(list(kappa0_values), dtype=float)
-    nk = kappa0_values.size
+    shape = (kappa0_values.size, resolution, resolution)
 
     grid_k1 = k1_vals[:, None]
     grid_k2 = k2_vals[None, :]
 
-    stable = np.zeros((nk, n1, n2), dtype=bool)
-    marginal = np.zeros((nk, n1, n2), dtype=bool)
-    m_max = np.full((nk, n1, n2), np.nan)
-    omega_m = np.full((nk, n1, n2), np.nan)
-    valid = np.zeros((nk, n1, n2), dtype=bool)
+    stable = np.zeros(shape, dtype=bool)
+    marginal = np.zeros(shape, dtype=bool)
+    m_max = np.full(shape, np.nan)
+    omega_m = np.full(shape, np.nan)
+    valid = np.zeros(shape, dtype=bool)
 
     for i, kappa0 in enumerate(kappa0_values):
         try:

@@ -84,7 +84,8 @@ class AnalysisConfig:
 
     vehicle: VehicleParams
     kappa0: tuple[float, ...]
-    grid: tuple[tuple[float, float], tuple[float, float], int] | None = None
+    # Each section's values in its schema's order (_GRID, _GAIN, _OMEGA).
+    grid: tuple[float, float, float, float, int] | None = None
     gains: tuple[tuple[float, float], ...] | None = None
     omega: tuple[float, float, int] | None = None
 
@@ -297,20 +298,18 @@ def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig
     kappa0 = _parse_kappa0(top.pop("kappa0_per_m", None), vehicle)
     grid = gains = omega = None
     if "grid" in top:
-        g = _section(top, "grid", _GRID)
-        grid = ((g[0], g[1]), (g[2], g[3]), g[4])
+        grid = tuple(_section(top, "grid", _GRID).values())
     raw_gains = top.pop("gains", None)
     if raw_gains is not None:
         if not isinstance(raw_gains, list) or not raw_gains:
             raise ConfigError("gains must be a non-empty list of {k1, k2_per_m} maps")
-        items = [_read(f"gains[{idx}]", item, _GAIN) for idx, item in enumerate(raw_gains)]
-        gains = tuple((g[0], g[1]) for g in items)
+        gains = tuple(tuple(_read(f"gains[{idx}]", item, _GAIN).values())
+                      for idx, item in enumerate(raw_gains))
     if "omega" in top:
-        w = _section(top, "omega", _OMEGA)
-        if not (w[0] > 0.0 and w[1] > 0.0):
+        omega = tuple(_section(top, "omega", _OMEGA).values())
+        if not (omega[0] > 0.0 and omega[1] > 0.0):
             raise ConfigError(f"config.omega: min_rad_s and max_rad_s must be > 0, "
-                              f"got {w[0]!r} and {w[1]!r}")
-        omega = (w[0], w[1], w[2])
+                              f"got {omega[0]!r} and {omega[1]!r}")
     _finish("config", top)
     return AnalysisConfig(vehicle=vehicle, kappa0=kappa0, grid=grid,
                           gains=gains, omega=omega), {}
@@ -345,8 +344,7 @@ def _echo_analysis(cfg: AnalysisConfig) -> dict:
     echo: dict = {"vehicle": _echo(_VEHICLE, cfg.vehicle),
                   "kappa0_per_m": list(cfg.kappa0)}
     if cfg.grid is not None:
-        (k1_lo, k1_hi), (k2_lo, k2_hi), res = cfg.grid
-        echo["grid"] = _echo(_GRID, (k1_lo, k1_hi, k2_lo, k2_hi, res))
+        echo["grid"] = _echo(_GRID, cfg.grid)
     if cfg.gains is not None:
         echo["gains"] = [_echo(_GAIN, gain) for gain in cfg.gains]
     if cfg.omega is not None:
@@ -393,21 +391,24 @@ def _out_dir(out_dir):
 
 def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
          render, seedless: bool) -> RunManifest:
-    """Render into ``out_dir`` and write the manifest.
-
-    ``render(target)`` writes the artifacts under ``target`` and returns their
-    names. With ``seedless`` it runs a second time into a scratch directory and
-    every artifact must come out byte-identical.
-    """
+    """Render into ``out_dir`` (see :func:`_render`) and write the manifest."""
     with _out_dir(out_dir) as out_dir:
-        outputs = render(out_dir)
-        if seedless:
-            with tempfile.TemporaryDirectory() as tmp:
-                render(FsPath(tmp))
-                for name in outputs:
-                    if (out_dir / name).read_bytes() != (FsPath(tmp) / name).read_bytes():
-                        raise OffsetSteerError(f"determinism check failed for {name}")
+        outputs = _render(render, out_dir, seedless)
         return _write_manifest(command, started, echo, digests, out_dir, outputs, seedless)
+
+
+def _render(render, out_dir: FsPath, seedless: bool) -> list[str]:
+    """The names ``render(out_dir)`` returns, of the artifacts it wrote there.
+    With ``seedless`` it runs a second time into a scratch directory and every
+    artifact must come out byte-identical."""
+    outputs = render(out_dir)
+    if seedless:
+        with tempfile.TemporaryDirectory() as tmp:
+            render(FsPath(tmp))
+            for name in outputs:
+                if (out_dir / name).read_bytes() != (FsPath(tmp) / name).read_bytes():
+                    raise OffsetSteerError(f"determinism check failed for {name}")
+    return outputs
 
 
 def _write_manifest(command: str, started: float, echo: dict, digests: dict,
@@ -421,6 +422,15 @@ def _write_manifest(command: str, started: float, echo: dict, digests: dict,
     return manifest
 
 
+def _write_run(target: FsPath, traj, metrics) -> list[str]:
+    """Make ``target`` and write one run's trajectory and metrics into it;
+    the names of the files."""
+    target.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, target / "trajectory.csv")
+    write_metrics(metrics, target / "metrics.txt", target / "metrics.json")
+    return ["trajectory.csv", "metrics.txt", "metrics.json"]
+
+
 def cmd_simulate(config_path, out_dir, dt=None, variant=None, seedless=False) -> RunManifest:
     started = time.perf_counter()
     cfg, _, digests = _load(config_path, ScenarioConfig, dt)
@@ -428,10 +438,7 @@ def cmd_simulate(config_path, out_dir, dt=None, variant=None, seedless=False) ->
         cfg = replace(cfg, control=replace(cfg.control, variant=variant))
 
     def render(target: FsPath):
-        traj, metrics = run_scenario(cfg)
-        write_trajectory_csv(traj, target / "trajectory.csv")
-        write_metrics(metrics, target / "metrics.txt", target / "metrics.json")
-        return ["trajectory.csv", "metrics.txt", "metrics.json"]
+        return _write_run(target, *run_scenario(cfg))
 
     return _run("simulate", started, _echo_scenario(cfg), digests, out_dir, render, seedless)
 
@@ -446,16 +453,11 @@ def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) ->
         report = compare_controllers(cfg, variants)
         names = []
         for variant, (traj, metrics) in report.results.items():
-            sub = target / variant
-            sub.mkdir(parents=True, exist_ok=True)
-            write_trajectory_csv(traj, sub / "trajectory.csv")
-            write_metrics(metrics, sub / "metrics.txt", sub / "metrics.json")
-            names += [f"{variant}/trajectory.csv", f"{variant}/metrics.txt",
-                      f"{variant}/metrics.json"]
+            names += [f"{variant}/{name}" for name in _write_run(target / variant, traj, metrics)]
         write_rows(target / "deltas.csv", ("variant", "signal", "max_abs_delta"),
                    ((variant, signal, value)
                     for variant, sig_deltas in report.deltas.items()
-                    for signal, value in sig_deltas.items()), "ssg")
+                    for signal, value in sig_deltas.items()))
         names.append("deltas.csv")
         if report.failures:
             write_json(target / "failures.json", report.failures)
@@ -473,8 +475,8 @@ def cmd_stability_map(config_path, out_dir, seedless=False) -> RunManifest:
         raise ConfigError("stability-map needs a 'grid' section")
 
     def render(target: FsPath):
-        k1_range, k2_range, resolution = cfg.grid
-        result = stability_region_scan(k1_range, k2_range, cfg.kappa0,
+        k1_min, k1_max, k2_min, k2_max, resolution = cfg.grid
+        result = stability_region_scan((k1_min, k1_max), (k2_min, k2_max), cfg.kappa0,
                                        cfg.vehicle, resolution)
         write_stability_csv(result, target / "stability_map.csv")
         return ["stability_map.csv"]
@@ -581,7 +583,7 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
 
         table1 = VehicleParams(wheelbase=2.57, sensor_offset=2.0,
                                max_steer=math.radians(30.0), speed=20.0)
-        outputs += _write_sweep_csvs(out_dir, table1)
+        outputs += _render(partial(_write_sweep_csvs, vehicle=table1), out_dir, seedless)
 
         echo = {"presets": sorted(name for name, _ in runs)}
         return _write_manifest("figs-repro", started, echo, digests, out_dir, outputs, seedless)

@@ -53,7 +53,7 @@ from .bicycle import (SINGULAR_DENOM, _HALF_PI, VehicleParams,  # noqa: F401
                       _arc_chord, _check_steer, _singular, earth_derivatives,
                       path_derivatives)
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
-from .paths import PathSpec, PathState, build_path, wrap_angle_error
+from .paths import TWO_PI, PathSpec, PathState, build_path, wrap_angle_error
 # The loop calls the run's bound law; control stays importable from here,
 # where perfbench's tracer wraps it.
 from .steering import (ControlConfig, _law, control,  # noqa: F401
@@ -162,8 +162,9 @@ class Trajectory:
         pos = np.hypot(self.earth_x - self.x_a, self.earth_y - self.y_a)
         # Headings are compared modulo 2*pi: the mapped heading re-wraps with
         # the path-frame error while the earth-frame one accumulates.
-        psi = max(abs(wrap_angle_error(a, b)) for a, b in zip(self.earth_psi, self.psi))
-        return float(pos.max()), psi
+        gap = self.earth_psi - self.psi
+        psi = np.abs(gap - TWO_PI * np.round(gap / TWO_PI))
+        return float(pos.max()), float(psi.max())
 
 
 @dataclass(frozen=True)
@@ -456,5 +457,5 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def write_metrics(metrics: TrackingMetrics, txt_path, json_path) -> None:
     """Emit metrics as flat key=value text plus JSON."""
     data = metrics.as_dict()
-    write_rows(txt_path, None, data.items(), "sg", sep="=")
+    write_rows(txt_path, None, data.items(), sep="=")
     write_json(json_path, {k: (v if math.isfinite(v) else None) for k, v in data.items()})

@@ -330,7 +330,7 @@ def test_frequency_response_bundle(params):
 def test_scan_benchmark_cell_stable_for_all_curvatures(params):
     kb = kappa_bar(params)
     result = stability_region_scan((-3.0, 3.0), (0.02, 0.02), [0.0, kb / 2, kb],
-                                   params, resolution=(61, 1))
+                                   params, resolution=61)
     idx = int(np.argmin(np.abs(result.k1_values + 0.8)))
     assert result.k1_values[idx] == pytest.approx(-0.8, abs=1e-12)
     assert bool(result.stable[:, idx, 0].all())
@@ -339,7 +339,7 @@ def test_scan_benchmark_cell_stable_for_all_curvatures(params):
 def test_scan_verdict_flips_across_first_criterion_boundary(params):
     # With k1 > 0 the verdict changes sign exactly on k2 = -lam1/d.
     result = stability_region_scan((0.8, 0.8), (-0.501, -0.499), [0.0],
-                                   params, resolution=(1, 3))
+                                   params, resolution=3)
     assert bool(result.stable[0, 0, 0])        # k2 = -0.501
     assert bool(result.marginal[0, 0, 1])      # k2 = -0.500 exactly on boundary
     assert not bool(result.stable[0, 0, 2])    # k2 = -0.499

@@ -15,8 +15,10 @@ import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
 
-from offsetsteer import (VARIANTS, ConfigError, ControlConfig, PathSpec, PathState,
-                         ScenarioConfig, VehicleParams, amplification, is_stable)
+from offsetsteer import (VARIANTS, ComparisonReport, ConfigError, ControlConfig,
+                         OffsetSteerError, PathSpec, PathState, ScenarioConfig,
+                         TrackingMetrics, VehicleParams, amplification, is_stable,
+                         run_scenario, wrapper)
 from offsetsteer import cli
 from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              AnalysisConfig, _echo_analysis, _echo_scenario,
@@ -82,7 +84,7 @@ def test_parse_scenario_resolves_units_and_defaults():
 def test_parse_analysis_config():
     cfg = parse_config(ANALYSIS_YAML)
     assert isinstance(cfg, AnalysisConfig)
-    assert cfg.grid == ((-2.0, 2.0), (-1.0, 1.0), 9)
+    assert cfg.grid == (-2.0, 2.0, -1.0, 1.0, 9)
     assert cfg.gains == ((-0.8, 0.02),)
     assert cfg.kappa0 == (0.0, 0.05)
 
@@ -364,8 +366,7 @@ def _scenarios(draw):
 
 @st.composite
 def _analyses(draw):
-    grid = draw(st.none() | st.tuples(st.tuples(_finite, _finite), st.tuples(_finite, _finite),
-                                      st.integers(1, 10**6)))
+    grid = draw(st.none() | st.tuples(_finite, _finite, _finite, _finite, st.integers(1, 10**6)))
     gains = draw(st.none() | st.lists(st.tuples(_finite, _finite), min_size=1,
                                       max_size=4).map(tuple))
     assume(grid is not None or gains is not None)
@@ -481,6 +482,27 @@ def test_compare_repeated_variant_exits_config(tmp_path, tail, flags):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_text_tables_match_a_percent_reference_byte_for_byte(tmp_path, monkeypatch):
+    # metrics.txt and deltas.csv mix text and numbers: a text field as it is,
+    # a number as '%.17g' writes it.
+    metrics = TrackingMetrics(math.inf, -0.0, 1e-300, 0.1, -2.5e-7, 1.0)
+    deltas = {"full": {"e_D": math.inf, "theta_D": -0.0, "gamma_fb": 1e-300, "psi": 0.1}}
+
+    def report(cfg, variants):
+        traj, _ = run_scenario(cfg)
+        return ComparisonReport(variants, {"full": (traj, metrics)}, {}, deltas)
+
+    monkeypatch.setattr(cli, "compare_controllers", report)
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SCENARIO_YAML)
+    cli.cmd_compare(config, tmp_path / "cmp", variants=["naive", "full"])
+    assert (tmp_path / "cmp" / "full" / "metrics.txt").read_text() == "".join(
+        "%s=%.17g\n" % item for item in metrics.as_dict().items())
+    assert (tmp_path / "cmp" / "deltas.csv").read_text() == "".join(
+        ["variant,signal,max_abs_delta\n"]
+        + ["%s,%s,%.17g\n" % ("full", signal, value) for signal, value in deltas["full"].items()])
+
+
 def test_stability_map_matches_pointwise_predicate(tmp_path):
     config = tmp_path / "analysis.yaml"
     config.write_text(ANALYSIS_YAML)
@@ -557,6 +579,26 @@ def test_figs_repro_manifest_lists_every_output(tmp_path):
     scenarios = [config for config in scenarios if "sim" in config]
     assert len(scenarios) == 5
     assert all(config["sim"]["dt_s"] == 0.01 for config in scenarios)
+
+
+def test_figs_repro_seedless_checks_its_sweep_csvs(tmp_path, monkeypatch):
+    # The presets are stubbed out, and the wrapper doubles on the second render
+    # of the sweep CSVs: the determinism check must catch that.
+    for name in ("cmd_simulate", "cmd_compare", "cmd_stability_map", "cmd_freq_response"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: SimpleNamespace(
+            input_digests={}, outputs=[]))
+    renders = []
+
+    def drifting_wrapper(x, g_sat):
+        if x == -0.5:  # the first point of each render's wrapper curve
+            renders.append(x)
+        return len(renders) * wrapper(x, g_sat)
+
+    monkeypatch.setattr(cli, "wrapper", drifting_wrapper)
+    with pytest.raises(OffsetSteerError, match="determinism check failed for wrapper_curve.csv"):
+        cli.cmd_figs_repro(tmp_path / "figs", seedless=True)
+    assert len(renders) == 2
+    assert not (tmp_path / "figs").exists()
 
 
 # -- dispatch -----------------------------------------------------------------

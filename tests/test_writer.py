@@ -75,7 +75,7 @@ def test_encoder_hands_a_near_tie_to_the_format(monkeypatch):
     x = 1.0 + j * 2.0 ** -52
     assert Fraction(x) * 10 ** 16 % 1 == Fraction(1, 2) + Fraction(1, 2 ** 36)
     assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.17g,0.25\n" % x
-    monkeypatch.setitem(_writer._FORMATS, "g", "%.3g")
+    monkeypatch.setattr(_writer, "_NUMBER", "%.3g")
     assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.3g,0.25\n" % x
 
 
