@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, SingularityError
 from .paths import EarthState, PathState
 
@@ -92,22 +94,26 @@ def earth_derivatives(state: EarthState, steer: float,
             v / params.wheelbase * tan_g)
 
 
-def _arc_chord(turn: float, v_dt: float, sensor_offset: float) -> tuple[float, float]:
-    """Exact displacement of the guidance point over a held-steering step.
+def _arc_chord(turn: np.ndarray, v_dt: float,
+               sensor_offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact displacement of the guidance point over held-steering steps.
 
-    The rear axle covers arc length ``v_dt`` while the heading advances by
-    ``turn``; the result is in the body frame at the step's start. The rear
-    axle's chord is v_dt * (sin(turn), 1 - cos(turn)) / turn, and A, rigidly
-    d ahead, adds d * (cos(turn) - 1, sin(turn)). With 1 - cos written as
-    2 sin^2(turn/2), a straight step (turn == 0) is (v_dt, 0).
+    Over each step the rear axle covers arc length ``v_dt`` while the heading
+    advances by that step's element of ``turn``; the result is in the body
+    frame at the step's start. The rear axle's chord is
+    v_dt * (sin(turn), 1 - cos(turn)) / turn, and A, rigidly d ahead, adds
+    d * (cos(turn) - 1, sin(turn)). With 1 - cos written as 2 sin^2(turn/2),
+    a straight step (turn == 0) is (v_dt, 0). ``sim.run_scenario`` calls it
+    once per slice of a run's recorded yaw rates, after the loop; it uses
+    only ``np.sin``, which equals ``math.sin`` elementwise.
     """
-    if turn == 0.0:
-        return v_dt, 0.0
-    sin_turn = math.sin(turn)
-    sin_half = math.sin(0.5 * turn)
+    sin_turn = np.sin(turn)
+    sin_half = np.sin(0.5 * turn)
     versine = 2.0 * sin_half * sin_half
-    return (v_dt * sin_turn / turn - sensor_offset * versine,
-            v_dt * versine / turn + sensor_offset * sin_turn)
+    straight = turn == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.where(straight, v_dt, v_dt * sin_turn / turn - sensor_offset * versine),
+                np.where(straight, 0.0, v_dt * versine / turn + sensor_offset * sin_turn))
 
 
 def path_derivatives(state: PathState, steer: float, params: VehicleParams,

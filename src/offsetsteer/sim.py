@@ -1,12 +1,12 @@
 """Deterministic fixed-step closed-loop simulation and tracking metrics.
 
-The path-frame dynamics are always integrated; the earth-frame dynamics can
-be integrated in parallel under the identical steering sequence for
-cross-validation. Steering is recomputed at a fixed control period and held
-constant in between (zero-order hold), so at a fixed control period refining
-the integration step converges to the exact sampled-data trajectory. Left
-unset, the control period follows the step, and refining the step then
-refines the sampling too.
+The path-frame dynamics are always integrated; the earth-frame run can be
+built from the identical steering sequence for cross-validation. Steering
+is recomputed at a fixed control period and held constant in between
+(zero-order hold), so at a fixed control period refining the integration
+step converges to the exact sampled-data trajectory. Left unset, the
+control period follows the step, and refining the step then refines the
+sampling too.
 
 While the steering is held, ``run_scenario`` takes each path-frame step as
 one straight-line RK4 kernel, its four stages written out in the loop:
@@ -15,12 +15,8 @@ and the first stage reuses the step's curvature and its 1 - e*kappa from the
 singularity check. ``bicycle.path_derivatives`` is the model equation and
 the oracle: the kernel evaluates its expressions in the same order, and the
 tests step it with ``step_rk4`` and require bit-identical path-frame
-trajectories from both. The earth step is exact, not integrated: with the
-steering held, the rear axle circles a fixed centre and A, rigidly attached,
-circles it too, so each control update computes the step's body-frame chord
-once (``bicycle._arc_chord``) and each step rotates it by the heading and
-advances the heading by yaw_rate * dt. The steering law is bound once per
-run (``steering._law``: variant, wrap decision and feedback bound resolved
+trajectories from both. The steering law is bound once per run
+(``steering._law``: variant, wrap decision and feedback bound resolved
 before the loop), each update returns a plain tuple that includes the
 ``full`` law's desired heading error, and the loop carries ``s, e, theta``
 as floats; ``control`` is the same law for one state.
@@ -28,14 +24,25 @@ as floats; ``control`` is the same law for one state.
 A run is recorded in one row-major array with a row per step; the loop
 writes what the dynamics produce with one ``struct`` pack per row into the
 array's buffer, and the ``Trajectory`` fields are the array's columns, not
-copies. The dynamics never read the pose columns ``x_A, y_A, psi``. For
-frames ``path`` and ``both`` they are mapped after the loop by array calls of
-``Path.to_earth`` on the recorded ``s, e, theta`` columns,
-``POSE_SLICE_ROWS`` rows per call so that a long run's temporaries stay
-small; each element equals the row-by-row scalar mapping bit for bit. For
-``earth`` they are the earth-frame steps' columns, and only its initial pose
-is mapped. Only ``both`` keeps the earth steps alongside (``earth_x``,
-``earth_y``, ``earth_psi``) for the cross-check.
+copies. Each row also records the yaw rate held over the previous step
+(NaN on row 0), and the time column is filled after the loop. The dynamics
+never read the earth frame, so the loop does only the path-frame step and
+the control law. The pose columns ``x_A, y_A, psi`` and the earth run are
+built after it, ``POSE_SLICE_ROWS`` rows per array pass so that a long
+run's temporaries stay small:
+
+- For frames ``path`` and ``both`` the pose columns are mapped by array
+  calls of ``Path.to_earth`` on the recorded ``s, e, theta`` columns; each
+  element equals the row-by-row scalar mapping bit for bit.
+- For ``earth`` and ``both`` the earth run is exact, not integrated: with
+  the steering held, the rear axle circles a fixed centre and A, rigidly
+  attached, circles it too. From its mapped initial pose, each step's
+  body-frame chord (``bicycle._arc_chord`` over a slice of turns
+  yaw_rate * dt) is rotated by the heading, and the heading and the
+  positions are running sums (``np.cumsum``, which adds in sequence). Each
+  element equals the step-by-step scalar sums bit for bit. For ``earth``
+  these are the pose columns; only ``both`` keeps them alongside
+  (``earth_x``, ``earth_y``, ``earth_psi``) for the cross-check.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ SETTLE_THRESHOLD = 0.01
 # keep the mapping's temporaries this size instead of the record's.
 POSE_SLICE_ROWS = 4096
 
-# The 13 values the loop writes to each row of the record (columns 0-12).
-_ROW = struct.Struct("13d")
+# The 10 values the loop writes to each row of the record (columns 1-10).
+_ROW = struct.Struct("10d")
 
 TRAJECTORY_COLUMNS = ("t", "s_D", "e_D", "theta_D", "theta_0", "theta_hat",
                       "gamma_des", "gamma_ff", "gamma_fb", "x_A", "y_A", "psi",
@@ -278,10 +285,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     mapped = cfg.frame != "earth"
 
     # The run's record, one row per step of the trajectory. The loop packs
-    # columns 0-12: the TRAJECTORY_COLUMNS without theta_hat and the pose
-    # (columns 0-8), the raw feedback command (9) and the earth steps' pose
-    # (10-12). After the loop, frames "path" and "both" map columns 1-3
-    # (s, e, theta) to the pose columns 13-15.
+    # columns 1-10: the TRAJECTORY_COLUMNS without t, theta_hat and the pose
+    # (columns 1-8), the raw feedback command (9) and the yaw rate held over
+    # the previous step (10; NaN on row 0). After the loop, column 0 gets t,
+    # frames "earth" and "both" replace columns 10-12 by the earth run's
+    # pose, and frames "path" and "both" map columns 1-3 (s, e, theta) to
+    # the pose columns 13-15.
     width = 16 if mapped else 13
     rec = np.empty((n + 1, width))
     buf = memoryview(rec).cast("B")
@@ -292,20 +301,17 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     offset = params.sensor_offset
     ratio = offset / params.wheelbase
     half = 0.5 * dt
-    v_dt = v * dt
     curvature = path.curvature
     law = _law(ctl, params)
     singular_denom = SINGULAR_DENOM
     isfinite = math.isfinite
     cos, sin = math.cos, math.sin
     s, e, theta = cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0)
-    # The earth steps map only the initial pose; with frame "path" their
-    # columns hold NaN and are dropped.
-    x_e, y_e, psi_e = path.to_earth(PathState(s, e, theta)) if want_earth else (math.nan,) * 3
+    yaw_rate = math.nan
 
-    # Each step is the straight-line held-steering RK4 and the exact earth
-    # step of the module docstring. The state s, e, theta changes only at
-    # the end of a step, so an error raised inside it reports the step's start.
+    # Each step is the straight-line held-steering RK4 of the module
+    # docstring. The state s, e, theta changes only at the end of a step, so
+    # an error raised inside it reports the step's start.
     try:
         for i in range(n + 1):
             kappa = curvature(s)
@@ -318,8 +324,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             if denom < SINGULARITY_TOL:
                 _singular(denom, s)
 
-            pack(buf, row_bytes * i, i * dt, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa,
-                 fb, x_e, y_e, psi_e)
+            pack(buf, row_bytes * i + 8, s, e, theta, theta_0, g_des, g_ff, g_fb, kappa, fb,
+                 yaw_rate)
 
             if i == n:
                 break
@@ -329,9 +335,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                 tan_g = math.tan(g_des)
                 ratio_tan = ratio * tan_g
                 yaw_rate = v / params.wheelbase * tan_g
-                if want_earth:
-                    turn = yaw_rate * dt
-                    chord_x, chord_y = _arc_chord(turn, v_dt, offset)
 
             # Stage 1, at the step's start, where the check above already
             # keeps denom >= SINGULARITY_TOL, far above SINGULAR_DENOM.
@@ -385,20 +388,15 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             if not (isfinite(s) and isfinite(e) and isfinite(theta)):
                 _check_finite(s, e, theta)
             theta = wrap_angle_error(theta, 0.0)
-
-            if want_earth:
-                # The chord is bounded by V*dt + 2d, so these stay finite.
-                cos_psi = cos(psi_e)
-                sin_psi = sin(psi_e)
-                x_e = x_e + (cos_psi * chord_x - sin_psi * chord_y)
-                y_e = y_e + (sin_psi * chord_x + cos_psi * chord_y)
-                psi_e = psi_e + turn
     except (DomainError, SingularityError) as exc:
         raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={s:.6g} m)") from exc
     finally:
         buf.release()
 
     cols = rec.T
+    np.multiply(np.arange(n + 1), dt, out=cols[0])
+    if want_earth:
+        _earth_pass(cols, path, dt, v * dt, offset)
     if mapped:
         for lo in range(0, n + 1, POSE_SLICE_ROWS):
             rows = slice(lo, lo + POSE_SLICE_ROWS)
@@ -409,6 +407,33 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     traj = Trajectory(*cols[:5], cols[3] - cols[4], *cols[5:8], *pose, cols[8], g_sat,
                       np.abs(cols[9]) > g_sat, *earth)
     return traj, _metrics(traj, cfg)
+
+
+def _earth_pass(cols: np.ndarray, path, dt: float, v_dt: float, offset: float) -> None:
+    """Replace the record's yaw-rate column 10 by the earth run's pose (columns 10-12).
+
+    Row i + 1 holds the yaw rate held over step i. From the mapped initial
+    pose, each step rotates its body-frame chord by the heading and advances
+    the heading by yaw_rate * dt, ``POSE_SLICE_ROWS`` steps per array pass.
+    cumsum adds in sequence, so each slice resumes from the previous one's
+    last row and every element equals the step-by-step scalar sums bit for
+    bit. The chord is bounded by V*dt + 2d, so the sums stay finite.
+    """
+    x, y, psi = cols[10:13]
+    x[0], y[0], psi[0] = path.to_earth(PathState(*cols[1:4, 0].tolist()))
+    for lo in range(1, cols.shape[1], POSE_SLICE_ROWS):
+        # Column 10 still holds this slice's yaw rates; x replaces them below.
+        turn = cols[10, lo:lo + POSE_SLICE_ROWS] * dt
+        chord_x, chord_y = _arc_chord(turn, v_dt, offset)
+        # Each sum starts from the row before the slice; the heading's gives
+        # each step's heading at its start (heading[:-1]) and end.
+        rows = slice(lo - 1, lo + POSE_SLICE_ROWS)
+        heading = np.concatenate((psi[lo - 1:lo], turn)).cumsum()
+        cos_psi = np.cos(heading[:-1])
+        sin_psi = np.sin(heading[:-1])
+        x[rows] = np.concatenate((x[lo - 1:lo], cos_psi * chord_x - sin_psi * chord_y)).cumsum()
+        y[rows] = np.concatenate((y[lo - 1:lo], sin_psi * chord_x + cos_psi * chord_y)).cumsum()
+        psi[rows] = heading
 
 
 def _distinct_variants(variants) -> tuple[str, ...]:

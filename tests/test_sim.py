@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -390,7 +391,9 @@ def test_full_law_supplies_theta_0_on_update_rows(monkeypatch):
 
 def test_exact_earth_step_runs_straight_at_zero_steer(params):
     v_dt = params.speed * 1e-3
-    assert _arc_chord(0.0, v_dt, params.sensor_offset) == (v_dt, 0.0)
+    with np.errstate(all="raise"):
+        chord_x, chord_y = _arc_chord(np.zeros(3), v_dt, params.sensor_offset)
+    assert np.array_equal(chord_x, np.full(3, v_dt)) and not chord_y.any()
     # On a straight road from the path the full law commands gamma = 0, so
     # every earth step adds exactly V*dt to x and leaves y and psi alone.
     cfg = replace(make_scenario(PathSpec.straight(), t_end=1.0,
@@ -426,6 +429,129 @@ def test_exact_earth_step_closes_a_held_turn(params):
     assert abs(traj.x_a[-1] - x0) < 1e-9
     assert abs(traj.y_a[-1] - y0) < 1e-9
     assert traj.psi[-1] == pytest.approx(psi0 + 2.0 * math.pi, abs=1e-9)
+
+
+def _scalar_arc_chord(turn: float, v_dt: float, d: float) -> tuple[float, float]:
+    """``bicycle._arc_chord`` for one step, in scalar ``math``."""
+    if turn == 0.0:
+        return v_dt, 0.0
+    sin_turn = math.sin(turn)
+    sin_half = math.sin(0.5 * turn)
+    versine = 2.0 * sin_half * sin_half
+    return v_dt * sin_turn / turn - d * versine, v_dt * versine / turn + d * sin_turn
+
+
+def _scalar_earth_run(traj, cfg: ScenarioConfig) -> np.ndarray:
+    """The earth run stepped row by row in floats from the run's steering.
+
+    Each control update computes yaw_rate = V / l * tan(gamma) and the
+    step's chord once; each step rotates the chord by the heading and
+    advances the heading by yaw_rate * dt.
+    """
+    params, dt = cfg.vehicle, cfg.dt
+    hold = 1 if cfg.control_dt is None else round(cfg.control_dt / dt)
+    v_dt = params.speed * dt
+    start = PathState(float(traj.s_d[0]), float(traj.e_d[0]), float(traj.theta_d[0]))
+    x, y, psi = build_path(cfg.path_spec).to_earth(start)
+    rows = [(x, y, psi)]
+    for i in range(traj.t.size - 1):
+        if i % hold == 0:
+            yaw_rate = params.speed / params.wheelbase * math.tan(float(traj.gamma_des[i]))
+            turn = yaw_rate * dt
+            chord_x, chord_y = _scalar_arc_chord(turn, v_dt, params.sensor_offset)
+        cos_psi = math.cos(psi)
+        sin_psi = math.sin(psi)
+        x = x + (cos_psi * chord_x - sin_psi * chord_y)
+        y = y + (sin_psi * chord_x + cos_psi * chord_y)
+        psi = psi + turn
+        rows.append((x, y, psi))
+    return np.array(rows).T
+
+
+# Runs of 2 * POSE_SLICE_ROWS + 37 steps, so that two slices carry their
+# last row into the next: the circle with the steering held for 10 steps,
+# and the straight road from the path, where every turn is 0.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("frame", ["earth", "both"])
+@pytest.mark.parametrize("road, control_dt, initial", [
+    (PathSpec.circular(CIRCLE_RADIUS), 1e-2, PathState(0.0, -10.0, 0.0)),
+    (PathSpec.straight(), None, PathState(0.0, 0.0, 0.0)),
+], ids=["circular-hold-10", "straight-from-the-path"])
+def test_earth_pass_equals_the_scalar_steps_bit_for_bit(road, control_dt, initial, frame):
+    steps = 2 * sim.POSE_SLICE_ROWS + 37
+    cfg = replace(make_scenario(road, t_end=steps * 1e-3, control_dt=control_dt,
+                                initial=initial), frame=frame)
+    traj, _ = run_scenario(cfg)
+    assert traj.t.size == steps + 1
+    if road.kind == "straight":
+        assert not traj.gamma_des.any()
+    expected = _scalar_earth_run(traj, cfg)
+    names = ("x_a", "y_a", "psi") if frame == "earth" else ("earth_x", "earth_y", "earth_psi")
+    for name, values in zip(names, expected):
+        assert np.array_equal(getattr(traj, name), values), name
+
+
+def test_numpy_sin_and_cos_equal_math_over_wide_headings():
+    # The earth heading accumulates with every turn, so the earth pass takes
+    # np.sin and np.cos of angles far outside [-1, 1]: seeded magnitudes,
+    # 20,000 per decade from 1e-3 to 1e4, of either sign.
+    rng = np.random.default_rng(24)
+    x = rng.choice((-1.0, 1.0), 140_000) * 10.0 ** rng.uniform(-3.0, 4.0, 140_000)
+    assert np.array_equal(np.sin(x), [math.sin(v) for v in x.tolist()])
+    assert np.array_equal(np.cos(x), [math.cos(v) for v in x.tolist()])
+
+
+def _drawn_scenario(rng) -> ScenarioConfig:
+    """One accepted config: a straight, circular or cosine road, any
+    variant, dt from 0.3 ms to 0.1 s and at most 2,000 steps."""
+    kind = rng.choice(("straight", "circular", "cosine"))
+    if kind == "straight":
+        road = PathSpec.straight()
+    elif kind == "circular":
+        road = PathSpec.circular(float(rng.uniform(20.0, 500.0)))
+    else:
+        road = PathSpec.cosine(float(rng.uniform(0.0, 0.05)), float(rng.uniform(50.0, 500.0)),
+                               int(rng.integers(1, 4)))
+    vehicle = VehicleParams(wheelbase=float(rng.uniform(1.5, 4.0)),
+                            sensor_offset=float(rng.uniform(-1.0, 4.0)),
+                            max_steer=float(rng.uniform(0.2, 1.2)),
+                            speed=float(rng.uniform(2.0, 35.0)))
+    ctl = ControlConfig(k1=float(rng.uniform(-2.0, 1.0)), k2=float(rng.uniform(-0.5, 0.5)),
+                        max_lat_accel=float(rng.uniform(1.0, 8.0)),
+                        variant=str(rng.choice(VARIANTS)))
+    dt = float(10.0 ** rng.uniform(math.log10(3e-4), -1.0))
+    steps = int(rng.integers(2, 2001))
+    return ScenarioConfig(path_spec=road, vehicle=vehicle, control=ctl,
+                          initial=PathState(float(rng.uniform(0.0, 50.0)),
+                                            float(rng.uniform(-5.0, 5.0)),
+                                            float(rng.uniform(-1.0, 1.0))),
+                          dt=dt, t_end=steps * dt, control_dt=dt * int(rng.integers(1, 11)),
+                          frame="both")
+
+
+def test_accepted_configs_fail_with_an_offsetsteer_error_or_stay_finite(record_property):
+    # Every accepted config either raises a documented error or runs to its
+    # horizon with finite columns, ahead of the curvature centre, and a
+    # finite frame gap. Whether that gap shrinks at least 8x as dt is halved
+    # is not asserted: past a cosine road's end kappa'' jumps and RK4 loses
+    # its order, so such a rule needs runs kept on the road.
+    rng = np.random.default_rng(7)
+    outcomes = Counter()
+    for k in range(200):
+        cfg = _drawn_scenario(rng)
+        try:
+            traj, _ = run_scenario(cfg)
+        except OffsetSteerError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        outcomes["ran"] += 1
+        columns = [*traj.signals().values(), traj.earth_x, traj.earth_y, traj.earth_psi]
+        assert all(np.isfinite(c).all() for c in columns), (k, cfg)
+        assert (1.0 - traj.e_d * traj.kappa_d).min() > 0.0, (k, cfg)
+        assert all(math.isfinite(gap) for gap in traj.frame_mismatch()), (k, cfg)
+    # Most draws must run to their horizon, or the checks above see little.
+    assert outcomes["ran"] >= 100, outcomes
+    record_property("outcomes", dict(outcomes))
 
 
 def test_long_run_maps_its_pose_in_slices():
