@@ -51,6 +51,26 @@ _REQUIRED = object()
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _ConfigLoader(_YAML_LOADER):
+    """The config loader: ``_YAML_LOADER`` that rejects a key given twice in one
+    mapping, which YAML would otherwise resolve silently to the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # Config keys are scalars; a merge key (<<) may repeat.
+            if (not isinstance(key_node, yaml.ScalarNode)
+                    or key_node.tag == "tag:yaml.org,2002:merge"):
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                mark = key_node.start_mark
+                raise ConfigError(f"repeated key {key!r} at line {mark.line + 1}, column "
+                                  f"{mark.column + 1}: a key may appear once in each mapping")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def _number(value, what: str) -> float:
     """The finite number a config value must be; ``what`` names it in the error."""
     try:
@@ -259,7 +279,7 @@ def _parse_kappa0(raw, vehicle: VehicleParams) -> tuple[float, ...]:
 
 def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig, dict]:
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from None
     if doc is None:

@@ -149,24 +149,27 @@ def load_curvature_table(csv_path, x0=0.0, y0=0.0, psi0=0.0) -> PathSpec:
     ``ConfigError`` it raises, the table checks of :class:`PathSpec` included,
     starts with ``csv_path``.
     """
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{csv_path}: empty curvature table") from None
-        if [h.strip() for h in header] != ["s_meters", "kappa_per_meter"]:
-            raise ConfigError(
-                f"{csv_path}: expected header 's_meters,kappa_per_meter', got {header!r}")
-        s_vals, k_vals = [], []
-        for row in reader:
-            if not row:
-                continue
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                s_vals.append(float(row[0]))
-                k_vals.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise ConfigError(f"{csv_path}: bad table row {row!r}") from None
+                header = next(reader)
+            except StopIteration:
+                raise ConfigError(f"{csv_path}: empty curvature table") from None
+            if [h.strip() for h in header] != ["s_meters", "kappa_per_meter"]:
+                raise ConfigError(
+                    f"{csv_path}: expected header 's_meters,kappa_per_meter', got {header!r}")
+            s_vals, k_vals = [], []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    s_vals.append(float(row[0]))
+                    k_vals.append(float(row[1]))
+                except (ValueError, IndexError):
+                    raise ConfigError(f"{csv_path}: bad table row {row!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{csv_path}: not UTF-8 text: {exc}") from None
     try:
         return PathSpec.sampled(s_vals, k_vals, x0, y0, psi0)
     except ConfigError as exc:

@@ -24,25 +24,27 @@ as floats; ``control`` is the same law for one state.
 A run is recorded in one row-major array with a row per step; the loop
 writes what the dynamics produce with one ``struct`` pack per row into the
 array's buffer, and the ``Trajectory`` fields are the array's columns, not
-copies. Each row also records the yaw rate held over the previous step
-(NaN on row 0), and the time column is filled after the loop. The dynamics
-never read the earth frame, so the loop does only the path-frame step and
-the control law. The pose columns ``x_A, y_A, psi`` and the earth run are
-built after it, ``POSE_SLICE_ROWS`` rows per array pass so that a long
-run's temporaries stay small:
+copies. Columns 0-12 mean the same in every frame, and the pose ``x_A, y_A,
+psi`` is always columns 10-12; only frame ``both`` appends columns 13-15
+for the earth run it keeps alongside (``earth_x``, ``earth_y``,
+``earth_psi``) for the cross-check. During the loop column 10 holds the yaw
+rate held over the previous step (NaN on row 0), and the time column is
+filled after the loop. The dynamics never read the earth frame, so the loop
+does only the path-frame step and the control law. The earth run and the
+pose are built after it, ``POSE_SLICE_ROWS`` rows per array pass so that a
+long run's temporaries stay small:
 
-- For frames ``path`` and ``both`` the pose columns are mapped by array
-  calls of ``Path.to_earth`` on the recorded ``s, e, theta`` columns; each
-  element equals the row-by-row scalar mapping bit for bit.
 - For ``earth`` and ``both`` the earth run is exact, not integrated: with
   the steering held, the rear axle circles a fixed centre and A, rigidly
   attached, circles it too. From its mapped initial pose, each step's
   body-frame chord (``bicycle._arc_chord`` over a slice of turns
   yaw_rate * dt) is rotated by the heading, and the heading and the
   positions are running sums (``np.cumsum``, which adds in sequence). Each
-  element equals the step-by-step scalar sums bit for bit. For ``earth``
-  these are the pose columns; only ``both`` keeps them alongside
-  (``earth_x``, ``earth_y``, ``earth_psi``) for the cross-check.
+  element equals the step-by-step scalar sums bit for bit. It goes to the
+  pose columns for ``earth`` and to columns 13-15 for ``both``.
+- Then for ``path`` and ``both`` the pose columns are mapped by array
+  calls of ``Path.to_earth`` on the recorded ``s, e, theta`` columns; each
+  element equals the row-by-row scalar mapping bit for bit.
 """
 
 from __future__ import annotations
@@ -281,17 +283,15 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     t_end = cfg.resolved_t_end()
     hold = 1 if cfg.control_dt is None else round(cfg.control_dt / dt)
     n = round(t_end / dt)
-    want_earth = cfg.frame != "path"
-    mapped = cfg.frame != "earth"
 
     # The run's record, one row per step of the trajectory. The loop packs
     # columns 1-10: the TRAJECTORY_COLUMNS without t, theta_hat and the pose
     # (columns 1-8), the raw feedback command (9) and the yaw rate held over
     # the previous step (10; NaN on row 0). After the loop, column 0 gets t,
-    # frames "earth" and "both" replace columns 10-12 by the earth run's
-    # pose, and frames "path" and "both" map columns 1-3 (s, e, theta) to
-    # the pose columns 13-15.
-    width = 16 if mapped else 13
+    # the earth run of frames "earth" and "both" goes to the record's last
+    # three columns, and frames "path" and "both" map columns 1-3 (s, e,
+    # theta) to the pose columns 10-12. Only "both" has columns 13-15.
+    width = 16 if cfg.frame == "both" else 13
     rec = np.empty((n + 1, width))
     buf = memoryview(rec).cast("B")
     pack = _ROW.pack_into
@@ -395,34 +395,34 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
 
     cols = rec.T
     np.multiply(np.arange(n + 1), dt, out=cols[0])
-    if want_earth:
-        _earth_pass(cols, path, dt, v * dt, offset)
-    if mapped:
+    if cfg.frame != "path":
+        _earth_pass(cols, cols[-3:], path, dt, v * dt, offset)
+    if cfg.frame != "earth":
         for lo in range(0, n + 1, POSE_SLICE_ROWS):
             rows = slice(lo, lo + POSE_SLICE_ROWS)
-            cols[13:, rows] = path.to_earth(PathState(*cols[1:4, rows]))
-    pose = cols[13:] if mapped else cols[10:13]
-    # Only "both" has a second integration to cross-check the pose columns.
-    earth = cols[10:13] if cfg.frame == "both" else (None, None, None)
-    traj = Trajectory(*cols[:5], cols[3] - cols[4], *cols[5:8], *pose, cols[8], g_sat,
-                      np.abs(cols[9]) > g_sat, *earth)
+            cols[10:13, rows] = path.to_earth(PathState(*cols[1:4, rows]))
+    # The earth fields stay None unless the record has columns 13-15.
+    traj = Trajectory(*cols[:5], cols[3] - cols[4], *cols[5:8], *cols[10:13], cols[8], g_sat,
+                      np.abs(cols[9]) > g_sat, *cols[13:])
     return traj, _metrics(traj, cfg)
 
 
-def _earth_pass(cols: np.ndarray, path, dt: float, v_dt: float, offset: float) -> None:
-    """Replace the record's yaw-rate column 10 by the earth run's pose (columns 10-12).
+def _earth_pass(cols: np.ndarray, out: np.ndarray, path, dt: float, v_dt: float,
+                offset: float) -> None:
+    """Write the earth run's pose into ``out``, three columns of the record ``cols``.
 
-    Row i + 1 holds the yaw rate held over step i. From the mapped initial
-    pose, each step rotates its body-frame chord by the heading and advances
-    the heading by yaw_rate * dt, ``POSE_SLICE_ROWS`` steps per array pass.
-    cumsum adds in sequence, so each slice resumes from the previous one's
-    last row and every element equals the step-by-step scalar sums bit for
-    bit. The chord is bounded by V*dt + 2d, so the sums stay finite.
+    Row i + 1 of the yaw-rate column 10 holds the yaw rate held over step i.
+    From the mapped initial pose, each step rotates its body-frame chord by
+    the heading and advances the heading by yaw_rate * dt,
+    ``POSE_SLICE_ROWS`` steps per array pass. ``out`` may be columns 10-12:
+    a pass overwrites only rows whose yaw rates it has read. cumsum adds in
+    sequence, so each slice resumes from the previous one's last row and
+    every element equals the step-by-step scalar sums bit for bit. The chord
+    is bounded by V*dt + 2d, so the sums stay finite.
     """
-    x, y, psi = cols[10:13]
+    x, y, psi = out
     x[0], y[0], psi[0] = path.to_earth(PathState(*cols[1:4, 0].tolist()))
     for lo in range(1, cols.shape[1], POSE_SLICE_ROWS):
-        # Column 10 still holds this slice's yaw rates; x replaces them below.
         turn = cols[10, lo:lo + POSE_SLICE_ROWS] * dt
         chord_x, chord_y = _arc_chord(turn, v_dt, offset)
         # Each sum starts from the row before the slice; the heading's gives

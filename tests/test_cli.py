@@ -196,10 +196,11 @@ def test_bad_sampled_path_exits_config(tmp_path, csv, kappa):
 @pytest.mark.parametrize("kappa, s_m, message", [
     ("nan", "0.0", "table.csv: sampled path table must hold finite numbers only"),
     ("0.002", "-10.0", "initial s=-10 outside sampled table range [0, 1000]"),
-], ids=["nan-cell-names-the-file", "started-before-its-table"])
+    ("0.002 # caf\xe9", "0.0", "table.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"),
+], ids=["nan-cell-names-the-file", "started-before-its-table", "not-utf8-names-the-file"])
 def test_bad_sampled_road_names_its_cause(tmp_path, capsys, kappa, s_m, message):
     (tmp_path / "table.csv").write_text(
-        f"s_meters,kappa_per_meter\n0.0,0.0\n500.0,{kappa}\n1000.0,0.0\n")
+        f"s_meters,kappa_per_meter\n0.0,0.0\n500.0,{kappa}\n1000.0,0.0\n", encoding="latin-1")
     config = tmp_path / "scenario.yaml"
     config.write_text(SCENARIO_YAML.replace(
         "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
@@ -286,6 +287,22 @@ def test_config_that_is_not_utf8_exits_config_and_names_the_file(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {config}: not UTF-8 text: ")
     assert "0xe9" in err and "Traceback" not in err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (SCENARIO_YAML + "control: {k1: 0.8, k2_per_m: 0.02, max_lat_accel_mps2: 4.0}\n",
+     "repeated key 'control' at line 23, column 1"),
+    (SCENARIO_YAML.replace("  k1: -0.8\n", "  k1: -0.8\n  k1: 0.8\n"),
+     "repeated key 'k1' at line 8, column 3"),
+], ids=["section", "key-in-a-section"])
+def test_repeated_key_exits_config_and_names_the_place(tmp_path, capsys, text, message):
+    # YAML alone would run with the last value given.
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "bad").exists()
 
 
