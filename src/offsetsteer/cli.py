@@ -471,6 +471,9 @@ def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) ->
 
     def render(target: FsPath):
         report = compare_controllers(cfg, variants)
+        if not report.results:
+            raise OffsetSteerError("no variant ran: " + "; ".join(
+                f"{variant}: {failure}" for variant, failure in report.failures.items()))
         names = []
         for variant, (traj, metrics) in report.results.items():
             names += [f"{variant}/{name}" for name in _write_run(target / variant, traj, metrics)]

@@ -1,9 +1,14 @@
-"""Shared fixtures: benchmark vehicle, cached closed-loop runs and a scalar
-pose oracle."""
+"""Shared fixtures: benchmark vehicle, cached closed-loop runs, a scalar pose
+oracle and a fresh interpreter."""
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -23,6 +28,30 @@ COSINE_KAPPA_MAX = 0.004 * math.pi  # [1/m]
 COSINE_PERIOD = 250.0               # [m]
 COSINE_PERIODS = 4
 CIRCLE_RADIUS = 200.0               # [m]
+
+# A seeded draw of accepted configs: between two steps at t = 3.67 s,
+# 1 - e*kappa goes from +0.0286 to -0.0125 without entering the guard band
+# of either sign; a stage of the step lands past zero and the run stops there.
+CROSSING_YAML = textwrap.dedent("""\
+    vehicle: {wheelbase_m: 2.5973408861940053, sensor_offset_m: 2.598401855734136,
+              max_steer_rad: 0.26921200171443516, speed_mps: 27.68874652414949}
+    control: {k1: 0.7688763009017605, k2_per_m: -0.2527665413467767,
+              max_lat_accel_mps2: 3.045401513543318, variant: full}
+    path: {kind: cosine, kappa_max_per_m: 0.017894875655174083,
+           period_m: 307.7529032367293, periods: 1}
+    initial: {s_m: 0.0, e_m: -0.7431503053261856, theta_rad: 1.0038152436998642}
+    sim: {dt_s: 0.002148035831934253, t_end_s: 4.2960716638685055, frame: both}
+    """)
+
+
+def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the package from this
+    checkout's ``src``, whether or not it is installed or on PATH."""
+    src = str(FsPath(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
 
 
 def benchmark_params(**overrides) -> VehicleParams:

@@ -25,6 +25,8 @@ from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              cmd_freq_response, cmd_simulate, cmd_stability_map, main,
                              parse_config, preset_text)
 
+from conftest import CROSSING_YAML, run_python
+
 SCENARIO_YAML = textwrap.dedent("""\
     vehicle:
       wheelbase_m: 2.57
@@ -196,8 +198,10 @@ def test_bad_sampled_path_exits_config(tmp_path, csv, kappa):
 @pytest.mark.parametrize("kappa, s_m, message", [
     ("nan", "0.0", "table.csv: sampled path table must hold finite numbers only"),
     ("0.002", "-10.0", "initial s=-10 outside sampled table range [0, 1000]"),
+    ("0.002", "1100.0", "initial s=1100 outside sampled table range [0, 1000]"),
     ("0.002 # caf\xe9", "0.0", "table.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"),
-], ids=["nan-cell-names-the-file", "started-before-its-table", "not-utf8-names-the-file"])
+], ids=["nan-cell-names-the-file", "started-before-its-table", "started-past-its-table",
+        "not-utf8-names-the-file"])
 def test_bad_sampled_road_names_its_cause(tmp_path, capsys, kappa, s_m, message):
     (tmp_path / "table.csv").write_text(
         f"s_meters,kappa_per_meter\n0.0,0.0\n500.0,{kappa}\n1000.0,0.0\n", encoding="latin-1")
@@ -208,7 +212,8 @@ def test_bad_sampled_road_names_its_cause(tmp_path, capsys, kappa, s_m, message)
         "  kind: sampled\n  csv: table.csv").replace("s_m: 0.0", f"s_m: {s_m}"))
     assert main(["simulate", "--config", str(config),
                  "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "bad").exists()
 
 
@@ -499,6 +504,32 @@ def test_compare_repeated_variant_exits_config(tmp_path, tail, flags):
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("path, e_m, failed", [
+    # From e = -pi/k2 on a straight road the linear law commands 2.51 rad,
+    # beyond pi/2, while the full law's bounded feedback runs.
+    ("  kind: straight", "-157.07963267948966", ["linear"]),
+    # On a 1.5 m circle |d*kappa| > 1 for the 2 m offset: neither law runs.
+    ("  kind: circular\n  radius_m: 1.5", "-10.0", ["full", "linear"]),
+], ids=["one-ran", "none-ran"])
+def test_compare_exits_domain_only_when_no_variant_ran(tmp_path, capsys, path, e_m, failed):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
+        "  period_m: 250.0\n  periods: 4", path).replace("e_m: -10.0", f"e_m: {e_m}")
+        + "variants: [full, linear]\n")
+    out = tmp_path / "bad" / "cmp"
+    code = main(["compare", "--config", str(config), "--out", str(out)])
+    if failed == ["full", "linear"]:
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: no variant ran: ")
+        assert all(f"{variant}: DomainError: path untrackable" in err for variant in failed)
+        assert not (tmp_path / "bad").exists()
+    else:
+        assert code == EXIT_OK
+        assert list(json.loads((out / "failures.json").read_text())) == failed
+
+
 def test_text_tables_match_a_percent_reference_byte_for_byte(tmp_path, monkeypatch):
     # metrics.txt and deltas.csv mix text and numbers: a text field as it is,
     # a number as '%.17g' writes it.
@@ -700,14 +731,20 @@ def test_exit_code_domain_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == EXIT_DOMAIN
 
 
-def test_start_past_the_curvature_centre_exits_domain_and_leaves_no_output(tmp_path, capsys):
-    # On a 200 m circle, e = 250 m starts beyond the centre: 1 - e*kappa = -0.25.
+@pytest.mark.parametrize("text, message", [
+    # On a 200 m circle, e = 250 m starts beyond the centre.
+    (UNTRACKABLE_YAML.replace("radius_m: 1.5", "radius_m: 200.0")
+     .replace("e_m: -10.0", "e_m: 250.0"), "1 - e*kappa = -0.25 at s=0 (at t=0 s, s=0 m)"),
+    (CROSSING_YAML, "1 - e*kappa = -0.0487 at s=104.205 (at t=3.67099 s, s=97.964 m)"),
+], ids=["from-the-start", "between-two-steps"])
+def test_run_past_the_curvature_centre_exits_domain_and_leaves_no_output(tmp_path, capsys,
+                                                                        text, message):
     config = tmp_path / "past_centre.yaml"
-    config.write_text(UNTRACKABLE_YAML.replace("radius_m: 1.5", "radius_m: 200.0")
-                      .replace("e_m: -10.0", "e_m: 250.0"))
+    config.write_text(text)
     assert main(["simulate", "--config", str(config),
                  "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
-    assert "1 - e*kappa = -0.25 at s=0 (at t=0 s, s=0 m)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: curvature-center singularity: ") and message in err
     assert not (tmp_path / "bad").exists()
 
 
@@ -751,3 +788,36 @@ def test_step_longer_than_the_default_horizon_exits_config(tmp_path, capsys, arg
 def test_exit_code_io_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path / "out")]) == EXIT_IO
+
+
+UNBOUNDED_YAML = textwrap.dedent("""\
+    vehicle: {wheelbase_m: 2.57, sensor_offset_m: 2.0, max_steer_deg: 30.0, speed_mps: 20.0}
+    gains: [{k1: 0.0, k2_per_m: 0.02}]
+    kappa0_per_m: [0.05]
+    """)
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    # k1 = 0 at kappa0 != 0: M is inf at the undamped peak, which the default grid holds.
+    (["freq-response", "--config", "config.yaml"], UNBOUNDED_YAML, EXIT_OK,
+     "WARNING offsetsteer.analysis: amplification unbounded at kappa0=0.05"),
+    (["simulate", "--config", "config.yaml"],
+     SCENARIO_YAML.replace("  max_steer_deg: 30.0", "  max_steer_deg: [30.0"), EXIT_CONFIG,
+     "config error: malformed YAML: "),
+    (["simulate", "--config", "config.yaml"], CROSSING_YAML, EXIT_DOMAIN,
+     "domain error: curvature-center singularity: "),
+    (["simulate", "--config", "missing.yaml"], None, EXIT_IO, "i/o error: "),
+    (["figs-repro", "--dt", "1000"], None, EXIT_CONFIG,
+     "config error: t_end must be finite and exceed dt (1000.0), got 30.0"),
+], ids=["unbounded-response", "malformed-yaml", "crossing", "missing-config", "step-past-horizon"])
+def test_each_exit_path_through_a_fresh_interpreter(tmp_path, argv, text, code, message):
+    # The process boundary: the status a process returns, stderr as logging and
+    # main write it, and the --out cleanup. `-m offsetsteer.cli` exits with
+    # main()'s status, as the console script does.
+    if text is not None:
+        (tmp_path / "config.yaml").write_text(text)
+    proc = run_python("-m", "offsetsteer.cli", *argv, "--out", "bad/out", cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "bad").exists() == (code == EXIT_OK)

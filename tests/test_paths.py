@@ -1,11 +1,8 @@
 """Reference-path construction, curvature profiles, and frame transforms."""
 
 import math
-import os
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -18,7 +15,7 @@ from offsetsteer import (ConfigError, DomainError, PathSpec,
 from offsetsteer.paths import POSE_GRID_CHUNK
 
 from conftest import (COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS,
-                      reference_pose, reference_to_earth)
+                      reference_pose, reference_to_earth, run_python)
 
 
 # -- curvature profiles ----------------------------------------------------
@@ -139,11 +136,7 @@ def test_scipy_is_loaded_only_for_sampled_roads():
             "path = build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 0.01, 0.0]))\n"
             "assert path.curvature(10.0) == 0.01\n"
             "assert 'scipy' in sys.modules\n")
-    src = str(FsPath(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 

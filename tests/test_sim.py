@@ -24,8 +24,8 @@ from offsetsteer.paths import POSE_GRID_CHUNK, Path
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
 from conftest import (CIRCLE_RADIUS, COSINE_KAPPA_MAX, COSINE_PERIOD,
-                      COSINE_PERIODS, K2, benchmark_control, benchmark_params,
-                      cosine_spec, make_scenario, reference_to_earth)
+                      COSINE_PERIODS, CROSSING_YAML, K2, benchmark_control,
+                      benchmark_params, cosine_spec, make_scenario, reference_to_earth)
 
 
 # -- integrator ----------------------------------------------------------------
@@ -200,16 +200,26 @@ def test_frame_heading_gap_is_the_row_by_row_maximum(cfg):
     assert traj.frame_mismatch()[1] == row_by_row
 
 
-def test_only_both_frames_cross_check():
+@pytest.mark.parametrize("cfg", [
+    make_scenario(cosine_spec(), dt=0.01, t_end=10.0),
+    replace(parse_config(preset_text("circular_compare")), t_end=10.0),
+], ids=["cosine", "circular_compare"])
+def test_only_both_frames_cross_check(cfg):
     # With frame "earth" the pose columns are the earth integration itself,
-    # so there is no second integration to compare them with.
-    cfg = make_scenario(cosine_spec(), dt=0.01, t_end=10.0)
-    both, _ = run_scenario(cfg)
+    # so there is no second integration to compare them with; frame "path"
+    # maps the same path-frame run as "both". So the two single-frame runs
+    # differ by the gap that "both" reports.
+    both, _ = run_scenario(replace(cfg, frame="both"))
     earth, _ = run_scenario(replace(cfg, frame="earth"))
-    assert both.frame_mismatch()[0] > 0.0
-    assert earth.frame_mismatch() is None
+    path, _ = run_scenario(replace(cfg, frame="path"))
+    assert 0.0 < both.frame_mismatch()[0] <= 1e-6
+    assert earth.frame_mismatch() is None and path.frame_mismatch() is None
+    assert earth.t.size == path.t.size == round(cfg.t_end / cfg.dt) + 1
     assert np.array_equal(earth.x_a, both.earth_x)
+    assert np.array_equal(earth.y_a, both.earth_y)
     assert np.array_equal(earth.psi, both.earth_psi)
+    assert np.array_equal(path.x_a, both.x_a)
+    assert np.array_equal(path.y_a, both.y_a)
 
 
 def _reference_arc(estate, steer: float, params, dt: float) -> tuple[float, float, float]:
@@ -668,22 +678,12 @@ def test_singularity_abort():
 
 
 def test_step_across_the_curvature_centre_raises():
-    # A seeded draw of accepted configs: between two steps at t = 3.67 s,
-    # 1 - e*kappa goes from +0.0286 to -0.0125 without entering the guard band
-    # of either sign. A guard on |1 - e*kappa| let the run go on to -0.394 and
-    # a 15.6 m gap between the frames; the crossing is caught at a stage.
-    cfg = ScenarioConfig(
-        path_spec=PathSpec.cosine(0.017894875655174083, 307.7529032367293, 1),
-        vehicle=VehicleParams(wheelbase=2.5973408861940053, sensor_offset=2.598401855734136,
-                              max_steer=0.26921200171443516, speed=27.68874652414949),
-        control=ControlConfig(k1=0.7688763009017605, k2=-0.2527665413467767,
-                              max_lat_accel=3.045401513543318, variant="full"),
-        initial=PathState(0.0, -0.7431503053261856, 1.0038152436998642),
-        dt=0.002148035831934253, t_end=4.2960716638685055, frame="both")
+    # A guard on |1 - e*kappa| let this run go on to -0.394 and a 15.6 m gap
+    # between the frames; the crossing is caught at a stage.
     message = ("curvature-center singularity: 1 - e*kappa = -0.0487 at s=104.205 "
                "(at t=3.67099 s, s=97.964 m)")
     with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
-        run_scenario(cfg)
+        run_scenario(parse_config(CROSSING_YAML))
 
 
 @pytest.mark.parametrize("e, denom", [(200.0, "0"), (250.0, "-0.25")])
