@@ -12,12 +12,14 @@ exactly the bytes ``'%.17g'`` gives, a few thousand values per call.
 does not handle itself. A whole number, such as an index or a 0/1 flag, is
 written as ``'%d'`` would write it.
 
-The encoder builds one 32-byte record per value and then joins the records
-into lines. :func:`write_columns` takes columns that broadcast together, one
-row per element of their broadcast shape: a grid axis (a column with fewer
-elements than the table) has each of its elements encoded once, a bool
-column has the records of 0 and 1, and each row gathers their records;
-only the other columns are encoded row by row.
+The encoder builds one 32-byte record per value, NUL-padded, and a line is
+its row's bytes with every NUL deleted. :func:`write_columns` takes columns
+that broadcast together, one row per element of their broadcast shape. A
+column whose values come from a small table, a grid axis (a column with
+fewer elements than the table) or a bool column (the values 0 and 1), has
+each table value encoded once into a narrow field: its text left-aligned,
+then the separator, padded to the longest. Each row gathers those fields;
+only the other ("dense") columns are encoded row by row, into records.
 
 Only tables with text columns (:func:`write_rows`) format line by line:
 a text field as it is, any other field with ``'%.17g'``.
@@ -40,11 +42,6 @@ _NUMBER = "%.17g"
 # the table's length.
 CHUNK_VALUES = 3328
 
-# One 32-byte record of the encoder as a single element, so that a gather
-# copies whole records.
-_RECORD = np.dtype("V32")
-
-
 def write_rows(path, header, rows, sep: str = ",") -> None:
     """Stream ``rows`` (an iterable of tuples) to ``path``, one line each.
 
@@ -63,52 +60,59 @@ def write_columns(path, header, columns) -> None:
     """Write ``columns`` as float64 number columns (a bool column as 0 and 1).
 
     The columns are arrays that broadcast together; the rows are the elements
-    of their broadcast shape in C order. A column with fewer elements than
-    the table (a grid axis) has its own elements encoded once, and a bool
-    column the two values 0 and 1; each row gathers those records. The other
-    ("dense") columns go through the encoder, :data:`CHUNK_VALUES` values per
-    call. A table of dense columns only is written with one :func:`encode_rows`
-    call per chunk.
+    of their broadcast shape in C order. A column whose values come from a
+    small table is gathered: a grid axis (a column with fewer elements than
+    the table) from its own elements, indexed by each row's place along it,
+    and a bool column from the values 0 and 1, indexed by the flag itself.
+    Each table value is encoded once, and a gathered column's field is as
+    wide as its longest text plus the separator. The other ("dense") columns
+    go through the encoder, :data:`CHUNK_VALUES` values per call, one 32-byte
+    record each. A table of dense columns only is written with one
+    :func:`encode_rows` call per chunk.
     """
     columns = [np.asarray(column) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
     n = math.prod(shape)
-    dense, axes, flags = [], [], []
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    dense, gathered = [], []
     for j, column in enumerate(columns):
         if column.size < n:
-            # A row's element of the axis is sum(coordinate * step) over the table's axes.
-            index = np.arange(column.size).reshape(column.shape)
-            steps = [step // index.itemsize for step in np.broadcast_to(index, shape).strides]
-            axes.append((j, _record_table(column.reshape(-1)), steps))
+            values, index = column.reshape(-1), np.arange(column.size).reshape(column.shape)
         elif column.dtype == bool:
-            flags.append((j, column.reshape(-1).view(np.uint8)))
+            values, index = np.array([0.0, 1.0]), np.ascontiguousarray(column).view(np.uint8)
         else:
             dense.append((j, column.reshape(-1)))
+            continue
+        # A row's entry of ``index`` is its element sum(coordinate * step).
+        steps = [step // index.itemsize for step in np.broadcast_to(index, shape).strides]
+        gathered.append((j, _fields(values, seps[j]), index.reshape(-1), steps))
     chunk = CHUNK_VALUES // max(len(dense), 1)
     block = np.empty((min(n, chunk), len(dense)))
-    if axes or flags:
-        records = np.empty((len(block), len(columns)), _RECORD)
-        bits = _record_table(np.array([0.0, 1.0]))
+    if gathered:
+        formats = ["V32"] * len(columns)
+        for j, fields, _, _ in gathered:
+            formats[j] = fields.dtype
+        lines = np.empty(len(block), [(f"c{j}", f) for j, f in enumerate(formats)])
+        dense_seps = np.array([seps[j][0] for j, _ in dense], np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, chunk):
             rows = block[:min(chunk, n - lo)]
             for k, (_, column) in enumerate(dense):
                 rows[:, k] = column[lo:lo + chunk]
-            if not (axes or flags):
+            if not gathered:
                 fh.write(encode_rows(rows))
                 continue
-            out = records[:len(rows)]
+            out = lines[:len(rows)]
             if dense:
-                encoded = _encode(rows.reshape(-1)).view(_RECORD)
-                out[:, [j for j, _ in dense]] = encoded.reshape(rows.shape)
-            if axes:
-                where = np.unravel_index(np.arange(lo, lo + len(rows)), shape)
-            for j, source, steps in axes:
-                out[:, j] = source[sum(at * step for at, step in zip(where, steps) if step)]
-            for j, flag in flags:
-                out[:, j] = bits[flag[lo:lo + chunk]]
-            fh.write(_join(out.view(np.uint8), len(columns)))
+                records = _encode(rows.reshape(-1)).reshape(len(rows), len(dense), 32)
+                records[:, :, 31] = dense_seps
+                for k, (j, _) in enumerate(dense):
+                    out[f"c{j}"] = records[:, k].view("V32")[:, 0]
+            where = np.unravel_index(np.arange(lo, lo + len(rows)), shape)
+            for j, fields, index, steps in gathered:
+                out[f"c{j}"] = fields[index[sum(at * step for at, step in zip(where, steps) if step)]]
+            fh.write(out.tobytes().translate(None, b"\0"))
 
 
 def write_json(path, data) -> None:
@@ -141,7 +145,9 @@ def write_json(path, data) -> None:
 # byte, at 8-24 ("right"). A layout, picked by (E class, number of digits,
 # sign), is a mask that keeps the left digits before the point and the right
 # ones after it, plus its constant bytes. The records are compacted by
-# deleting every NUL.
+# deleting every NUL. Only dense columns keep these records in a row; the
+# narrow field of a gathered column holds a record's bytes with the NULs
+# already deleted.
 
 _LOW, _HIGH = 1e-250, 1e250
 _TIE = 1e-6
@@ -273,11 +279,13 @@ def _join(records, cols: int) -> bytes:
     return records.tobytes().translate(None, b"\0")
 
 
-def _record_table(x) -> np.ndarray:
-    """The records of the 1-D ``x``, one :data:`_RECORD` each, encoded
+def _fields(x, sep: bytes) -> np.ndarray:
+    """The texts of the 1-D ``x``, each followed by ``sep``, as one ``S<width>``
+    array: left-aligned and NUL-padded to the longest. Encoded
     :data:`CHUNK_VALUES` values per call."""
-    return np.concatenate([_encode(x[lo:lo + CHUNK_VALUES]).view(_RECORD)[:, 0]
-                           for lo in range(0, x.size, CHUNK_VALUES)])
+    records = np.concatenate([_encode(x[lo:lo + CHUNK_VALUES])
+                              for lo in range(0, x.size, CHUNK_VALUES)])
+    return np.array([record.tobytes().translate(None, b"\0") + sep for record in records])
 
 
 def _encode(x) -> np.ndarray:

@@ -273,7 +273,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     Raises:
         DomainError: the path curvature is untrackable for the sensor offset.
         SingularityError: the state neared or crossed the curvature-center circle.
-        Either ends with the failing step's "(at t=..., s=...)".
+        OffsetSteerError: a stage rate overflowed ("integration diverged").
+        Each ends with the failing step's "(at t=..., s=...)".
     """
     path = build_path(cfg.path_spec)
     params = cfg.vehicle
@@ -305,7 +306,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     law = _law(ctl, params)
     singular_denom = SINGULAR_DENOM
     isfinite = math.isfinite
-    cos, sin = math.cos, math.sin
+    cos, sin, pi = math.cos, math.sin, math.pi
     s, e, theta = cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0)
     yaw_rate = math.nan
 
@@ -385,11 +386,19 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             s, e, theta = (s + dt * (a_s + 2.0 * b_s + 2.0 * c_s + d_s) / 6.0,
                            e + dt * (a_e + 2.0 * b_e + 2.0 * c_e + d_e) / 6.0,
                            theta + dt * (a_t + 2.0 * b_t + 2.0 * c_t + d_t) / 6.0)
-            if not (isfinite(s) and isfinite(e) and isfinite(theta)):
+            # The sum is not finite when one of the three is not (a sum that
+            # only overflowed passes _check_finite); inside [-pi, pi) the
+            # wrap returns theta itself.
+            if not isfinite(s + e + theta):
                 _check_finite(s, e, theta)
-            theta = wrap_angle_error(theta, 0.0)
+            if not -pi <= theta < pi:
+                theta = wrap_angle_error(theta, 0.0)
     except (DomainError, SingularityError) as exc:
         raise type(exc)(f"{exc} (at t={i * dt:.6g} s, s={s:.6g} m)") from exc
+    except ValueError as exc:
+        # math.cos and math.sin raise it for an infinite angle only: a stage rate overflowed.
+        raise OffsetSteerError(f"integration diverged: a stage rate overflowed ({exc}) "
+                               f"(at t={i * dt:.6g} s, s={s:.6g} m)") from exc
     finally:
         buf.release()
 

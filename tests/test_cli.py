@@ -748,6 +748,20 @@ def test_run_past_the_curvature_centre_exits_domain_and_leaves_no_output(tmp_pat
     assert not (tmp_path / "bad").exists()
 
 
+def test_stage_rate_overflow_exits_domain_and_leaves_no_output(tmp_path, capsys):
+    # On a 1e-307 m circle a rate overflows inside the first step.
+    config = tmp_path / "tiny_circle.yaml"
+    config.write_text(preset_text("circular_compare")
+                      .replace("sensor_offset_m: 2.0", "sensor_offset_m: 0.0")
+                      .replace("radius_m: 200.0", "radius_m: 1.0e-307")
+                      .replace("e_m: -10.0", "e_m: 0.0"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration diverged: ") and "(at t=0 s, s=0 m)" in err
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("existing", ["", "runs", "runs/out"], ids=["none", "parent", "out"])
 def test_failed_run_removes_only_the_directories_it_made(tmp_path, existing):
     config = tmp_path / "tight.yaml"

@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy.integrate import trapezoid
 from scipy.interpolate import PchipInterpolator
 
 from offsetsteer import (ConfigError, DomainError, PathSpec,
@@ -381,8 +382,8 @@ def test_pose_positions_match_quadrature_of_heading():
     s_hi = 500.0
     grid = np.linspace(0.0, s_hi, 200001)
     psis = path.pose(grid)[2]
-    x = np.trapezoid(np.cos(psis), grid)
-    y = np.trapezoid(np.sin(psis), grid)
+    x = trapezoid(np.cos(psis), grid)
+    y = trapezoid(np.sin(psis), grid)
     xe, ye, _ = path.pose(s_hi)
     assert xe == pytest.approx(x, abs=1e-6)
     assert ye == pytest.approx(y, abs=1e-6)
@@ -485,6 +486,15 @@ def test_wrap_angle_error_basics():
 def test_wrap_angle_error_in_range(psi, psi_d):
     wrapped = wrap_angle_error(psi, psi_d)
     assert -math.pi <= wrapped < math.pi
+
+
+@given(st.floats(-math.pi, math.pi, exclude_max=True))
+@example(-math.pi)
+@example(-0.0)
+@example(math.nextafter(math.pi, 0.0))
+def test_wrap_angle_error_keeps_an_angle_in_range_bit_for_bit(theta):
+    # The simulation loop calls the wrap only for a theta outside [-pi, pi).
+    assert wrap_angle_error(theta, 0.0).hex() == theta.hex()
 
 
 @given(st.floats(-10.0, 10.0), st.integers(-5, 5))

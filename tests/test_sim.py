@@ -712,6 +712,22 @@ def test_stage_singularity_reports_the_stage_and_the_step(stage, s_stage, monkey
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("radius, offset", [(1e-307, 0.0), (1e-308, 0.0), (1e-308, 1e-320)])
+def test_stage_rate_overflow_reports_divergence_and_the_step(radius, offset):
+    # On a circle this tight, kappa * a_s overflows to -inf inside the first
+    # step, before the finiteness check at its end, and math.cos refuses the
+    # stage's angle. The run and each compared variant report it as divergence.
+    cfg = replace(make_scenario(PathSpec.circular(radius), t_end=1.0,
+                                initial=PathState(0.0, 0.0, 0.0)),
+                  vehicle=benchmark_params(sensor_offset=offset))
+    message = "integration diverged: a stage rate overflowed (math domain error) (at t=0 s, s=0 m)"
+    with pytest.raises(OffsetSteerError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg)
+    report = compare_controllers(cfg, ("naive", "full"))
+    assert report.failures == {variant: f"OffsetSteerError: {message}"
+                               for variant in ("naive", "full")}
+
+
 # -- metrics -----------------------------------------------------------------------
 
 def test_settling_time_definition(runs):

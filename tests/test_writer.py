@@ -95,7 +95,17 @@ _RNG = np.random.default_rng(3)
     (np.array([1.0, 2.0, 3.0])[:, None], np.array([-0.5, 0.5])),
     # A single row.
     (np.float64(2.5), np.array(True), np.array([[-0.0]]), np.array([1e300])),
-], ids=["broadcast-axis", "broadcast-bool", "axes-only", "single-row"])
+    # A flag, then an axis, as the last column: the newline ends a narrow field.
+    (_RNG.normal(size=(4, 5)), np.arange(5.0), _RNG.random((4, 5)) < 0.5),
+    (_RNG.normal(size=(3, 4)), np.array([2.0, -0.5, 1e-3])[:, None]),
+    # An axis whose fields hold from "0," to "-1.2345678901234568e-300,".
+    (np.array([0.0, -1.2345678901234567e-300, np.nan, 7.5, -np.inf])[:, None],
+     _RNG.normal(size=(5, 2))),
+    # Flags and axes only: no column is encoded row by row.
+    (np.array([0.5, -3.0])[:, None], _RNG.random((2, 3)) < 0.5, np.array([1e-5, 2.0, 3.0]),
+     np.array([[True, False, True], [False, False, True]])),
+], ids=["broadcast-axis", "broadcast-bool", "axes-only", "single-row", "flag-last", "axis-last",
+        "axis-text-widths", "flags-and-axes"])
 def test_write_columns_writes_the_broadcast_table(tmp_path, columns):
     path = tmp_path / "t.csv"
     header = [f"c{j}" for j in range(len(columns))]
