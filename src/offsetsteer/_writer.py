@@ -4,22 +4,24 @@ Numbers are written with 17 significant digits, enough for every double to
 read back exactly, so one format serves lossless re-reading and byte-wise
 determinism checks alike. That format is ``_NUMBER``, ``'%.17g'``.
 
-Every table that holds only numbers (:func:`write_columns`: trajectories,
-stability maps, frequency responses and the CLI's point and sweep tables)
-goes through the array encoder behind :func:`encode_rows`, which yields
-exactly the bytes ``'%.17g'`` gives, a few thousand values per call.
-``'%.17g'`` is its oracle in the tests and its fallback for the values it
-does not handle itself. A whole number, such as an index or a 0/1 flag, is
-written as ``'%d'`` would write it.
+Every table that holds only numbers (trajectories, stability maps,
+frequency responses and the CLI's point and sweep tables) is written by
+:func:`write_columns` through an array encoder that yields exactly the
+bytes ``'%.17g'`` gives, a few thousand values per call. ``'%.17g'`` is its
+oracle in the tests and its fallback for the values it does not handle
+itself. A whole number, such as an index or a 0/1 flag, is written as
+``'%d'`` would write it.
 
 The encoder builds one 32-byte record per value, NUL-padded, and a line is
-its row's bytes with every NUL deleted. :func:`write_columns` takes columns
-that broadcast together, one row per element of their broadcast shape. A
-column whose values come from a small table, a grid axis (a column with
-fewer elements than the table) or a bool column (the values 0 and 1), has
-each table value encoded once into a narrow field: its text left-aligned,
-then the separator, padded to the longest. Each row gathers those fields;
-only the other ("dense") columns are encoded row by row, into records.
+its row's bytes with every NUL deleted. :func:`write_columns` writes every
+table with one loop body, one row per element of its columns' broadcast
+shape. A column whose values come from a small table, a grid axis (a column
+with fewer elements than the table) or a bool column (the values 0 and 1),
+has each table value encoded once into a narrow field: its text
+left-aligned, then the separator, padded to the longest. Only the other
+("dense") columns are encoded row by row, into records. A dense-only
+table's records are its rows; a structured row of records and fields is
+built only when a column is gathered.
 
 Only tables with text columns (:func:`write_rows`) format line by line:
 a text field as it is, any other field with ``'%.17g'``.
@@ -67,8 +69,8 @@ def write_columns(path, header, columns) -> None:
     Each table value is encoded once, and a gathered column's field is as
     wide as its longest text plus the separator. The other ("dense") columns
     go through the encoder, :data:`CHUNK_VALUES` values per call, one 32-byte
-    record each. A table of dense columns only is written with one
-    :func:`encode_rows` call per chunk.
+    record each, its separator in byte 31. A dense-only table's records are
+    its rows; a structured row is built only when a column is gathered.
     """
     columns = [np.asarray(column) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
@@ -88,31 +90,30 @@ def write_columns(path, header, columns) -> None:
         gathered.append((j, _fields(values, seps[j]), index.reshape(-1), steps))
     chunk = CHUNK_VALUES // max(len(dense), 1)
     block = np.empty((min(n, chunk), len(dense)))
+    dense_seps = np.array([seps[j][0] for j, _ in dense], np.uint8)
     if gathered:
         formats = ["V32"] * len(columns)
         for j, fields, _, _ in gathered:
             formats[j] = fields.dtype
         lines = np.empty(len(block), [(f"c{j}", f) for j, f in enumerate(formats)])
-        dense_seps = np.array([seps[j][0] for j, _ in dense], np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, chunk):
             rows = block[:min(chunk, n - lo)]
             for k, (_, column) in enumerate(dense):
                 rows[:, k] = column[lo:lo + chunk]
-            if not gathered:
-                fh.write(encode_rows(rows))
-                continue
-            out = lines[:len(rows)]
-            if dense:
-                records = _encode(rows.reshape(-1)).reshape(len(rows), len(dense), 32)
-                records[:, :, 31] = dense_seps
+            records = _encode(rows.reshape(-1)).reshape(len(rows), len(dense), 32)
+            records[:, :, 31] = dense_seps
+            if gathered:
+                out = lines[:len(rows)]
                 for k, (j, _) in enumerate(dense):
                     out[f"c{j}"] = records[:, k].view("V32")[:, 0]
-            where = np.unravel_index(np.arange(lo, lo + len(rows)), shape)
-            for j, fields, index, steps in gathered:
-                out[f"c{j}"] = fields[index[sum(at * step for at, step in zip(where, steps) if step)]]
-            fh.write(out.tobytes().translate(None, b"\0"))
+                where = np.unravel_index(np.arange(lo, lo + len(rows)), shape)
+                for j, fields, index, steps in gathered:
+                    out[f"c{j}"] = fields[index[sum(at * step for at, step in zip(where, steps) if step)]]
+                records = out
+            fh.write(records.tobytes().translate(None, b"\0"))
+            del records  # freed before the next chunk's encoder temporaries peak
 
 
 def write_json(path, data) -> None:
@@ -264,21 +265,6 @@ def _significand(a, tables: _Tables):
     return num, e, tie
 
 
-def encode_rows(table) -> bytes:
-    """The rows of the 2-D float64 ``table`` as CSV lines, each exactly
-    ``",".join("%.17g" % v for v in row) + "\\n"``."""
-    return _join(_encode(table.reshape(-1)), table.shape[1])
-
-
-def _join(records, cols: int) -> bytes:
-    """CSV lines of rows of ``cols`` records: each record ends in its separator,
-    ',' or a newline after the last column, and every NUL is deleted."""
-    seps = np.full(cols, ord(","), np.uint8)
-    seps[-1] = ord("\n")
-    records.reshape(-1, cols, 32)[:, :, 31] = seps
-    return records.tobytes().translate(None, b"\0")
-
-
 def _fields(x, sep: bytes) -> np.ndarray:
     """The texts of the 1-D ``x``, each followed by ``sep``, as one ``S<width>``
     array: left-aligned and NUL-padded to the longest. Encoded
@@ -290,7 +276,8 @@ def _fields(x, sep: bytes) -> np.ndarray:
 
 def _encode(x) -> np.ndarray:
     """The (n, 32) uint8 records of the n values of the 1-D ``x``, each
-    ``'%.17g' % v`` padded with NULs; the separator byte 31 is NUL."""
+    ``'%.17g' % v`` padded with NULs; the separator byte 31 is NUL. An empty
+    ``x`` gives a (0, 32) array."""
     tables = _tables()
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
@@ -320,7 +307,7 @@ def _encode(x) -> np.ndarray:
     for i, group in enumerate(groups):
         left32[:, 2 + i] = tables.quads[group]
     right = np.empty_like(records)
-    right.ravel()[0] = 0
+    right.ravel()[:1] = 0
     right.ravel()[1:] = records.ravel()[:-1]
     words = records.view(np.uint64)
     words &= np.take(tables.keep_left, layout, axis=0)

@@ -38,9 +38,10 @@ class VehicleParams:
             raise ConfigError(f"wheelbase must be positive and finite, got {self.wheelbase}")
         if not -math.inf < self.sensor_offset < math.inf:
             raise ConfigError(f"sensor_offset must be finite, got {self.sensor_offset}")
-        if not 0.0 < self.speed < math.inf:
+        # V**2 enters the comfort bound, lambda4 and the lateral acceleration.
+        if not (self.speed > 0.0 and self.speed * self.speed < math.inf):
             raise ConfigError(
-                f"speed must be positive and finite (forward motion), got {self.speed}")
+                f"speed must be positive (forward motion) with a finite square, got {self.speed}")
         if not 0.0 < self.max_steer < _HALF_PI:
             raise ConfigError(f"max_steer must lie in (0, pi/2), got {self.max_steer}")
 

@@ -33,7 +33,7 @@ from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, k
 from .bicycle import VehicleParams
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import PathSpec, PathState, load_curvature_table
-from .sim import (ScenarioConfig, _distinct_variants, compare_controllers, run_scenario,
+from .sim import (ScenarioConfig, compare_controllers, run_scenario,
                   write_metrics, write_trajectory_csv)
 from .steering import (ControlConfig, VARIANTS, desired_heading, desired_yaw_error,
                        feedforward_error, max_allowable_steer, wrapper)
@@ -466,8 +466,7 @@ def cmd_simulate(config_path, out_dir, dt=None, variant=None, seedless=False) ->
 def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) -> RunManifest:
     started = time.perf_counter()
     cfg, extras, digests = _load(config_path, ScenarioConfig, dt)
-    # Checked before the output directory is made, so a rejected list leaves none.
-    variants = _distinct_variants(variants or extras["variants"] or ("naive", "full"))
+    variants = variants or extras["variants"] or ("naive", "full")
 
     def render(target: FsPath):
         report = compare_controllers(cfg, variants)

@@ -120,7 +120,8 @@ class PathSpec:
                 raise ConfigError("sampled path table needs at least two rows")
             if not (np.all(np.isfinite(self.table_s)) and np.all(np.isfinite(self.table_kappa))):
                 raise ConfigError("sampled path table must hold finite numbers only")
-            if not np.all(np.diff(self.table_s) > 0.0):
+            s = np.asarray(self.table_s)
+            if not np.all(s[1:] > s[:-1]):
                 raise ConfigError("sampled path table must be strictly increasing in s")
         elif self.kind != "straight":
             raise ConfigError(f"unknown path kind {self.kind!r}")

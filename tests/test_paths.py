@@ -76,6 +76,14 @@ def test_sampled_table_must_be_finite(bad):
         PathSpec.sampled([0.0, bad, 1000.0], [0.0, 0.0, 0.0])
 
 
+def test_sampled_table_spanning_most_doubles_checks_its_order_without_a_warning(recwarn):
+    # The difference of its two arc lengths overflows; comparing them does not.
+    assert PathSpec.sampled([-1e308, 1e308], [0.0, 0.0]).table_s == (-1e308, 1e308)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        PathSpec.sampled([1e308, -1e308], [0.0, 0.0])
+    assert not recwarn.list
+
+
 def test_sampled_tracks_its_source_profile():
     # Tabulate the cosine profile on a 1 m grid; the interpolant must stay
     # close to the analytic curve between the knots.

@@ -481,7 +481,6 @@ def _scalar_earth_run(traj, cfg: ScenarioConfig) -> np.ndarray:
 # Runs of 2 * POSE_SLICE_ROWS + 37 steps, so that two slices carry their
 # last row into the next: the circle with the steering held for 10 steps,
 # and the straight road from the path, where every turn is 0.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("frame", ["earth", "both"])
 @pytest.mark.parametrize("road, control_dt, initial", [
     (PathSpec.circular(CIRCLE_RADIUS), 1e-2, PathState(0.0, -10.0, 0.0)),

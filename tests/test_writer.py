@@ -14,12 +14,19 @@ def _reference(table):
                    for row in table.tolist()).encode()
 
 
-def _assert_encodes_like_reference(values, cols):
+def _written(path, columns):
+    """The rows ``write_columns`` writes for ``columns``, header stripped."""
+    _writer.write_columns(path, [f"c{j}" for j in range(len(columns))], columns)
+    header, rows = path.read_bytes().split(b"\n", 1)
+    assert header == b",".join(b"c%d" % j for j in range(len(columns)))
+    return rows
+
+
+def _assert_encodes_like_reference(path, values, cols):
     values = np.asarray(values, dtype=float)
     values = np.concatenate([values, np.zeros(-values.size % cols)])
     table = values.reshape(-1, cols)
-    rows = _writer.CHUNK_VALUES // cols
-    got = b"".join(_writer.encode_rows(table[lo:lo + rows]) for lo in range(0, len(table), rows))
+    got = _written(path, list(table.T))
     want = _reference(table)
     if got != want:
         pairs = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
@@ -46,37 +53,36 @@ _EDGES = [
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_encoder_matches_percent_17g_on_random_bit_patterns():
+def test_encoder_matches_percent_17g_on_random_bit_patterns(tmp_path):
     rng = np.random.default_rng(20)
     bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
     # Uniform bit patterns reach every binary exponent, NaNs and subnormals included.
     exponents = (bits >> np.uint64(52)) & np.uint64(0x7FF)
     assert np.unique(exponents).size == 2048
-    _assert_encodes_like_reference(np.concatenate([values, _EDGES]), 7)
+    _assert_encodes_like_reference(tmp_path / "t.csv", np.concatenate([values, _EDGES]), 7)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_encoder_matches_percent_17g_near_powers_of_ten_and_on_edge_values():
+def test_encoder_matches_percent_17g_near_powers_of_ten_and_on_edge_values(tmp_path):
     powers = 10.0 ** np.arange(-323, 309)
     values = np.concatenate([_EDGES, powers, np.nextafter(powers, 0.0),
                              np.nextafter(powers, np.inf), -powers])
-    _assert_encodes_like_reference(values, 5)
-    lines = _assert_encodes_like_reference(_EDGES, 1).splitlines()
+    _assert_encodes_like_reference(tmp_path / "t.csv", values, 5)
+    lines = _assert_encodes_like_reference(tmp_path / "t.csv", _EDGES, 1).splitlines()
     # 2**-25 = 2.98023223876953125e-08 exactly: the tie rounds to the even 2.
     assert lines[_EDGES.index(2.0 ** -25)] == b"2.9802322387695312e-08"
 
 
-def test_encoder_hands_a_near_tie_to_the_format(monkeypatch):
+def test_encoder_hands_a_near_tie_to_the_format(tmp_path, monkeypatch):
     # x = 1 + j / 2**52 scales to y = 1e16 + j * 5**16 / 2**36: pick j so that
     # y's fraction is 1/2 + 2**-36, inside the band the encoder leaves to '%.17g'.
     j = (2 ** 35 + 1) * pow(5 ** 16, -1, 2 ** 36) % 2 ** 36
     x = 1.0 + j * 2.0 ** -52
     assert Fraction(x) * 10 ** 16 % 1 == Fraction(1, 2) + Fraction(1, 2 ** 36)
-    assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.17g,0.25\n" % x
+    columns = [np.array([x]), np.array([0.25])]
+    assert _written(tmp_path / "t.csv", columns) == b"%.17g,0.25\n" % x
     monkeypatch.setattr(_writer, "_NUMBER", "%.3g")
-    assert _writer.encode_rows(np.array([[x, 0.25]])) == b"%.3g,0.25\n" % x
+    assert _written(tmp_path / "t.csv", columns) == b"%.3g,0.25\n" % x
 
 
 _RNG = np.random.default_rng(3)
@@ -91,7 +97,7 @@ _RNG = np.random.default_rng(3)
     # A bool column with fewer elements than the table is an axis too.
     (np.array([True, False, True])[:, None], np.array([0.25, -0.0, 3.0, 1e-300]),
      _RNG.normal(size=(3, 4))),
-    # Axes only: no column is encoded row by row.
+    # Axes only: no column is encoded row by row, and each chunk encodes no values.
     (np.array([1.0, 2.0, 3.0])[:, None], np.array([-0.5, 0.5])),
     # A single row.
     (np.float64(2.5), np.array(True), np.array([[-0.0]]), np.array([1e300])),
@@ -107,8 +113,5 @@ _RNG = np.random.default_rng(3)
 ], ids=["broadcast-axis", "broadcast-bool", "axes-only", "single-row", "flag-last", "axis-last",
         "axis-text-widths", "flags-and-axes"])
 def test_write_columns_writes_the_broadcast_table(tmp_path, columns):
-    path = tmp_path / "t.csv"
-    header = [f"c{j}" for j in range(len(columns))]
-    _writer.write_columns(path, header, columns)
     table = np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)]).astype(float)
-    assert path.read_bytes() == (",".join(header) + "\n").encode() + _writer.encode_rows(table)
+    assert _written(tmp_path / "t.csv", columns) == _reference(table)
