@@ -16,10 +16,13 @@ singularity check. ``bicycle.path_derivatives`` is the model equation and
 the oracle: the kernel evaluates its expressions in the same order, and the
 tests step it with ``step_rk4`` and require bit-identical path-frame
 trajectories from both. The steering law is bound once per run
-(``steering._law``: variant, wrap decision and feedback bound resolved
-before the loop), each update returns a plain tuple that includes the
-``full`` law's desired heading error, and the loop carries ``s, e, theta``
-as floats; ``control`` is the same law for one state.
+(``steering._law``: one straight-line closure per variant, its constants
+resolved before the loop), and the loop carries ``s, e, theta`` as floats;
+``control`` is the same law for one state. The theta_0 column,
+-asin(d*kappa), comes from the ``full`` law's tuple on update rows; on hold
+rows and for the variants that ignore the offset the loop computes it
+inline, with the law's guard (``check_trackable`` only when d*kappa fails
+the range test), equal to ``steering.desired_yaw_error`` bit for bit.
 
 A run is recorded in one row-major array with a row per step; the loop
 writes what the dynamics produce with one ``struct`` pack per row into the
@@ -59,14 +62,13 @@ from ._writer import write_columns, write_json, write_rows
 # The loop calls the private step functions; earth_derivatives and
 # path_derivatives stay importable from here, where perfbench's tracer wraps them.
 from .bicycle import (SINGULAR_DENOM, _HALF_PI, VehicleParams,  # noqa: F401
-                      _arc_chord, _check_steer, _singular, earth_derivatives,
-                      path_derivatives)
+                      _arc_chord, _check_steer, _singular, check_trackable,
+                      earth_derivatives, path_derivatives)
 from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import TWO_PI, PathSpec, PathState, build_path, wrap_angle_error
 # The loop calls the run's bound law; control stays importable from here,
 # where perfbench's tracer wraps it.
-from .steering import (ControlConfig, _law, control,  # noqa: F401
-                       desired_yaw_error, max_allowable_steer)
+from .steering import ControlConfig, _law, control, max_allowable_steer  # noqa: F401
 
 # A step starts only while 1 - e*kappa >= SINGULARITY_TOL (path-frame singularity).
 SINGULARITY_TOL = 1e-6
@@ -122,6 +124,13 @@ class ScenarioConfig:
             note = "" if self.t_end is not None else " (the road's default horizon)"
             raise ConfigError(
                 f"t_end must be finite and exceed dt ({self.dt}), got {t_end}{note}")
+        # The run's record is at most (n + 1, 16) float64 values, n = round(t_end / dt),
+        # and numpy sizes an array in np.intp bytes.
+        steps = t_end / self.dt
+        if not (math.isfinite(steps) and (round(steps) + 1) * 16 * 8 <= np.iinfo(np.intp).max):
+            raise ConfigError(
+                f"t_end / dt must be a finite step count whose record numpy can size, "
+                f"got {t_end} / {self.dt} = {steps:.6g} steps")
         try:
             self.path_spec.check_arc_length(self.initial.s)
         except DomainError as exc:
@@ -301,12 +310,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     v = params.speed
     offset = params.sensor_offset
     ratio = offset / params.wheelbase
+    v_l = v / params.wheelbase
+    half_pi = _HALF_PI
     half = 0.5 * dt
     curvature = path.curvature
     law = _law(ctl, params)
     singular_denom = SINGULAR_DENOM
     isfinite = math.isfinite
-    cos, sin, pi = math.cos, math.sin, math.pi
+    cos, sin, tan, asin, pi = math.cos, math.sin, math.tan, math.asin, math.pi
     s, e, theta = cfg.initial.s, cfg.initial.e, wrap_angle_error(cfg.initial.theta, 0.0)
     yaw_rate = math.nan
 
@@ -320,7 +331,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             if update:
                 g_des, g_ff, g_fb, fb, theta_0 = law(e, theta, kappa)
             if not update or theta_0 is None:
-                theta_0 = desired_yaw_error(kappa, offset)
+                # steering.desired_yaw_error, written out.
+                dk = offset * kappa
+                if not -1.0 < dk < 1.0:
+                    check_trackable(kappa, offset)
+                theta_0 = -asin(dk)
             denom = 1.0 - e * kappa
             if denom < SINGULARITY_TOL:
                 _singular(denom, s)
@@ -331,11 +346,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
             if i == n:
                 break
             if update:
-                if abs(g_des) >= _HALF_PI:
+                if abs(g_des) >= half_pi:
                     _check_steer(g_des)
-                tan_g = math.tan(g_des)
+                tan_g = tan(g_des)
                 ratio_tan = ratio * tan_g
-                yaw_rate = v / params.wheelbase * tan_g
+                yaw_rate = v_l * tan_g
 
             # Stage 1, at the step's start, where the check above already
             # keeps denom >= SINGULARITY_TOL, far above SINGULAR_DENOM.

@@ -9,11 +9,17 @@ provided for comparison studies:
 * ``unwrapped`` - like naive but without the bounding wrapper,
 * ``linear``    - small-error linearization, no wrapper.
 
-One function, ``_law``, evaluates the law: it binds the variant, the gains,
-the wrap decision and the feedback bound g_sat once, and each update returns
-a plain tuple, with the ``full`` law's desired heading error -asin(d*kappa)
-so that a closed-loop run need not compute it again. ``control`` evaluates
-it for one state; its ``gamma_fb`` is the feedback correction alone.
+Each formula has one home: ``feedforward``, ``desired_yaw_error``,
+``desired_heading`` and ``wrapper``, with ``bicycle.check_trackable`` for the
+rule |d*kappa| < 1. ``_law`` binds a run's constants once (gains, l, d, the
+wrapper's scale 2*g_sat/pi and max_steer) and returns one straight-line
+closure per variant that writes those formulas out, so an update makes no
+Python call unless it clips or d*kappa fails the range test. Each update
+returns a plain tuple, with the ``full`` law's desired heading error
+-asin(d*kappa) so that a closed-loop run need not compute it again. A test
+requires each closure to equal the law composed from the homes bit for bit.
+``control`` evaluates the law for one state; its ``gamma_fb`` is the
+feedback correction alone.
 """
 
 from __future__ import annotations
@@ -91,16 +97,6 @@ def desired_yaw_error(kappa: float, sensor_offset: float) -> float:
     return -math.asin(check_trackable(kappa, sensor_offset))
 
 
-def _curvature_terms(kappa: float, params: VehicleParams,
-                     variant: str) -> tuple[float, float]:
-    """The variant's feedforward angle and desired heading error, from one d*kappa."""
-    if variant == "full":
-        dk = check_trackable(kappa, params.sensor_offset)
-        return (math.atan(params.wheelbase * kappa / math.sqrt(1.0 - dk * dk)),
-                -math.asin(dk))
-    return math.atan(params.wheelbase * kappa), 0.0
-
-
 def feedforward(kappa: float, params: VehicleParams, variant: str = "full") -> float:
     """Steering angle that holds the guidance point on a circle of curvature kappa.
 
@@ -108,7 +104,10 @@ def feedforward(kappa: float, params: VehicleParams, variant: str = "full") -> f
     atan(l*kappa / sqrt(1 - (d*kappa)^2)); every degraded variant falls back
     to the rear-axle form atan(l*kappa).
     """
-    return _curvature_terms(kappa, params, variant)[0]
+    if variant == "full":
+        dk = check_trackable(kappa, params.sensor_offset)
+        return math.atan(params.wheelbase * kappa / math.sqrt(1.0 - dk * dk))
+    return math.atan(params.wheelbase * kappa)
 
 
 def feedforward_error(kappa: float, params: VehicleParams) -> float:
@@ -136,39 +135,65 @@ def _law(cfg: ControlConfig, params: VehicleParams):
     then ``desired_yaw_error(kappa, d)`` where the law computes it (``full``)
     and None for the variants that ignore the sensor offset. Nothing else
     evaluates the feedback, decides which variants it wraps, or clips.
+
+    Each variant is one straight-line closure over the formulas' homes,
+    written out in their evaluation order (see the module docstring). The
+    guard calls ``check_trackable`` only when d*kappa fails its range test,
+    so the message lives once.
     """
-    variant = cfg.variant
     k1, k2 = cfg.k1, cfg.k2
-    linear = variant == "linear"
-    aware = variant == "full"
+    k1_k2 = k1 * k2
+    wheelbase, d = params.wheelbase, params.sensor_offset
+    max_steer = params.max_steer
+    atan, asin, sqrt, copysign = math.atan, math.asin, math.sqrt, math.copysign
+
+    def clip(gamma_des: float) -> float:
+        # The wrapper bounds only the feedback; clamp the total so the
+        # plant's tan() stays off its singularity.
+        logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
+                       gamma_des, max_steer)
+        return copysign(max_steer, gamma_des)
+
     # Only full and naive wrap the feedback. The other degraded variants stay
     # unbounded on purpose: reproducing their pathologies is the point.
-    g_sat = (max_allowable_steer(params, cfg.max_lat_accel)
-             if variant in ("full", "naive") else None)
-    max_steer = params.max_steer
+    if cfg.variant in ("full", "naive"):
+        scale = 2.0 * max_allowable_steer(params, cfg.max_lat_accel) / math.pi
 
-    def law(e: float, theta: float,
-            kappa: float) -> tuple[float, float, float, float, float | None]:
-        gamma_ff, theta_0 = _curvature_terms(kappa, params, variant)
-        if linear:
-            raw = k1 * theta + k1 * k2 * e
-        else:
-            raw = k1 * (theta - theta_0 + math.atan(k2 * e))
-        if not aware:
-            theta_0 = None
-        if g_sat is None:
-            return gamma_ff + raw, gamma_ff, raw, raw, theta_0
-        gamma_fb = wrapper(raw, g_sat)
+    def full(e: float, theta: float, kappa: float) -> tuple[float, float, float, float, float]:
+        dk = d * kappa
+        if not -1.0 < dk < 1.0:
+            check_trackable(kappa, d)
+        gamma_ff = atan(wheelbase * kappa / sqrt(1.0 - dk * dk))
+        theta_0 = -asin(dk)
+        raw = k1 * (theta - theta_0 + atan(k2 * e))
+        gamma_fb = scale * atan(raw / scale)
         gamma_des = gamma_ff + gamma_fb
         if abs(gamma_des) > max_steer:
-            # The wrapper bounds only the feedback; clamp the total so the
-            # plant's tan() stays off its singularity.
-            logger.warning("steering command %.6g rad clipped to physical limit %.6g rad",
-                           gamma_des, max_steer)
-            gamma_des = math.copysign(max_steer, gamma_des)
+            gamma_des = clip(gamma_des)
         return gamma_des, gamma_ff, gamma_fb, raw, theta_0
 
-    return law
+    # The offset-blind variants aim for theta_0 = 0, and theta - 0.0 is theta.
+    def naive(e: float, theta: float, kappa: float) -> tuple[float, float, float, float, None]:
+        gamma_ff = atan(wheelbase * kappa)
+        raw = k1 * (theta + atan(k2 * e))
+        gamma_fb = scale * atan(raw / scale)
+        gamma_des = gamma_ff + gamma_fb
+        if abs(gamma_des) > max_steer:
+            gamma_des = clip(gamma_des)
+        return gamma_des, gamma_ff, gamma_fb, raw, None
+
+    def unwrapped(e: float, theta: float,
+                  kappa: float) -> tuple[float, float, float, float, None]:
+        gamma_ff = atan(wheelbase * kappa)
+        raw = k1 * (theta + atan(k2 * e))
+        return gamma_ff + raw, gamma_ff, raw, raw, None
+
+    def linear(e: float, theta: float, kappa: float) -> tuple[float, float, float, float, None]:
+        gamma_ff = atan(wheelbase * kappa)
+        raw = k1 * theta + k1_k2 * e
+        return gamma_ff + raw, gamma_ff, raw, raw, None
+
+    return {"full": full, "naive": naive, "unwrapped": unwrapped, "linear": linear}[cfg.variant]
 
 
 def control(state: PathState, kappa: float, cfg: ControlConfig,

@@ -376,9 +376,11 @@ def _scenarios(draw):
     fields = dict(path_spec=spec, vehicle=draw(_vehicles),
                   initial=draw(st.builds(PathState, s, _finite, _finite)),
                   t_end=draw(st.none() | st.floats(2e3, 1e300)))
-    # dt must stay below the horizon. Without a t_end that is the road's
-    # default horizon, which follows from these fields alone.
-    assume(dt < ScenarioConfig.resolved_t_end(SimpleNamespace(**fields)) < math.inf)
+    # dt must stay below the horizon, and at most 1e15 steps span it, well
+    # inside the step count a run's record can have. Without a t_end the
+    # horizon is the road's default, which follows from these fields alone.
+    horizon = ScenarioConfig.resolved_t_end(SimpleNamespace(**fields))
+    assume(dt < horizon < math.inf and horizon / dt <= 1e15)
     return ScenarioConfig(
         **fields, dt=dt,
         control=draw(st.builds(ControlConfig, k1=_finite, k2=_finite, max_lat_accel=_positive,
@@ -799,6 +801,22 @@ def test_step_longer_than_the_default_horizon_exits_config(tmp_path, capsys, arg
         argv = [*argv, "--config", str(config)]
     assert main([*argv, "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
     assert "got 30.0 (the road's default horizon)" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("tail, flags, steps", [
+    ("sim: {t_end_s: 1.0e+306}\n", [], "inf"),
+    ("", ["--dt", "1e-300"], "3e+301"),
+], ids=["t_end-over-dt-overflows", "record-beyond-intp"])
+def test_step_count_beyond_one_array_exits_config(tmp_path, capsys, tail, flags, steps):
+    # Both fail the config check, before the run allocates its record.
+    config = tmp_path / "straight.yaml"
+    config.write_text(preset_text("straight_compare") + tail)
+    assert main(["simulate", "--config", str(config), *flags,
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_end / dt must be a finite step count")
+    assert err.rstrip().endswith(f"= {steps} steps")
     assert not (tmp_path / "bad").exists()
 
 

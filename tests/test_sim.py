@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import types
 from collections import Counter
 from dataclasses import replace
 
@@ -379,24 +380,34 @@ def test_run_binds_its_steering_constants_once(monkeypatch):
 
 
 def test_full_law_supplies_theta_0_on_update_rows(monkeypatch):
-    # The full law computes -asin(d*kappa) on each update, so the loop
-    # computes the theta_0 column itself only on hold rows; the variants
-    # that ignore the offset leave it to the loop on every row.
-    calls = []
+    # The full law takes -asin(d*kappa) on each update, so the loop takes it
+    # itself only on hold rows; the variants that ignore the offset leave it
+    # to the loop on every row. Neither calls check_trackable while d*kappa
+    # passes its range test, as it does on every row here.
+    calls = Counter()
 
-    def counted(kappa, sensor_offset):
-        calls.append(kappa)
-        return desired_yaw_error(kappa, sensor_offset)
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(sim, "desired_yaw_error", counted)
-    run_scenario(make_scenario(cosine_spec(), t_end=1.0))
-    assert len(calls) == 0
-    held, _ = run_scenario(make_scenario(cosine_spec(), t_end=1.0, control_dt=1e-2))
-    rows = held.t.size
-    assert len(calls) == rows - len(range(0, rows, 10)) == 900
+    for module, name in ((steering, "law"), (sim, "loop")):
+        fake_math = types.SimpleNamespace(**vars(math))
+        fake_math.asin = counted(name, math.asin)
+        monkeypatch.setattr(module, "math", fake_math)
+        monkeypatch.setattr(module, "check_trackable",
+                            counted("check_trackable", module.check_trackable))
+    full, _ = run_scenario(make_scenario(cosine_spec(), t_end=1.0))
+    rows = full.t.size
+    assert calls == {"law": rows}
     calls.clear()
-    naive, _ = run_scenario(make_scenario(cosine_spec(), "naive", t_end=1.0))
-    assert len(calls) == naive.t.size
+    run_scenario(make_scenario(cosine_spec(), t_end=1.0, control_dt=1e-2))
+    updates = len(range(0, rows, 10))
+    assert calls == {"law": updates, "loop": rows - updates} and rows - updates == 900
+    calls.clear()
+    run_scenario(make_scenario(cosine_spec(), "naive", t_end=1.0))
+    assert calls == {"loop": rows}
 
 
 def test_exact_earth_step_runs_straight_at_zero_steer(params):

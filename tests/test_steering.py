@@ -2,6 +2,7 @@
 
 import logging
 import math
+import struct
 import types
 
 import numpy as np
@@ -267,7 +268,9 @@ def test_control_agrees_with_its_parts(params):
 
 
 def test_control_uses_d_kappa_once(params, monkeypatch):
-    # One update of the full law checks trackability once and takes one asin.
+    # One update of the full law takes one asin. It calls check_trackable
+    # only when d*kappa fails its range test: NaN passes through, and
+    # |d*kappa| >= 1 raises.
     calls = {"check_trackable": 0, "asin": 0}
 
     def counted(name, fn):
@@ -281,8 +284,84 @@ def test_control_uses_d_kappa_once(params, monkeypatch):
     fake_math = types.SimpleNamespace(**vars(math))
     fake_math.asin = counted("asin", math.asin)
     monkeypatch.setattr(steering, "math", fake_math)
-    control(PathState(0.0, 0.5, 0.1), 0.005, benchmark_control("full"), params)
-    assert calls == {"check_trackable": 1, "asin": 1}
+    cfg = benchmark_control("full")
+    control(PathState(0.0, 0.5, 0.1), 0.005, cfg, params)
+    assert calls == {"check_trackable": 0, "asin": 1}
+    control(PathState(0.0, 0.5, 0.1), math.nan, cfg, params)
+    assert calls == {"check_trackable": 1, "asin": 2}
+    with pytest.raises(DomainError):
+        control(PathState(0.0, 0.5, 0.1), 1.0 / params.sensor_offset, cfg, params)
+    assert calls == {"check_trackable": 2, "asin": 2}
+
+
+def _composed_law(cfg: ControlConfig, params, e: float, theta: float, kappa: float):
+    """The law's tuple built from its public homes, one function per term."""
+    variant = cfg.variant
+    gamma_ff = feedforward(kappa, params, variant)
+    theta_0 = desired_yaw_error(kappa, params.sensor_offset) if variant == "full" else None
+    if variant == "linear":
+        raw = cfg.k1 * theta + cfg.k1 * cfg.k2 * e
+    else:
+        aim = theta_0 if variant == "full" else 0.0
+        raw = cfg.k1 * (theta - aim - desired_heading(e, cfg.k2, variant))
+    if variant not in ("full", "naive"):
+        return gamma_ff + raw, gamma_ff, raw, raw, theta_0
+    gamma_fb = wrapper(raw, max_allowable_steer(params, cfg.max_lat_accel))
+    gamma_des = gamma_ff + gamma_fb
+    if abs(gamma_des) > params.max_steer:
+        gamma_des = math.copysign(params.max_steer, gamma_des)
+    return gamma_des, gamma_ff, gamma_fb, raw, theta_0
+
+
+def _outcome(fn, *args):
+    """A tuple's bits, None kept, or the text of the DomainError it raised."""
+    try:
+        values = fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return tuple(v if v is None else struct.pack("<d", v) for v in values)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_bound_law_equals_the_law_composed_from_its_homes(variant):
+    # steering._law writes each formula out once more, for speed; this ties
+    # every copy to its home bit for bit, over random vehicles and gains,
+    # d = 0, NaN and infinite kappa, kappas near the capability that trip
+    # the clip, and |d*kappa| >= 1.
+    generator = np.random.default_rng(29)
+
+    def uniform(lo, hi, size=None):
+        # Python floats, as the loop passes.
+        return np.asarray(generator.uniform(lo, hi, size)).tolist()
+
+    clipped = raised = 0
+    for trial in range(40):
+        params = benchmark_params(
+            wheelbase=uniform(1.0, 5.0),
+            sensor_offset=0.0 if trial % 4 == 0 else uniform(-3.0, 5.0),
+            max_steer=uniform(0.2, 1.2), speed=uniform(1.0, 40.0))
+        cfg = ControlConfig(k1=uniform(-3.0, 3.0), k2=uniform(-1.0, 1.0),
+                            max_lat_accel=uniform(0.5, 10.0), variant=variant)
+        law = steering._law(cfg, params)
+        limits = {struct.pack("<d", sign * params.max_steer) for sign in (1.0, -1.0)}
+        d, tan_max = params.sensor_offset, math.tan(params.max_steer)
+        capability = tan_max / math.hypot(params.wheelbase, tan_max * d)
+        kappas = [*uniform(-0.3, 0.3, 30), 0.0, -0.0, math.nan, math.inf, -math.inf,
+                  0.999 * capability, -0.999 * capability]
+        if d != 0.0:
+            kappas += [1.0 / d, -1.0 / d, 1.5 / d, 0.999 / d]
+        for kappa in kappas:
+            for e, theta in (*zip(uniform(-50.0, 50.0, 3), uniform(-math.pi, math.pi, 3)),
+                             (0.0, -math.copysign(1.0, kappa)), (-0.0, -0.0)):
+                got = _outcome(law, e, theta, kappa)
+                assert got == _outcome(_composed_law, cfg, params, e, theta, kappa), \
+                    (trial, kappa, e, theta)
+                raised += isinstance(got, str)
+                clipped += not isinstance(got, str) and got[0] in limits
+    # The special cases were reached: the clip on the wrapped variants, the
+    # DomainError on the full law only.
+    assert (clipped > 0) == (variant in ("full", "naive"))
+    assert (raised > 0) == (variant == "full")
 
 
 def test_control_clamps_to_physical_limit(params, caplog):
