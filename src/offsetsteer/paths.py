@@ -125,6 +125,17 @@ class PathSpec:
                 raise ConfigError("sampled path table must be strictly increasing in s")
         elif self.kind != "straight":
             raise ConfigError(f"unknown path kind {self.kind!r}")
+        if self.kind in ("cosine", "sampled"):
+            # The pose grid's node count must be finite. Python floats, so an
+            # overflow gives inf without a warning.
+            if self.kind == "cosine":
+                length, terms = self.periods * self.period, f"{self.periods} * {self.period:.6g}"
+            else:
+                lo, hi = self.table_s[0], self.table_s[-1]
+                length, terms = hi - lo, f"{hi:.6g} - {lo:.6g}"
+            if not math.isfinite(length / POSE_GRID_STEP):
+                raise ConfigError(f"{self.kind} path length {terms} = {length:.6g} m must be "
+                                  f"a finite count of {POSE_GRID_STEP} m pose grid steps")
 
     def check_arc_length(self, s) -> None:
         """A road is evaluated at finite arc lengths only, and a sampled road
@@ -188,6 +199,57 @@ def _cosine_kappa_array(kappa_max: float, omega: float, s_end: float, s: np.ndar
     return np.where(inside, 0.5 * kappa_max * (1.0 - np.cos(omega * s)), 0.0)
 
 
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The PCHIP interpolant of the table (x, y) as c0 u^3 + c1 u^2 + c2 u + c3
+    on each interval, u its offset from the interval's start: shape (4, m - 1).
+
+    The numpy operations of scipy's ``PchipInterpolator`` in its order, so
+    each coefficient has its bits: Fritsch-Butland node derivatives (0 where
+    the slopes change sign or one is 0, else their weighted harmonic mean),
+    Moler's one-sided three-point end derivatives with his two shape fixes,
+    a straight line through a two-row table, and the cubic Hermite
+    coefficients of ``CubicHermiteSpline``. PPoly's sum starts from 0.0, so
+    "+ 0.0" turns a -0.0 coefficient into 0.0 as well.
+    """
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    if y.size == 2:
+        dk = np.array([mk[0], mk[0]])
+    else:
+        smk = np.sign(mk)
+        condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        # Where this divides by zero, condition holds and the mean is unused.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk = np.zeros_like(y)
+        dk[1:-1][~condition] = 1.0 / whmean[~condition]
+        # Both ends at once: interval 0 and its neighbour, the last and its.
+        h0, h1, m0, m1 = hk[[0, -1]], hk[[1, -2]], mk[[0, -1]], mk[[1, -2]]
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        mask = np.sign(d) != np.sign(m0)
+        mmm = ~mask & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
+        d[mask] = 0.
+        d[mmm] = 3. * m0[mmm]
+        dk[[0, -1]] = d
+    # CubicHermiteSpline's slope is np.diff(y) / np.diff(x): mk, bit for bit.
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1])) + 0.0
+
+
+def _pchip_array(knots: np.ndarray, coefs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The interpolant of ``_pchip_coefficients`` at an array of arc lengths,
+    each element bit-equal to ``Path.curvature``'s scalar lookup (and to
+    PPoly's evaluation); the end intervals continue past the knots."""
+    j = np.clip(np.searchsorted(knots, s, "right") - 1, 0, knots.size - 2)
+    # np.take gathers the columns much faster than coefs[:, j].
+    c0, c1, c2, c3 = np.take(coefs, j, axis=1)
+    u = s - np.take(knots, j)
+    u2 = u * u
+    return c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
+
+
 def _floats_for_scalar(s, values: tuple) -> tuple:
     """``values`` as floats for a scalar arc length ``s``, unchanged for an array."""
     return tuple(map(float, values)) if np.ndim(s) == 0 else values
@@ -202,11 +264,13 @@ class _PoseGrid:
     known exactly from the headings and curvatures).
 
     The grid fills on demand. Construction fixes the lattice (``s0``, ``h``,
-    ``n``) and allocates the node arrays, and a query fills the nodes, up to
-    ``POSE_GRID_CHUNK`` per pass, as far as the highest node it reads: a run
-    that drives the first metres of a long road integrates only those. The
-    running sums carry from one pass to the next, so every node equals the
-    one a single pass over the whole lattice gives, bit for bit.
+    ``n``), and a query fills the nodes, up to ``POSE_GRID_CHUNK`` per pass,
+    as far as the highest node it reads: a run that drives the first metres
+    of a long road integrates, and holds, only those. The node arrays double
+    in size as the passes reach their end, up to the ``n + 1`` nodes of the
+    whole road. The running sums carry from one pass to the next, so every
+    node equals the one a single pass over the whole lattice gives, bit for
+    bit.
     """
 
     def __init__(self, kappa_fn, s_start: float, s_end: float,
@@ -215,7 +279,8 @@ class _PoseGrid:
         self.s0 = s_start
         self.h = (s_end - s_start) / n
         self.n = n
-        self.x, self.y, self.psi, self.kappa = (np.empty(n + 1) for _ in range(4))
+        self.x, self.y, self.psi, self.kappa = (
+            np.empty(min(n, POSE_GRID_CHUNK) + 1) for _ in range(4))
         self.x[0], self.y[0], self.psi[0] = x0, y0, psi0
         self._kappa_fn = kappa_fn
         self._anchor = (psi0, x0, y0)
@@ -236,6 +301,14 @@ class _PoseGrid:
 
     def _fill_pass(self, a: int, b: int) -> None:
         """Integrate the segments a to b - 1: nodes a + 1 to b, curvatures a to b."""
+        if b >= self.x.size:
+            # One array at a time, so that one old array is held while copying.
+            # A reader may still hold old arrays; their filled nodes stay valid.
+            size = min(max(2 * self.x.size, b + 1), self.n + 1)
+            for name in ("x", "y", "psi", "kappa"):
+                grown = np.empty(size)
+                grown[:a + 1] = getattr(self, name)[:a + 1]
+                setattr(self, name, grown)
         h = self.h
         s_nodes = self.s0 + h * np.arange(a, b + 1)
         k_nodes = self._kappa_fn(s_nodes)
@@ -293,8 +366,9 @@ class _PoseGrid:
 
     def end_pose(self) -> tuple[float, float, float]:
         """The last node's pose; fills the whole grid."""
-        self.fill(self.n)
-        return float(self.x[-1]), float(self.y[-1]), float(self.psi[-1])
+        n = self.n
+        self.fill(n)
+        return float(self.x[n]), float(self.y[n]), float(self.psi[n])
 
 
 class Path:
@@ -322,20 +396,16 @@ class Path:
                 partial(_cosine_kappa_array, spec.kappa_max, self._omega, self._s_end),
                 0.0, self._s_end, spec.x0, spec.y0, spec.psi0)
         else:
-            # scipy is loaded only when a sampled road needs it.
-            from scipy.interpolate import PchipInterpolator
-            s = np.asarray(spec.table_s)
-            pchip = PchipInterpolator(s, np.asarray(spec.table_kappa))
-            # Scalar lookups read the interpolant's own breakpoints and
-            # coefficients (c0 u^3 + c1 u^2 + c2 u + c3 per interval) in plain
-            # Python, without the array set-up of a scalar PchipInterpolator
-            # call. PPoly's sum starts from 0.0, so "+ 0.0" turns a -0.0
-            # coefficient into 0.0 as well.
-            self._knots = pchip.x.tolist()
-            self._coefs = (pchip.c.T + 0.0).tolist()
-            self._s_start, self._s_end = float(s[0]), float(s[-1])
-            self._grid = _PoseGrid(pchip, self._s_start, self._s_end,
-                                   spec.x0, spec.y0, spec.psi0)
+            knots = np.array(spec.table_s, dtype=float)
+            coefs = _pchip_coefficients(knots, np.array(spec.table_kappa, dtype=float))
+            # Scalar lookups read the knots and the coefficients (c0 u^3 +
+            # c1 u^2 + c2 u + c3 per interval) in plain Python, without the
+            # array set-up of an array call; the pose grid makes array calls.
+            self._knots = knots.tolist()
+            self._coefs = coefs.T.tolist()
+            self._s_start, self._s_end = self._knots[0], self._knots[-1]
+            self._grid = _PoseGrid(partial(_pchip_array, knots, coefs), self._s_start,
+                                   self._s_end, spec.x0, spec.y0, spec.psi0)
 
     # -- curvature -----------------------------------------------------
 
@@ -360,8 +430,9 @@ class Path:
             return 0.0
         if not self._s_start <= s <= self._s_end:
             self.spec.check_arc_length(s)
-        # The same interval and the same sum as PPoly's evaluation, so the
-        # value is bit-equal to the PchipInterpolator's float(pchip(s)).
+        # The same interval and the same sum as PPoly's evaluation of these
+        # coefficients, which the tests hold to scipy's PchipInterpolator bit
+        # for bit.
         knots = self._knots
         j = bisect_right(knots, s, 0, len(knots) - 1) - 1
         c0, c1, c2, c3 = self._coefs[j]

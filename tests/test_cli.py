@@ -24,6 +24,7 @@ from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              AnalysisConfig, _echo_analysis, _echo_scenario,
                              cmd_freq_response, cmd_simulate, cmd_stability_map, main,
                              parse_config, preset_text)
+from offsetsteer.paths import POSE_GRID_STEP
 
 from conftest import CROSSING_YAML, run_python
 
@@ -359,10 +360,14 @@ def _path_specs(draw):
         return PathSpec.straight(**anchor)
     if kind == "circular":
         return PathSpec.circular(draw(_positive), **anchor)
+    # A cosine or sampled road has a finite count of pose grid steps.
     if kind == "cosine":
-        return PathSpec.cosine(draw(st.floats(0.0, 1e300)), draw(_positive),
-                               draw(st.integers(1, 10**6)), **anchor)
+        kappa_max, period, periods = (draw(st.floats(0.0, 1e300)), draw(_positive),
+                                      draw(st.integers(1, 10**6)))
+        assume(math.isfinite(periods * period / POSE_GRID_STEP))
+        return PathSpec.cosine(kappa_max, period, periods, **anchor)
     s = sorted(draw(st.lists(_finite, min_size=2, max_size=6, unique=True)))
+    assume(math.isfinite((s[-1] - s[0]) / POSE_GRID_STEP))
     kappa = draw(st.lists(_finite, min_size=len(s), max_size=len(s)))
     return PathSpec.sampled(s, kappa, **anchor)
 
@@ -818,6 +823,35 @@ def test_step_count_beyond_one_array_exits_config(tmp_path, capsys, tail, flags,
     assert err.startswith("config error: t_end / dt must be a finite step count")
     assert err.rstrip().endswith(f"= {steps} steps")
     assert not (tmp_path / "bad").exists()
+
+
+_OPTIMAL_GAIN_ROAD = ("  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
+                      "  period_m: 250.0\n  periods: 4\n")
+
+
+@pytest.mark.parametrize("road, table, code, message", [
+    ("  kind: sampled\n  csv: table.csv\n", "0.0,0.0\n1.0e+9,0.0\n", EXIT_OK, None),
+    ("  kind: sampled\n  csv: table.csv\n", "-1.0e+308,0.0\n1.0e+308,0.0\n", EXIT_CONFIG,
+     "table.csv: sampled path length 1e+308 - -1e+308 = inf m must be a finite count"),
+    (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+307"), None, EXIT_CONFIG,
+     "config error: cosine path length 4 * 1e+307 = 4e+307 m must be a finite count"),
+], ids=["a-billion-metres", "most-doubles", "cosine-past-the-grid"])
+def test_long_road_runs_or_exits_config(tmp_path, capsys, road, table, code, message):
+    # A road costs the pose grid nodes of the distance driven, not of its
+    # length; a road too long to count its grid steps fails the config check.
+    if table is not None:
+        (tmp_path / "table.csv").write_text("s_meters,kappa_per_meter\n" + table)
+    config = tmp_path / "long.yaml"
+    config.write_text(preset_text("optimal_gain").replace(_OPTIMAL_GAIN_ROAD, road)
+                      + "sim: {t_end_s: 3.0}\n")
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert (tmp_path / "bad" / "out" / "trajectory.csv").is_file()
+    else:
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "bad").exists()
 
 
 def test_exit_code_io_error(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -78,7 +79,10 @@ def test_sampled_table_must_be_finite(bad):
 
 def test_sampled_table_spanning_most_doubles_checks_its_order_without_a_warning(recwarn):
     # The difference of its two arc lengths overflows; comparing them does not.
-    assert PathSpec.sampled([-1e308, 1e308], [0.0, 0.0]).table_s == (-1e308, 1e308)
+    # In order, the table is too long for a finite count of pose grid steps.
+    with pytest.raises(ConfigError, match=r"^sampled path length 1e\+308 - -1e\+308 = inf m "
+                                          r"must be a finite count of 0\.01 m pose grid steps$"):
+        PathSpec.sampled([-1e308, 1e308], [0.0, 0.0])
     with pytest.raises(ConfigError, match="strictly increasing"):
         PathSpec.sampled([1e308, -1e308], [0.0, 0.0])
     assert not recwarn.list
@@ -135,18 +139,30 @@ def test_sampled_outside_range_raises():
             lookup(math.nan)
 
 
-def test_scipy_is_loaded_only_for_sampled_roads():
-    # Importing the command-line front-end must not pay for scipy; the first
-    # sampled road loads it. A fresh interpreter, since this one has it.
+def test_sampled_roads_run_without_scipy(tmp_path):
+    # The package computes the PCHIP itself: with every scipy import made to
+    # fail, a sampled road answers an array pose query and a simulation on one
+    # runs from the command line. A fresh interpreter, since this one has scipy.
+    (tmp_path / "table.csv").write_text(
+        "s_meters,kappa_per_meter\n0.0,0.0\n10.0,0.01\n20.0,0.0\n")
+    (tmp_path / "config.yaml").write_text(textwrap.dedent("""\
+        vehicle: {wheelbase_m: 2.57, sensor_offset_m: 2.0, max_steer_deg: 30.0, speed_mps: 2.0}
+        control: {k1: -0.8, k2_per_m: 0.02, max_lat_accel_mps2: 4.0, variant: full}
+        path: {kind: sampled, csv: table.csv}
+        initial: {s_m: 0.0, e_m: -0.5, theta_deg: 0.0}
+        sim: {dt_s: 0.01, t_end_s: 3.0}
+        """))
     code = ("import sys\n"
-            "import offsetsteer.cli\n"
-            "assert 'scipy' not in sys.modules, 'scipy imported eagerly'\n"
-            "from offsetsteer import PathSpec, build_path\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from offsetsteer import PathSpec, build_path, cli\n"
             "path = build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 0.01, 0.0]))\n"
-            "assert path.curvature(10.0) == 0.01\n"
-            "assert 'scipy' in sys.modules\n")
-    proc = run_python("-c", code)
+            "x, y, psi = path.pose(np.linspace(0.0, 20.0, 5))\n"
+            "assert psi.shape == (5,) and np.all(np.isfinite(psi))\n"
+            "assert cli.main(['simulate', '--config', 'config.yaml', '--out', 'out']) == 0\n")
+    proc = run_python("-c", code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trajectory.csv").is_file()
 
 
 def _random_table():
@@ -155,19 +171,54 @@ def _random_table():
     return table_s, rng.normal(0.0, 0.01, table_s.size)
 
 
+# The end rule's table: at its start the one-sided estimate has the sign
+# opposite to the first slope, so the end derivative is 0; at its end the last
+# two slopes differ in sign and the estimate exceeds three times the last
+# slope, so the end derivative is 3 * m0, m0 the last slope.
+_END_RULE_TABLE = ([0.0, 10.0, 20.0, 30.0, 40.0], [0.0, 0.001, 0.011, 0.017, 0.016])
+
+
 @pytest.mark.parametrize("table_s, table_kappa", [
     _random_table(),
     # At the -0.0 knot every term of the power sum is -0.0; PPoly's sum
     # starts from 0.0 and returns 0.0 there.
     ([0.0, 10.0, 20.0, 30.0, 40.0], [0.0, 0.001, -0.0, -0.002, -0.01]),
-], ids=["random", "negative-zero-knot"])
+    # Two rows: one straight line.
+    ([-5.0, 25.0], [0.002, -0.004]),
+    # Equal neighbours: zero slopes, so zero node derivatives.
+    ([0.0, 10.0, 20.0, 30.0, 40.0, 50.0], [0.01, 0.01, 0.01, 0.0, 0.005, 0.005]),
+    # Slopes that change sign at every interior knot.
+    ([0.0, 10.0, 20.0, 30.0, 40.0], [-0.01, 0.002, -0.003, 0.01, -0.005]),
+    _END_RULE_TABLE,
+    # Intervals from 0.25 m to 49 m, so the weighted harmonic mean weighs them apart.
+    ([0.0, 0.5, 7.0, 7.25, 30.0, 31.0, 80.0], [0.0, 0.003, 0.01, 0.0105, -0.002, -0.004, 0.0]),
+], ids=["random", "negative-zero-knot", "two-rows", "flat-segment", "sign-change",
+        "end-rule", "uneven-spacing"])
 def test_sampled_curvature_equals_pchip_exactly(table_s, table_kappa):
-    # The scalar lookup evaluates the interpolant's own coefficients; it must
-    # return PchipInterpolator's value bit for bit, sign of zero included, at
-    # every knot (the table ends included), beside each interior knot and at
-    # seeded points in between.
+    # The package builds the interpolant itself; its scalar lookup must return
+    # PchipInterpolator's value bit for bit, sign of zero included, at every
+    # knot (the table ends included), beside each interior knot and at seeded
+    # points in between. So must the pose grid's array lookup at its nodes.
     path = build_path(PathSpec.sampled(table_s, table_kappa))
     pchip = PchipInterpolator(table_s, table_kappa)
+    if table_kappa is _END_RULE_TABLE[1]:
+        s, kappa = np.array(table_s), np.array(table_kappa)
+        h, m = np.diff(s), np.diff(kappa) / np.diff(s)
+        start, end = (((2.0 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
+                      for i, j in ((0, 1), (-1, -2)))
+        slopes = pchip(s[[0, -1]], nu=1)
+        # Both shape fixes of the end rule are reached.
+        assert np.sign(start) != np.sign(m[0]) and slopes[0] == 0.0 != start
+        assert np.sign(m[-1]) != np.sign(m[-2]) and abs(end) > 3.0 * abs(m[-1])
+        assert slopes[1] == pytest.approx(3.0 * m[-1], rel=1e-12)
+    grid = path._grid
+    grid.end_pose()
+    nodes = grid.s0 + grid.h * np.arange(grid.n + 1)
+    assert np.array_equal(_bits(grid.kappa), _bits(pchip(nodes)))
+    # The last node may lie past the table's end by rounding.
+    inside = nodes[nodes <= table_s[-1]]
+    assert np.array_equal(_bits(grid.kappa[:inside.size]),
+                          _bits([path.curvature(s) for s in inside]))
     interior = table_s[1:-1]
     rng = np.random.default_rng(21)
     queries = [*table_s,

@@ -599,7 +599,8 @@ def test_long_run_maps_its_pose_in_slices(frame):
 
 def test_short_run_fills_only_the_pose_grid_it_drives(monkeypatch):
     # 2 s at 20 m/s covers 40 m of the 1 km cosine road: the run integrates
-    # the pose grid that far, up to one fill pass beyond, not the whole road.
+    # the pose grid that far, up to one fill pass beyond, not the whole road,
+    # and its node arrays hold at most twice the nodes it filled.
     built = []
 
     def recording_build_path(spec):
@@ -611,6 +612,8 @@ def test_short_run_fills_only_the_pose_grid_it_drives(monkeypatch):
     grid = built[0]._grid
     reached = int(traj.s_d.max() / grid.h) + 1
     assert reached < grid._last <= reached + POSE_GRID_CHUNK < grid.n
+    assert all(column.size <= 2 * (grid._last + 1) for column in
+               (grid.x, grid.y, grid.psi, grid.kappa))
 
 
 def test_small_perturbations_follow_linear_model(params):
