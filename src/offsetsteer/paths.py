@@ -397,7 +397,16 @@ class Path:
                 0.0, self._s_end, spec.x0, spec.y0, spec.psi0)
         else:
             knots = np.array(spec.table_s, dtype=float)
-            coefs = _pchip_coefficients(knots, np.array(spec.table_kappa, dtype=float))
+            # A table of finite numbers can still overflow its slopes; such a road
+            # is refused here, without a numpy warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                coefs = _pchip_coefficients(knots, np.array(spec.table_kappa, dtype=float))
+            overflowed = np.flatnonzero(~np.isfinite(coefs).all(axis=0))
+            if overflowed.size:
+                j = overflowed[0]
+                raise DomainError(
+                    f"sampled path table over [{knots[0]:.6g}, {knots[-1]:.6g}] m: its PCHIP "
+                    f"interpolant is not finite on [{knots[j]:.6g}, {knots[j + 1]:.6g}] m")
             # Scalar lookups read the knots and the coefficients (c0 u^3 +
             # c1 u^2 + c2 u + c3 per interval) in plain Python, without the
             # array set-up of an array call; the pose grid makes array calls.

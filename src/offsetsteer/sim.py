@@ -282,7 +282,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     Raises:
         DomainError: the path curvature is untrackable for the sensor offset.
         SingularityError: the state neared or crossed the curvature-center circle.
-        OffsetSteerError: a stage rate overflowed ("integration diverged").
+        OffsetSteerError: a stage rate overflowed, or the state left the
+            finite numbers ("integration diverged").
         Each ends with the failing step's "(at t=..., s=...)".
     """
     path = build_path(cfg.path_spec)
@@ -402,10 +403,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
                            e + dt * (a_e + 2.0 * b_e + 2.0 * c_e + d_e) / 6.0,
                            theta + dt * (a_t + 2.0 * b_t + 2.0 * c_t + d_t) / 6.0)
             # The sum is not finite when one of the three is not (a sum that
-            # only overflowed passes _check_finite); inside [-pi, pi) the
-            # wrap returns theta itself.
-            if not isfinite(s + e + theta):
-                _check_finite(s, e, theta)
+            # only overflowed passes the second test); the step's start is row
+            # i of the record. Inside [-pi, pi) the wrap returns theta itself.
+            if not isfinite(s + e + theta) and not (isfinite(s) and isfinite(e)
+                                                    and isfinite(theta)):
+                raise OffsetSteerError(f"integration diverged: state {(s, e, theta)} "
+                                       f"(at t={i * dt:.6g} s, s={rec[i, 1]:.6g} m)")
             if not -pi <= theta < pi:
                 theta = wrap_angle_error(theta, 0.0)
     except (DomainError, SingularityError) as exc:

@@ -1,8 +1,10 @@
 """Shared fixtures: benchmark vehicle, cached closed-loop runs, a scalar pose
-oracle and a fresh interpreter."""
+oracle, the digests of a figs-repro run and a fresh interpreter."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -42,6 +44,31 @@ CROSSING_YAML = textwrap.dedent("""\
     initial: {s_m: 0.0, e_m: -0.7431503053261856, theta_rad: 1.0038152436998642}
     sim: {dt_s: 0.002148035831934253, t_end_s: 4.2960716638685055, frame: both}
     """)
+
+
+# The figs-repro run that tests/golden/figs_repro.sha256 pins, one
+# "<sha256>  <path>" line per artifact; tests/golden/regenerate.py rewrites it.
+# At --dt 0.01 it runs the default step's code at about a fifth of the cost.
+FIGS_REPRO_GOLDEN_ARGS = ("figs-repro", "--dt", "0.01")
+FIGS_REPRO_GOLDEN = FsPath(__file__).resolve().parent / "golden" / "figs_repro.sha256"
+
+
+def figs_repro_digests(out: FsPath) -> dict[str, str]:
+    """{path relative to ``out``: SHA-256} of every file of a ``figs-repro`` run.
+
+    A manifest is hashed as ``json.dumps(doc, sort_keys=True, indent=2)``
+    without its ``wall_clock_s``, the one field that differs between runs.
+    """
+    digests = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                doc = json.loads(data)
+                del doc["wall_clock_s"]
+                data = json.dumps(doc, sort_keys=True, indent=2).encode()
+            digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
 
 
 def run_python(*args, cwd=None) -> subprocess.CompletedProcess:

@@ -26,7 +26,8 @@ from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              parse_config, preset_text)
 from offsetsteer.paths import POSE_GRID_STEP
 
-from conftest import CROSSING_YAML, run_python
+from conftest import (CROSSING_YAML, FIGS_REPRO_GOLDEN, FIGS_REPRO_GOLDEN_ARGS,
+                      figs_repro_digests, run_python)
 
 SCENARIO_YAML = textwrap.dedent("""\
     vehicle:
@@ -314,6 +315,48 @@ def test_repeated_key_exits_config_and_names_the_place(tmp_path, capsys, text, m
     assert not (tmp_path / "bad").exists()
 
 
+_NO_GRID = re.sub(r"grid:\n(  .*\n)+", "", ANALYSIS_YAML)
+_NO_GAINS = re.sub(r"gains:\n(  .*\n)+", "", ANALYSIS_YAML)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", SCENARIO_YAML.replace("sim:\n  dt_s: 0.001\n  t_end_s: 1.5\n", "sim: [1]\n"),
+     "section 'config.sim' must be a mapping, got list"),
+    ("simulate", SCENARIO_YAML.replace("  max_steer_deg: 30.0\n", ""),
+     "config.vehicle: missing required key 'max_steer_deg' (or 'max_steer_rad')"),
+    ("simulate", SCENARIO_YAML.replace("kind: cosine", "kind: spiral"),
+     "path: unknown kind 'spiral'; expected straight|circular|cosine|sampled"),
+    ("simulate", ANALYSIS_YAML[:ANALYSIS_YAML.index("grid:")],
+     "config must contain either a scenario ('path' and 'initial' sections) or an analysis "
+     "('grid' or 'gains')"),
+    ("compare", SCENARIO_YAML + "variants: [full, fancy]\n",
+     f"variants must be a non-empty list drawn from {VARIANTS}"),
+    ("freq-response", _NO_GAINS + "gains: []\n",
+     "gains must be a non-empty list of {k1, k2_per_m} maps"),
+    ("stability-map", SCENARIO_YAML, "<config>: expected an analysis config"),
+    ("simulate", ANALYSIS_YAML, "<config>: expected a scenario config"),
+    ("stability-map", _NO_GRID, "stability-map needs a 'grid' section"),
+    ("freq-response", _NO_GAINS, "freq-response needs a 'gains' list"),
+    ("simulate", SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n  period_m: 250.0\n"
+        "  periods: 4\n",
+        "  kind: sampled\n  table: {s_m: 0.0, kappa_per_m: [0.0, 0.001]}\n"),
+     "path.table: s_m and kappa_per_m must be lists"),
+], ids=["section-not-a-mapping", "missing-angle", "unknown-path-kind", "neither-kind",
+        "bad-variants", "bad-gains", "scenario-to-stability-map", "analysis-to-simulate",
+        "map-without-grid", "response-without-gains", "table-column-not-a-list"])
+def test_config_structure_error_exits_config_and_names_the_fault(tmp_path, capsys, command,
+                                                                 text, message):
+    # A section missing or of the wrong type, where the tests above change one value.
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    message = message.replace("<config>", str(config))
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "bad").exists()
+
+
 # Scalars whose type the YAML 1.1 resolver decides; 1.0e2 stays text.
 _RESOLVED_YAML = textwrap.dedent("""\
     texts: [1.0e2, 1e3, "5", yes please, 0.5.1]
@@ -417,6 +460,11 @@ def _analyses(draw):
 @example(parse_config(preset_text("stability_map_d2")))
 @example(parse_config(preset_text("stability_map_d3")))
 @example(parse_config(preset_text("freq_response")))
+@example(parse_config(SCENARIO_YAML.replace(
+    "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n  period_m: 250.0\n"
+    "  periods: 4\n",
+    "  kind: sampled\n  table: {s_m: [0.0, 40.0, 100.0], kappa_per_m: [0.0, 0.004, -0.002]}\n"
+    "  anchor: {x_m: 12.5, y_m: -3.0, heading_deg: 30.0}\n")))
 @given(_scenarios() | _analyses())
 def test_echo_parses_back_to_the_same_config(cfg):
     echo = _echo_scenario(cfg) if isinstance(cfg, ScenarioConfig) else _echo_analysis(cfg)
@@ -614,29 +662,25 @@ def test_seedless_flag_verifies_determinism(tmp_path):
     assert manifest["seedless"] is True
 
 
-def test_figs_repro_manifest_lists_every_output(tmp_path):
+def test_figs_repro_lists_every_output_and_matches_its_golden_digests(tmp_path):
+    # Every field the manifests hold (the presets, their input digests and
+    # keys, each scenario's dt) is pinned by the manifests' digests.
     out = tmp_path / "figs"
-    assert main(["figs-repro", "--dt", "0.01", "--out", str(out)]) == EXIT_OK
+    assert main([*FIGS_REPRO_GOLDEN_ARGS, "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert manifest["outputs"] == on_disk
-    assert len(on_disk) == 52
-    presets = manifest["config"]["presets"]
-    assert len(presets) == 8
-    digests = {f"preset:{name}": hashlib.sha256(preset_text(name).encode()).hexdigest()
-               for name in presets}
-    assert manifest["input_digests"] == digests
-    assert manifest["seedless"] is False
-    manifests = {name: json.loads((out / name / "manifest.json").read_text())
-                 for name in presets}
-    # Each preset's own manifest keys its input by the preset, not by a file.
-    for name, preset_manifest in manifests.items():
-        key = f"preset:{name}"
-        assert preset_manifest["input_digests"] == {key: digests[key]}
-    scenarios = [preset_manifest["config"] for preset_manifest in manifests.values()]
-    scenarios = [config for config in scenarios if "sim" in config]
-    assert len(scenarios) == 5
-    assert all(config["sim"]["dt_s"] == 0.01 for config in scenarios)
+    golden = dict(reversed(line.split("  ", 1))
+                  for line in FIGS_REPRO_GOLDEN.read_text().splitlines())
+    digests = figs_repro_digests(out)
+    moved = sorted(name for name in golden.keys() & digests.keys()
+                   if golden[name] != digests[name])
+    appeared = sorted(digests.keys() - golden.keys())
+    missing = sorted(golden.keys() - digests.keys())
+    assert not (moved or appeared or missing), (
+        f"figs-repro artifacts differ from {FIGS_REPRO_GOLDEN.name}: moved {moved}, "
+        f"appeared {appeared}, missing {missing}. If the change is meant, run "
+        f"tests/golden/regenerate.py and say in CHANGES.md why they moved.")
 
 
 def test_figs_repro_seedless_checks_its_sweep_csvs(tmp_path, monkeypatch):
@@ -852,6 +896,21 @@ def test_long_road_runs_or_exits_config(tmp_path, capsys, road, table, code, mes
     else:
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "bad").exists()
+
+
+def test_sampled_table_whose_pchip_overflows_exits_domain_without_a_warning(tmp_path, capsys):
+    # Finite knots whose slopes overflow: the road is refused when it is built,
+    # and no numpy warning reaches stderr (pyproject.toml makes one an error).
+    config = tmp_path / "overflow.yaml"
+    config.write_text(preset_text("optimal_gain").replace(
+        _OPTIMAL_GAIN_ROAD, "  kind: sampled\n  table: {s_m: [0.0, 10.0, 20.0, 30.0],\n"
+                            "          kappa_per_m: [0.0, 1.0e+308, -1.0e+308, 0.0]}\n"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "domain error: sampled path table over [0, 30] m: its PCHIP interpolant is not finite "
+        "on [10, 20] m\n")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_exit_code_io_error(tmp_path):

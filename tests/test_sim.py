@@ -741,6 +741,20 @@ def test_stage_rate_overflow_reports_divergence_and_the_step(radius, offset):
                                for variant in ("naive", "full")}
 
 
+def test_non_finite_state_reports_divergence_and_the_step():
+    # d/l overflows to inf, so the stage rates built on it are not finite and
+    # the state at the step's end is NaN. The error reports the step's start,
+    # as every other loop failure does.
+    cfg = replace(make_scenario(PathSpec.straight(), dt=0.01, t_end=0.05,
+                                initial=PathState(5.0, -1.0, 0.0)),
+                  vehicle=benchmark_params(wheelbase=1e-300, sensor_offset=1e300))
+    message = "integration diverged: state (nan, nan, nan) (at t=0 s, s=5 m)"
+    with pytest.raises(OffsetSteerError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg)
+    report = compare_controllers(cfg, VARIANTS)
+    assert report.failures == {variant: f"OffsetSteerError: {message}" for variant in VARIANTS}
+
+
 # -- metrics -----------------------------------------------------------------------
 
 def test_settling_time_definition(runs):
