@@ -38,10 +38,11 @@ class VehicleParams:
             raise ConfigError(f"wheelbase must be positive and finite, got {self.wheelbase}")
         if not -math.inf < self.sensor_offset < math.inf:
             raise ConfigError(f"sensor_offset must be finite, got {self.sensor_offset}")
-        # V**2 enters the comfort bound, lambda4 and the lateral acceleration.
-        if not (self.speed > 0.0 and self.speed * self.speed < math.inf):
-            raise ConfigError(
-                f"speed must be positive (forward motion) with a finite square, got {self.speed}")
+        # V**2 enters the comfort bound, lambda4 and the lateral acceleration;
+        # the comfort bound divides by it.
+        if not (self.speed > 0.0 and 0.0 < self.speed * self.speed < math.inf):
+            raise ConfigError(f"speed must be positive (forward motion) with a positive, "
+                              f"finite square, got {self.speed}")
         if not 0.0 < self.max_steer < _HALF_PI:
             raise ConfigError(f"max_steer must lie in (0, pi/2), got {self.max_steer}")
 

@@ -15,7 +15,6 @@ import logging
 import math
 import shutil
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -118,7 +117,6 @@ class RunManifest:
     outputs: list[str]
     wall_clock_s: float
     exit_status: int
-    seedless: bool = False
 
 
 # -- config schema: one table per section drives parsing, echo and help ------
@@ -410,36 +408,18 @@ def _out_dir(out_dir):
 
 
 def _run(command: str, started: float, echo: dict, digests: dict, out_dir,
-         render, seedless: bool) -> RunManifest:
-    """Render into ``out_dir`` (see :func:`_render`) and write the manifest."""
+         render) -> RunManifest:
+    """Make ``out_dir``, run ``render(out_dir)``, which writes the run's artifacts
+    there and returns their names, and write ``out_dir/manifest.json`` for a
+    run that began at ``started``."""
     with _out_dir(out_dir) as out_dir:
-        outputs = _render(render, out_dir, seedless)
-        return _write_manifest(command, started, echo, digests, out_dir, outputs, seedless)
-
-
-def _render(render, out_dir: FsPath, seedless: bool) -> list[str]:
-    """The names ``render(out_dir)`` returns, of the artifacts it wrote there.
-    With ``seedless`` it runs a second time into a scratch directory and every
-    artifact must come out byte-identical."""
-    outputs = render(out_dir)
-    if seedless:
-        with tempfile.TemporaryDirectory() as tmp:
-            render(FsPath(tmp))
-            for name in outputs:
-                if (out_dir / name).read_bytes() != (FsPath(tmp) / name).read_bytes():
-                    raise OffsetSteerError(f"determinism check failed for {name}")
-    return outputs
-
-
-def _write_manifest(command: str, started: float, echo: dict, digests: dict,
-                    out_dir: FsPath, outputs: list[str], seedless: bool) -> RunManifest:
-    """Write ``out_dir/manifest.json`` for a run that began at ``started``."""
-    manifest = RunManifest(command=command, config=echo, input_digests=digests,
-                           outputs=sorted(outputs + ["manifest.json"]),
-                           wall_clock_s=time.perf_counter() - started,
-                           exit_status=EXIT_OK, seedless=seedless)
-    write_json(out_dir / "manifest.json", asdict(manifest))
-    return manifest
+        outputs = render(out_dir)
+        manifest = RunManifest(command=command, config=echo, input_digests=digests,
+                               outputs=sorted(outputs + ["manifest.json"]),
+                               wall_clock_s=time.perf_counter() - started,
+                               exit_status=EXIT_OK)
+        write_json(out_dir / "manifest.json", asdict(manifest))
+        return manifest
 
 
 def _write_run(target: FsPath, traj, metrics) -> list[str]:
@@ -451,7 +431,7 @@ def _write_run(target: FsPath, traj, metrics) -> list[str]:
     return ["trajectory.csv", "metrics.txt", "metrics.json"]
 
 
-def cmd_simulate(config_path, out_dir, dt=None, variant=None, seedless=False) -> RunManifest:
+def cmd_simulate(config_path, out_dir, dt=None, variant=None) -> RunManifest:
     started = time.perf_counter()
     cfg, _, digests = _load(config_path, ScenarioConfig, dt)
     if variant is not None:
@@ -460,10 +440,10 @@ def cmd_simulate(config_path, out_dir, dt=None, variant=None, seedless=False) ->
     def render(target: FsPath):
         return _write_run(target, *run_scenario(cfg))
 
-    return _run("simulate", started, _echo_scenario(cfg), digests, out_dir, render, seedless)
+    return _run("simulate", started, _echo_scenario(cfg), digests, out_dir, render)
 
 
-def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) -> RunManifest:
+def cmd_compare(config_path, out_dir, dt=None, variants=None) -> RunManifest:
     started = time.perf_counter()
     cfg, extras, digests = _load(config_path, ScenarioConfig, dt)
     variants = variants or extras["variants"] or ("naive", "full")
@@ -486,11 +466,10 @@ def cmd_compare(config_path, out_dir, dt=None, variants=None, seedless=False) ->
             names.append("failures.json")
         return names
 
-    return _run("compare", started, _echo_scenario(cfg, variants), digests, out_dir,
-                render, seedless)
+    return _run("compare", started, _echo_scenario(cfg, variants), digests, out_dir, render)
 
 
-def cmd_stability_map(config_path, out_dir, seedless=False) -> RunManifest:
+def cmd_stability_map(config_path, out_dir) -> RunManifest:
     started = time.perf_counter()
     cfg, _, digests = _load(config_path, AnalysisConfig)
     if cfg.grid is None:
@@ -503,11 +482,10 @@ def cmd_stability_map(config_path, out_dir, seedless=False) -> RunManifest:
         write_stability_csv(result, target / "stability_map.csv")
         return ["stability_map.csv"]
 
-    return _run("stability-map", started, _echo_analysis(cfg), digests, out_dir,
-                render, seedless)
+    return _run("stability-map", started, _echo_analysis(cfg), digests, out_dir, render)
 
 
-def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
+def cmd_freq_response(config_path, out_dir) -> RunManifest:
     started = time.perf_counter()
     cfg, _, digests = _load(config_path, AnalysisConfig)
     if cfg.gains is None:
@@ -533,8 +511,7 @@ def cmd_freq_response(config_path, out_dir, seedless=False) -> RunManifest:
         names.append("points.csv")
         return names
 
-    return _run("freq-response", started, _echo_analysis(cfg), digests, out_dir,
-                render, seedless)
+    return _run("freq-response", started, _echo_analysis(cfg), digests, out_dir, render)
 
 
 # -- preset bundle ---------------------------------------------------------
@@ -587,7 +564,7 @@ def _write_sweep_csvs(target: FsPath, vehicle: VehicleParams) -> list[str]:
             "wrapper_curve.csv", "max_steer_vs_speed.csv"]
 
 
-def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
+def cmd_figs_repro(out_dir, dt=None) -> RunManifest:
     """Run every bundled preset and emit the full plot-ready data set."""
     started = time.perf_counter()
     compare, simulate = partial(cmd_compare, dt=dt), partial(cmd_simulate, dt=dt)
@@ -595,20 +572,20 @@ def cmd_figs_repro(out_dir, dt=None, seedless=False) -> RunManifest:
             ("varying_curvature_compare", compare), ("optimal_gain", simulate),
             ("positive_feedback", simulate), ("stability_map_d2", cmd_stability_map),
             ("stability_map_d3", cmd_stability_map), ("freq_response", cmd_freq_response))
-    outputs: list[str] = []
-    digests: dict[str, str] = {}
-    with _out_dir(out_dir) as out_dir:
+    digests: dict[str, str] = {}  # the presets', filled as they run
+
+    def render(target: FsPath):
+        outputs = []
         for name, command in runs:
-            manifest = command(_Preset(name), out_dir / name, seedless=seedless)
+            manifest = command(_Preset(name), target / name)
             digests.update(manifest.input_digests)
             outputs += [f"{name}/{out}" for out in manifest.outputs]
-
         table1 = VehicleParams(wheelbase=2.57, sensor_offset=2.0,
                                max_steer=math.radians(30.0), speed=20.0)
-        outputs += _render(partial(_write_sweep_csvs, vehicle=table1), out_dir, seedless)
+        return outputs + _write_sweep_csvs(target, table1)
 
-        echo = {"presets": sorted(name for name, _ in runs)}
-        return _write_manifest("figs-repro", started, echo, digests, out_dir, outputs, seedless)
+    echo = {"presets": sorted(name for name, _ in runs)}
+    return _run("figs-repro", started, echo, digests, out_dir, render)
 
 
 # -- entry point ------------------------------------------------------------
@@ -630,21 +607,16 @@ def _build_parser() -> argparse.ArgumentParser:
     config = flag("--config", dest="config_path", metavar="CONFIG", required=True,
                   help="YAML config file")
     out = flag("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
-    seedless = flag("--seedless", action="store_true",
-                    help="assert determinism: render twice, require identical bytes "
-                         "(the pipeline uses no RNG anywhere)")
     dt = flag("--dt", type=float, help="integration step override [s]")
     variant = flag("--variant", choices=VARIANTS, help="controller variant override")
     variants = flag("--variant", dest="variants", choices=VARIANTS, action="append",
                     help="variant to include (repeatable)")
     for name, text, flags in (
-            ("simulate", "single closed-loop run", (config, out, seedless, dt, variant)),
-            ("compare", "same scenario across controller variants",
-             (config, out, seedless, dt, variants)),
-            ("stability-map", "gain-plane stability / peak-gain scan", (config, out, seedless)),
-            ("freq-response", "curvature-to-deviation frequency response",
-             (config, out, seedless)),
-            ("figs-repro", "run every bundled preset study", (out, seedless, dt))):
+            ("simulate", "single closed-loop run", (config, out, dt, variant)),
+            ("compare", "same scenario across controller variants", (config, out, dt, variants)),
+            ("stability-map", "gain-plane stability / peak-gain scan", (config, out)),
+            ("freq-response", "curvature-to-deviation frequency response", (config, out)),
+            ("figs-repro", "run every bundled preset study", (out, dt))):
         sub.add_parser(name, help=text, parents=flags)
     return parser
 

@@ -402,6 +402,16 @@ class Path:
             with np.errstate(over="ignore", invalid="ignore"):
                 coefs = _pchip_coefficients(knots, np.array(spec.table_kappa, dtype=float))
             overflowed = np.flatnonzero(~np.isfinite(coefs).all(axis=0))
+            if not overflowed.size:
+                # Finite coefficients can still overflow between the knots. The
+                # lookup's sum in its own order, on |c| and u = h, bounds every
+                # partial result of it, as rounding is monotonic.
+                h = knots[1:] - knots[:-1]
+                c0, c1, c2, c3 = np.abs(coefs)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    h2 = h * h
+                    bound = c3 + c2 * h + c1 * h2 + c0 * (h2 * h)
+                overflowed = np.flatnonzero(~np.isfinite(bound))
             if overflowed.size:
                 j = overflowed[0]
                 raise DomainError(

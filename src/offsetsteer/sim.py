@@ -68,7 +68,7 @@ from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
 from .paths import TWO_PI, PathSpec, PathState, build_path, wrap_angle_error
 # The loop calls the run's bound law; control stays importable from here,
 # where perfbench's tracer wraps it.
-from .steering import ControlConfig, _law, control, max_allowable_steer  # noqa: F401
+from .steering import WRAPPED, ControlConfig, _law, control, max_allowable_steer  # noqa: F401
 
 # A step starts only while 1 - e*kappa >= SINGULARITY_TOL (path-frame singularity).
 SINGULARITY_TOL = 1e-6
@@ -116,6 +116,14 @@ class ScenarioConfig:
         if not 0.0 < self.settle_threshold < math.inf:
             raise ConfigError(
                 f"settle_threshold must be positive and finite, got {self.settle_threshold}")
+        if self.control.variant in WRAPPED:
+            # The wrapped laws divide by the wrapper's scale 2*g_sat/pi.
+            g_sat = max_allowable_steer(self.vehicle, self.control.max_lat_accel)
+            if not 2.0 * g_sat / math.pi > 0.0:
+                raise ConfigError(
+                    f"the {self.control.variant} law's feedback bound g_sat = {g_sat:.6g} rad "
+                    f"(max_lat_accel {self.control.max_lat_accel:.6g} m/s^2 at "
+                    f"{self.vehicle.speed:.6g} m/s) leaves its wrapper scale 2*g_sat/pi at 0")
         for name, value in zip(PathState._fields, self.initial):
             if not -math.inf < value < math.inf:
                 raise ConfigError(f"initial {name} must be finite, got {value}")
@@ -235,6 +243,17 @@ def _check_finite(*state: float) -> None:
             raise OffsetSteerError(f"integration diverged: state {state}")
 
 
+def _mean(values: np.ndarray) -> float:
+    """``values.mean()``, finite for finite values: where their sum overflows,
+    the mean is taken of the values scaled by a power of two, which is exact."""
+    with np.errstate(over="ignore"):
+        mean = float(values.mean())
+    if math.isinf(mean):
+        k = values.size.bit_length()
+        mean = math.ldexp(float(np.ldexp(values, -k).mean()), k)
+    return mean
+
+
 def _metrics(traj: Trajectory, cfg: ScenarioConfig) -> TrackingMetrics:
     e = traj.e_d
     n = e.size
@@ -249,8 +268,8 @@ def _metrics(traj: Trajectory, cfg: ScenarioConfig) -> TrackingMetrics:
         settling = float(traj.t[above[-1] + 1])
 
     tail = slice(n - max(1, n // 5), n)
-    steady_e = float(e[tail].mean())
-    steady_theta_hat = float(traj.theta_hat[tail].mean())
+    steady_e = _mean(e[tail])
+    steady_theta_hat = _mean(traj.theta_hat[tail])
 
     spec = cfg.path_spec
     window = None
@@ -262,7 +281,9 @@ def _metrics(traj: Trajectory, cfg: ScenarioConfig) -> TrackingMetrics:
             window = e[mask]
     if window is None:
         window = e[tail]
-    sway = 0.5 * float(window.max() - window.min())
+    high, low = float(window.max()), float(window.min())
+    # Halved first where the peak-to-peak overflows; halving is exact.
+    sway = 0.5 * (high - low) if math.isfinite(high - low) else 0.5 * high - 0.5 * low
 
     e0 = float(e[0])
     if e0 < 0.0:

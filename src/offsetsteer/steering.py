@@ -36,6 +36,8 @@ from .paths import PathState
 logger = logging.getLogger(__name__)
 
 VARIANTS = ("full", "naive", "unwrapped", "linear")
+# The variants whose feedback passes through the bounding wrapper.
+WRAPPED = ("full", "naive")
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def _law(cfg: ControlConfig, params: VehicleParams):
 
     # Only full and naive wrap the feedback. The other degraded variants stay
     # unbounded on purpose: reproducing their pathologies is the point.
-    if cfg.variant in ("full", "naive"):
+    if cfg.variant in WRAPPED:
         scale = 2.0 * max_allowable_steer(params, cfg.max_lat_accel) / math.pi
 
     def full(e: float, theta: float, kappa: float) -> tuple[float, float, float, float, float]:

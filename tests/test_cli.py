@@ -15,16 +15,16 @@ import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
 
-from offsetsteer import (VARIANTS, ComparisonReport, ConfigError, ControlConfig,
-                         OffsetSteerError, PathSpec, PathState, ScenarioConfig,
-                         TrackingMetrics, VehicleParams, amplification, is_stable,
-                         run_scenario, wrapper)
+from offsetsteer import (VARIANTS, ComparisonReport, ConfigError, ControlConfig, PathSpec,
+                         PathState, ScenarioConfig, TrackingMetrics, VehicleParams,
+                         amplification, is_stable, max_allowable_steer, run_scenario)
 from offsetsteer import cli
 from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              AnalysisConfig, _echo_analysis, _echo_scenario,
                              cmd_freq_response, cmd_simulate, cmd_stability_map, main,
                              parse_config, preset_text)
 from offsetsteer.paths import POSE_GRID_STEP
+from offsetsteer.steering import WRAPPED
 
 from conftest import (CROSSING_YAML, FIGS_REPRO_GOLDEN, FIGS_REPRO_GOLDEN_ARGS,
                       figs_repro_digests, run_python)
@@ -175,6 +175,26 @@ def test_counts_and_ranges_exit_config(tmp_path, command, key, value):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("key, value, message", [
+    ("speed_mps", "1.0e-200",
+     "speed must be positive (forward motion) with a positive, finite square, got 1e-200"),
+    ("max_lat_accel_mps2", "5.0e-324",
+     "the full law's feedback bound g_sat = 0 rad (max_lat_accel 4.94066e-324 m/s^2 at 20 m/s) "
+     "leaves its wrapper scale 2*g_sat/pi at 0"),
+], ids=["speed-square-underflows", "wrapper-scale-zero"])
+def test_comfort_bound_that_would_divide_by_zero_exits_config(tmp_path, capsys, command, key,
+                                                              value, message):
+    # The comfort bound divides by V**2, and the wrapped laws by 2*g_sat/pi.
+    config = tmp_path / "straight.yaml"
+    config.write_text(re.sub(rf"(?m)^(\s*{key}): .*$", rf"\1: {value}",
+                             preset_text("straight_compare")))
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("value", ["1.0e2", "1e2", "1e+2"])
 def test_unsigned_exponent_names_the_yaml_spelling(tmp_path, capsys, value):
     # YAML 1.1 loads these as text; only 1.0e+2 is a float.
@@ -248,6 +268,19 @@ def test_parse_sampled_path_from_csv(tmp_path):
     assert len(cfg.path_spec.table_s) == 3
 
 
+def test_blank_curvature_table_row_is_skipped(tmp_path):
+    (tmp_path / "table.csv").write_text(
+        "s_meters,kappa_per_meter\n0.0,0.0\n\n500.0,0.002\n1000.0,0.0\n")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n"
+        "  period_m: 250.0\n  periods: 4",
+        "  kind: sampled\n  csv: table.csv"))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["path"]["table"]["s_m"] == [0.0, 500.0, 1000.0]
+
+
 def test_csv_road_builds_its_spec_once(tmp_path, monkeypatch):
     (tmp_path / "table.csv").write_text(
         "s_meters,kappa_per_meter\n0.0,0.0\n500.0,0.002\n1000.0,0.0\n")
@@ -315,6 +348,19 @@ def test_repeated_key_exits_config_and_names_the_place(tmp_path, capsys, text, m
     assert not (tmp_path / "bad").exists()
 
 
+def test_merge_key_may_repeat_and_its_override_reaches_the_echo(tmp_path):
+    # A merged mapping is not a repeated key; the key given beside it wins.
+    config = tmp_path / "config.yaml"
+    config.write_text(ANALYSIS_YAML.replace(
+        "  - {k1: -0.8, k2_per_m: 0.02}\n",
+        "  - &base {k1: -0.8, k2_per_m: 0.02}\n  - {<<: *base, k2_per_m: 0.05}\n"))
+    assert main(["freq-response", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["gains"] == [{"k1": -0.8, "k2_per_m": 0.02},
+                                           {"k1": -0.8, "k2_per_m": 0.05}]
+
+
 _NO_GRID = re.sub(r"grid:\n(  .*\n)+", "", ANALYSIS_YAML)
 _NO_GAINS = re.sub(r"gains:\n(  .*\n)+", "", ANALYSIS_YAML)
 
@@ -342,9 +388,22 @@ _NO_GAINS = re.sub(r"gains:\n(  .*\n)+", "", ANALYSIS_YAML)
         "  periods: 4\n",
         "  kind: sampled\n  table: {s_m: 0.0, kappa_per_m: [0.0, 0.001]}\n"),
      "path.table: s_m and kappa_per_m must be lists"),
+    ("simulate", SCENARIO_YAML.replace("speed_mps: 20.0", "speed_mps: fast"),
+     "config.vehicle: key 'speed_mps' must be a finite number, got 'fast'"),
+    ("simulate", SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n  period_m: 250.0\n"
+        "  periods: 4\n",
+        "  kind: sampled\n  table: {s_m: [0.0, 10.0], kappa_per_m: [0.0]}\n"),
+     "sampled path table columns differ in length"),
+    ("simulate", SCENARIO_YAML.replace(
+        "  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n  period_m: 250.0\n"
+        "  periods: 4\n",
+        "  kind: sampled\n  table: {s_m: [], kappa_per_m: []}\n"),
+     "sampled path needs a non-empty (s, kappa) table"),
 ], ids=["section-not-a-mapping", "missing-angle", "unknown-path-kind", "neither-kind",
         "bad-variants", "bad-gains", "scenario-to-stability-map", "analysis-to-simulate",
-        "map-without-grid", "response-without-gains", "table-column-not-a-list"])
+        "map-without-grid", "response-without-gains", "table-column-not-a-list",
+        "text-not-a-number", "table-columns-ragged", "table-empty"])
 def test_config_structure_error_exits_config_and_names_the_fault(tmp_path, capsys, command,
                                                                  text, message):
     # A section missing or of the wrong type, where the tests above change one value.
@@ -391,7 +450,8 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 _vehicles = st.builds(VehicleParams, wheelbase=_positive, sensor_offset=_finite,
                       max_steer=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
-                      speed=st.floats(min_value=0.0, max_value=1e150, exclude_min=True))
+                      speed=st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
+                      .filter(lambda v: 0.0 < v * v < math.inf))
 
 
 @st.composite
@@ -429,10 +489,13 @@ def _scenarios(draw):
     # horizon is the road's default, which follows from these fields alone.
     horizon = ScenarioConfig.resolved_t_end(SimpleNamespace(**fields))
     assume(dt < horizon < math.inf and horizon / dt <= 1e15)
+    control = draw(st.builds(ControlConfig, k1=_finite, k2=_finite, max_lat_accel=_positive,
+                             variant=st.sampled_from(VARIANTS)))
+    # A wrapped law divides by its wrapper's scale 2*g_sat/pi.
+    assume(control.variant not in WRAPPED
+           or 2.0 * max_allowable_steer(fields["vehicle"], control.max_lat_accel) / math.pi > 0.0)
     return ScenarioConfig(
-        **fields, dt=dt,
-        control=draw(st.builds(ControlConfig, k1=_finite, k2=_finite, max_lat_accel=_positive,
-                               variant=st.sampled_from(VARIANTS))),
+        **fields, dt=dt, control=control,
         frame=draw(st.sampled_from(("path", "earth", "both"))),
         control_dt=draw(st.none() | st.integers(1, 1000).map(lambda n: n * dt)),
         settle_threshold=draw(_positive))
@@ -652,55 +715,26 @@ def test_straight_preset_runs_quickly_and_settles(tmp_path):
     assert abs(e_final) < 0.01
 
 
-def test_seedless_flag_verifies_determinism(tmp_path):
-    config = tmp_path / "scenario.yaml"
-    config.write_text(SCENARIO_YAML)
-    code = main(["simulate", "--config", str(config), "--out",
-                 str(tmp_path / "out"), "--seedless"])
-    assert code == EXIT_OK
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["seedless"] is True
-
-
 def test_figs_repro_lists_every_output_and_matches_its_golden_digests(tmp_path):
     # Every field the manifests hold (the presets, their input digests and
-    # keys, each scenario's dt) is pinned by the manifests' digests.
-    out = tmp_path / "figs"
-    assert main([*FIGS_REPRO_GOLDEN_ARGS, "--out", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
-    assert manifest["outputs"] == on_disk
+    # keys, each scenario's dt) is pinned by the manifests' digests. Two
+    # renders in one process must each match the committed file.
     golden = dict(reversed(line.split("  ", 1))
                   for line in FIGS_REPRO_GOLDEN.read_text().splitlines())
-    digests = figs_repro_digests(out)
-    moved = sorted(name for name in golden.keys() & digests.keys()
-                   if golden[name] != digests[name])
-    appeared = sorted(digests.keys() - golden.keys())
-    missing = sorted(golden.keys() - digests.keys())
-    assert not (moved or appeared or missing), (
-        f"figs-repro artifacts differ from {FIGS_REPRO_GOLDEN.name}: moved {moved}, "
-        f"appeared {appeared}, missing {missing}. If the change is meant, run "
-        f"tests/golden/regenerate.py and say in CHANGES.md why they moved.")
-
-
-def test_figs_repro_seedless_checks_its_sweep_csvs(tmp_path, monkeypatch):
-    # The presets are stubbed out, and the wrapper doubles on the second render
-    # of the sweep CSVs: the determinism check must catch that.
-    for name in ("cmd_simulate", "cmd_compare", "cmd_stability_map", "cmd_freq_response"):
-        monkeypatch.setattr(cli, name, lambda *args, **kwargs: SimpleNamespace(
-            input_digests={}, outputs=[]))
-    renders = []
-
-    def drifting_wrapper(x, g_sat):
-        if x == -0.5:  # the first point of each render's wrapper curve
-            renders.append(x)
-        return len(renders) * wrapper(x, g_sat)
-
-    monkeypatch.setattr(cli, "wrapper", drifting_wrapper)
-    with pytest.raises(OffsetSteerError, match="determinism check failed for wrapper_curve.csv"):
-        cli.cmd_figs_repro(tmp_path / "figs", seedless=True)
-    assert len(renders) == 2
-    assert not (tmp_path / "figs").exists()
+    for out in (tmp_path / "figs", tmp_path / "again"):
+        assert main([*FIGS_REPRO_GOLDEN_ARGS, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert manifest["outputs"] == on_disk
+        digests = figs_repro_digests(out)
+        moved = sorted(name for name in golden.keys() & digests.keys()
+                       if golden[name] != digests[name])
+        appeared = sorted(digests.keys() - golden.keys())
+        missing = sorted(golden.keys() - digests.keys())
+        assert not (moved or appeared or missing), (
+            f"{out.name}: figs-repro artifacts differ from {FIGS_REPRO_GOLDEN.name}: moved "
+            f"{moved}, appeared {appeared}, missing {missing}. If the change is meant, run "
+            f"tests/golden/regenerate.py and say in CHANGES.md why they moved.")
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -709,16 +743,14 @@ COMMANDS = ("simulate", "compare", "stability-map", "freq-response", "figs-repro
 
 
 @pytest.mark.parametrize("argv, forwarded", [
-    (["simulate", "--config", "c.yaml", "--dt", "0.01", "--variant", "naive", "--seedless"],
-     {"config_path": "c.yaml", "dt": 0.01, "variant": "naive", "seedless": True}),
+    (["simulate", "--config", "c.yaml", "--dt", "0.01", "--variant", "naive"],
+     {"config_path": "c.yaml", "dt": 0.01, "variant": "naive"}),
     (["compare", "--config", "c.yaml", "--dt", "0.02", "--variant", "naive",
       "--variant", "linear"],
-     {"config_path": "c.yaml", "dt": 0.02, "variants": ["naive", "linear"],
-      "seedless": False}),
-    (["stability-map", "--config", "c.yaml", "--seedless"],
-     {"config_path": "c.yaml", "seedless": True}),
-    (["freq-response", "--config", "c.yaml"], {"config_path": "c.yaml", "seedless": False}),
-    (["figs-repro", "--dt", "0.01"], {"dt": 0.01, "seedless": False}),
+     {"config_path": "c.yaml", "dt": 0.02, "variants": ["naive", "linear"]}),
+    (["stability-map", "--config", "c.yaml"], {"config_path": "c.yaml"}),
+    (["freq-response", "--config", "c.yaml"], {"config_path": "c.yaml"}),
+    (["figs-repro", "--dt", "0.01"], {"dt": 0.01}),
 ], ids=COMMANDS)
 def test_main_calls_the_command_bound_at_call_time(monkeypatch, argv, forwarded):
     # A profiler times the commands by rebinding them on the module after import.

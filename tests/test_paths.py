@@ -88,6 +88,19 @@ def test_sampled_table_spanning_most_doubles_checks_its_order_without_a_warning(
     assert not recwarn.list
 
 
+def test_sampled_table_whose_pchip_overflows_between_its_knots_is_refused(recwarn):
+    # Every coefficient is finite, but the interpolant's sum overflows inside
+    # [0, 10] (kappa(5) would read inf): the road is refused when it is built.
+    with pytest.raises(DomainError, match=r"^sampled path table over \[0, 20\] m: its PCHIP "
+                                          r"interpolant is not finite on \[0, 10\] m$"):
+        build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 1.7e308, 0.0]))
+    # A 2,000 km table of curvatures near 1e300 still builds and reads finite.
+    s = np.linspace(0.0, 2e6, 201)
+    path = build_path(PathSpec.sampled(s, np.where(np.arange(s.size) % 2, 1e300, -1e300)))
+    assert all(math.isfinite(path.curvature(q)) for q in (0.0, 5e3, 1e6 + 1.0, 2e6))
+    assert not recwarn.list
+
+
 def test_sampled_tracks_its_source_profile():
     # Tabulate the cosine profile on a 1 m grid; the interpolant must stay
     # close to the analytic curve between the knots.

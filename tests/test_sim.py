@@ -6,6 +6,7 @@ import tracemalloc
 import types
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -782,6 +783,25 @@ def test_sway_window_uses_last_curvature_period(runs):
     window = traj.e_d[(traj.s_d >= lo) & (traj.s_d <= hi)]
     assert metrics.sway_amplitude == pytest.approx(
         0.5 * (window.max() - window.min()), rel=1e-12)
+
+
+def test_huge_finite_deviation_keeps_its_metrics_finite():
+    # A start 1e308 m off a straight road: every e_D is finite, and so is the
+    # tail's mean, whose plain sum overflows.
+    cfg = make_scenario(PathSpec.straight(), dt=0.01, t_end=1.0,
+                        initial=PathState(0.0, 1e308, 0.0))
+    traj, metrics = run_scenario(cfg)
+    tail = traj.e_d[-(traj.e_d.size // 5):]
+    assert np.isfinite(traj.e_d).all()
+    assert metrics.steady_e == pytest.approx(float(sum(map(Fraction, tail)) / tail.size),
+                                             rel=1e-14)
+    # A window from +1.5e308 to -1.5e308: its peak-to-peak overflows, its sway does not.
+    e = np.zeros(10)
+    e[-2:] = 1.5e308, -1.5e308
+    metrics = sim._metrics(_synthetic_trajectory(10, e_d=e, theta_hat=np.full(10, 1.7e308)),
+                           make_scenario(PathSpec.straight()))
+    assert (metrics.sway_amplitude, metrics.steady_e, metrics.steady_theta_hat) == (
+        1.5e308, 0.0, 1.7e308)
 
 
 # -- controller comparisons -----------------------------------------------------------
