@@ -90,6 +90,26 @@ class StabilityMap:
     valid: np.ndarray     # False where |d*kappa0| >= 1
 
 
+def _text(x) -> str:
+    """A number, or the range of an array, as the config would give it."""
+    return repr(float(x)) if np.ndim(x) == 0 else f"[{_text(np.min(x))}, {_text(np.max(x))}]"
+
+
+def _not_finite(quantity: str, exc: OverflowError | ZeroDivisionError, kappa0, k1, k2,
+                params: VehicleParams) -> DomainError:
+    """The error for a closed form whose float arithmetic raised ``exc``.
+
+    Python floats raise where numpy arrays give inf: ``**`` on overflow, and
+    ``/`` on a divisor that underflowed to 0. The closed forms catch that
+    where it happens, so a failing input costs nothing on the others.
+    """
+    what = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
+    return DomainError(
+        f"{quantity} {what} at kappa0={_text(kappa0)} 1/m, k1={_text(k1)}, "
+        f"k2={_text(k2)} 1/m, l={_text(params.wheelbase)} m, "
+        f"d={_text(params.sensor_offset)} m, V={_text(params.speed)} m/s")
+
+
 def lambdas(kappa0: float, k1, k2, params: VehicleParams) -> Lambdas:
     """Coefficient bundle (lam1..lam4) at a nominal curvature and gain pair.
 
@@ -104,8 +124,11 @@ def lambdas(kappa0: float, k1, k2, params: VehicleParams) -> Lambdas:
     lam1 = math.sqrt(1.0 - d * d * k0sq)
     lam2 = 1.0 + (l * l - d * d) * k0sq
     lam3 = lam1 * lam2 * k1 * k2 - d * k0sq * lam2 * k1 - l * k0sq
-    lam4 = (v * v / (l * l * lam1 * lam1)) * (
-        2.0 * l * lam3 + lam2 * lam2 * k1 * k1 * (lam1 + d * k2) ** 2)
+    try:
+        lam4 = (v * v / (l * l * lam1 * lam1)) * (
+            2.0 * l * lam3 + lam2 * lam2 * k1 * k1 * (lam1 + d * k2) ** 2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _not_finite("lambda4", exc, kappa0, k1, k2, params) from None
     return Lambdas(lam1, lam2, lam3, lam4)
 
 
@@ -136,7 +159,7 @@ def linearize(kappa0: float, k1: float, k2: float, params: VehicleParams) -> Lin
     return LinearModel(a, b, c, kappa0, k1, k2, params)
 
 
-def _roots(lam: Lambdas, k1: float, k2: float,
+def _roots(lam: Lambdas, kappa0: float, k1: float, k2: float,
            params: VehicleParams) -> tuple[complex, complex]:
     """Roots of the characteristic polynomial s^2 + b1*s + b0."""
     l = params.wheelbase
@@ -144,14 +167,17 @@ def _roots(lam: Lambdas, k1: float, k2: float,
     v = params.speed
     b1 = -v * k1 * lam.lam2 / (l * lam.lam1) * (lam.lam1 + d * k2)
     b0 = -v * v * lam.lam3 / (l * lam.lam1 * lam.lam1)
-    disc = complex(b1 * b1 - 4.0 * b0) ** 0.5
+    try:
+        disc = complex(b1 * b1 - 4.0 * b0) ** 0.5
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _not_finite("closed-loop eigenvalues", exc, kappa0, k1, k2, params) from None
     return (0.5 * (-b1 + disc), 0.5 * (-b1 - disc))
 
 
 def eigenvalues(model: LinearModel) -> tuple[complex, complex]:
     """Closed-loop eigenvalues from the characteristic polynomial."""
     lam = lambdas(model.kappa0, model.k1, model.k2, model.params)
-    return _roots(lam, model.k1, model.k2, model.params)
+    return _roots(lam, model.kappa0, model.k1, model.k2, model.params)
 
 
 def prop1_k2_threshold(params: VehicleParams) -> float:
@@ -169,14 +195,17 @@ def _sign_conditions(lam: Lambdas, k1, k2, params: VehicleParams):
     return stable, marginal
 
 
-def _peak(lam: Lambdas, k1, k2, params: VehicleParams):
+def _peak(lam: Lambdas, kappa0, k1, k2, params: VehicleParams):
     """(M_max [m^2], omega_m [rad/s]) elementwise; M_max is inf where unbounded."""
     l = params.wheelbase
     d = params.sensor_offset
     omega_m = params.speed / lam.lam1 * np.sqrt(abs(lam.lam3) / l)
     num = d / lam.lam1 * abs(l + d * lam.lam2 * k1)
-    den_sq = (2.0 * l * (lam.lam3 + abs(lam.lam3))
-              + lam.lam2 ** 2 * k1 ** 2 * (lam.lam1 + d * k2) ** 2)
+    try:
+        den_sq = (2.0 * l * (lam.lam3 + abs(lam.lam3))
+                  + lam.lam2 ** 2 * k1 ** 2 * (lam.lam1 + d * k2) ** 2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _not_finite("peak amplification M_max", exc, kappa0, k1, k2, params) from None
     with np.errstate(divide="ignore", invalid="ignore"):
         m_max = np.where(num == 0.0, 0.0,
                          np.where(den_sq <= 0.0, np.inf, num / np.sqrt(den_sq)))
@@ -201,7 +230,7 @@ def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams) -> Sta
         condition = 2
 
     return StabilityVerdict(bool(stable), bool(marginal), condition is not None, condition,
-                            _roots(lam, k1, k2, params))
+                            _roots(lam, kappa0, k1, k2, params))
 
 
 def amplification(omega, kappa0: float, k1: float, k2: float, params: VehicleParams):
@@ -217,9 +246,15 @@ def amplification(omega, kappa0: float, k1: float, k2: float, params: VehiclePar
     v = params.speed
     w = np.asarray(omega, dtype=float)
     lam1sq = lam.lam1 * lam.lam1
-    num = (v * v * d * d / (lam1sq * lam1sq)) * (1.0 + d / l * lam.lam2 * k1) ** 2 * w * w
-    den = (w ** 4 + lam.lam4 * w * w
-           + v ** 4 * lam.lam3 * lam.lam3 / (l * l * lam1sq * lam1sq))
+    # The scalar factors first, so that one that overflows raises before any
+    # array arithmetic runs; each sum and product keeps its order.
+    try:
+        gain = (v * v * d * d / (lam1sq * lam1sq)) * (1.0 + d / l * lam.lam2 * k1) ** 2
+        rest = v ** 4 * lam.lam3 * lam.lam3 / (l * l * lam1sq * lam1sq)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _not_finite("amplification ratio M(omega)", exc, kappa0, k1, k2, params) from None
+    num = gain * w * w
+    den = w ** 4 + lam.lam4 * w * w + rest
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.sqrt(num / den)
     return float(m) if np.isscalar(omega) else m
@@ -228,7 +263,7 @@ def amplification(omega, kappa0: float, k1: float, k2: float, params: VehiclePar
 def peak_amplification(kappa0: float, k1: float, k2: float,
                        params: VehicleParams) -> tuple[float, float]:
     """Peak (M_max [m^2], omega_m [rad/s]) of the amplification ratio."""
-    m_max, omega_m = _peak(lambdas(kappa0, k1, k2, params), k1, k2, params)
+    m_max, omega_m = _peak(lambdas(kappa0, k1, k2, params), kappa0, k1, k2, params)
     if math.isinf(m_max):
         logger.warning("amplification unbounded at kappa0=%.6g, k1=%.6g, k2=%.6g",
                        kappa0, k1, k2)
@@ -280,11 +315,13 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
 
     for i, kappa0 in enumerate(kappa0_values):
         try:
-            lam = lambdas(kappa0, grid_k1, grid_k2, params)
+            check_trackable(kappa0, params.sensor_offset)
         except DomainError:
             continue  # entire slice untrackable; left invalid
+        # A closed form that fails on a trackable slice raises.
+        lam = lambdas(kappa0, grid_k1, grid_k2, params)
         stable[i], marginal[i] = _sign_conditions(lam, grid_k1, grid_k2, params)
-        m_max[i], omega_m[i] = _peak(lam, grid_k1, grid_k2, params)
+        m_max[i], omega_m[i] = _peak(lam, kappa0, grid_k1, grid_k2, params)
         valid[i] = True
 
     return StabilityMap(k1_vals, k2_vals, kappa0_values,

@@ -34,8 +34,10 @@ class VehicleParams:
 
     def __post_init__(self):
         # Written so that NaN fails each check.
-        if not 0.0 < self.wheelbase < math.inf:
-            raise ConfigError(f"wheelbase must be positive and finite, got {self.wheelbase}")
+        # The closed forms divide by l**2, as the comfort bound does by V**2.
+        if not (0.0 < self.wheelbase < math.inf and 0.0 < self.wheelbase * self.wheelbase):
+            raise ConfigError(f"wheelbase must be positive and finite with a positive square, "
+                              f"got {self.wheelbase}")
         if not -math.inf < self.sensor_offset < math.inf:
             raise ConfigError(f"sensor_offset must be finite, got {self.sensor_offset}")
         # V**2 enters the comfort bound, lambda4 and the lateral acceleration;

@@ -376,6 +376,14 @@ class Path:
 
     What it answers never changes after construction, and it is safe to
     share across threads: the pose grid fills under a lock.
+
+    A sampled road's scalar curvature lookup keeps the interval it used last,
+    one attribute holding an immutable (start, end, c0, c1, c2, c3) tuple,
+    and bisects the knots only when s lies outside that interval's window
+    [start, end). The windows partition the table (the last one closes at
+    its end, included), so a tuple whose window holds s is the one the
+    bisect would pick: the hint changes no answer, and threads that replace
+    it in any order need no lock.
     """
 
     def __init__(self, spec: PathSpec):
@@ -417,12 +425,18 @@ class Path:
                 raise DomainError(
                     f"sampled path table over [{knots[0]:.6g}, {knots[-1]:.6g}] m: its PCHIP "
                     f"interpolant is not finite on [{knots[j]:.6g}, {knots[j + 1]:.6g}] m")
-            # Scalar lookups read the knots and the coefficients (c0 u^3 +
-            # c1 u^2 + c2 u + c3 per interval) in plain Python, without the
-            # array set-up of an array call; the pose grid makes array calls.
+            # Scalar lookups read the knots and one (start, end, c0, c1, c2, c3)
+            # tuple per interval (c0 u^3 + c1 u^2 + c2 u + c3) in plain Python,
+            # without the array set-up of an array call; the pose grid makes
+            # array calls. The last window ends just past the table, so that
+            # it holds the table's end.
             self._knots = knots.tolist()
-            self._coefs = coefs.T.tolist()
             self._s_start, self._s_end = self._knots[0], self._knots[-1]
+            ends = self._knots[1:-1] + [math.nextafter(self._s_end, math.inf)]
+            self._intervals = [(start, end, *c) for start, end, c
+                               in zip(self._knots, ends, coefs.T.tolist())]
+            # No interval yet: a NaN window holds no s, so the first lookup bisects.
+            self._interval = (math.nan,) * 6
             self._grid = _PoseGrid(partial(_pchip_array, knots, coefs), self._s_start,
                                    self._s_end, spec.x0, spec.y0, spec.psi0)
 
@@ -447,15 +461,20 @@ class Path:
             # Constant continuation with the boundary value (zero, as periods
             # is whole), so simulations may run past the profile.
             return 0.0
-        if not self._s_start <= s <= self._s_end:
-            self.spec.check_arc_length(s)
+        # The loop's lookups lie close together, so the interval used last
+        # likely holds s; only an s outside its window is range-checked and
+        # bisected.
+        start, end, c0, c1, c2, c3 = self._interval
+        if not start <= s < end:
+            if not self._s_start <= s <= self._s_end:
+                self.spec.check_arc_length(s)
+            knots = self._knots
+            self._interval = start, end, c0, c1, c2, c3 = self._intervals[
+                bisect_right(knots, s, 0, len(knots) - 1) - 1]
         # The same interval and the same sum as PPoly's evaluation of these
         # coefficients, which the tests hold to scipy's PchipInterpolator bit
         # for bit.
-        knots = self._knots
-        j = bisect_right(knots, s, 0, len(knots) - 1) - 1
-        c0, c1, c2, c3 = self._coefs[j]
-        u = s - knots[j]
+        u = s - start
         u2 = u * u
         return c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
 

@@ -11,6 +11,7 @@ import textwrap
 from importlib import resources
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
@@ -448,7 +449,8 @@ def test_config_loader_is_libyaml_where_pyyaml_has_it():
 # Generated valid configs: the echo must parse back to the same config.
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
-_vehicles = st.builds(VehicleParams, wheelbase=_positive, sensor_offset=_finite,
+_vehicles = st.builds(VehicleParams, wheelbase=_positive.filter(lambda l: 0.0 < l * l),
+                      sensor_offset=_finite,
                       max_steer=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
                       speed=st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
                       .filter(lambda v: 0.0 < v * v < math.inf))
@@ -943,6 +945,75 @@ def test_sampled_table_whose_pchip_overflows_exits_domain_without_a_warning(tmp_
         "domain error: sampled path table over [0, 30] m: its PCHIP interpolant is not finite "
         "on [10, 20] m\n")
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["stability-map", "freq-response"])
+def test_wheelbase_whose_square_underflows_exits_config(tmp_path, capsys, command):
+    # The closed forms divide by l**2, which is 0 for a subnormal wheelbase.
+    config = tmp_path / "analysis.yaml"
+    config.write_text(ANALYSIS_YAML.replace("wheelbase_m: 2.57", "wheelbase_m: 5.0e-324"))
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: wheelbase must be positive and finite with a positive square, "
+        "got 5e-324\n")
+    assert not (tmp_path / "bad").exists()
+
+
+# |d*kappa0| = 1 - 2**-53 is trackable, but 1 - d**2 * kappa0**2 rounds to 0.
+_LAM1_ZERO = (("sensor_offset_m: 2.0", "sensor_offset_m: 9.080822293268293"),
+              ("kappa0_per_m: [0.0, 0.05]", "kappa0_per_m: [0.11012218582245688]"))
+
+
+@pytest.mark.parametrize("command, edits, message", [
+    ("freq-response", [("k2_per_m: 0.02", "k2_per_m: 1.0e+200")],
+     "lambda4 overflows at kappa0=0.0 1/m, k1=-0.8, k2=1e+200 1/m, l=2.57 m, d=2.0 m, "
+     "V=20.0 m/s"),
+    ("freq-response", [("{k1: -0.8,", "{k1: -1.0e+200,")],
+     "peak amplification M_max overflows at kappa0=0.0 1/m, k1=-1e+200, k2=0.02 1/m, "
+     "l=2.57 m, d=2.0 m, V=20.0 m/s"),
+    ("freq-response", [("speed_mps: 20.0", "speed_mps: 1.0e+150")],
+     "amplification ratio M(omega) overflows at kappa0=0.0 1/m, k1=-0.8, k2=0.02 1/m, "
+     "l=2.57 m, d=2.0 m, V=1e+150 m/s"),
+    # Every factor before the eigenvalues stays finite or becomes inf by *,
+    # which does not raise; the discriminant's square root does.
+    ("freq-response", [("{k1: -0.8, k2_per_m: 0.02}", "{k1: -8.0e+9, k2_per_m: 1.0e+150}")],
+     "closed-loop eigenvalues overflows at kappa0=0.0 1/m, k1=-8000000000.0, k2=1e+150 1/m, "
+     "l=2.57 m, d=2.0 m, V=20.0 m/s"),
+    ("freq-response", _LAM1_ZERO,
+     "lambda4 divides by zero at kappa0=0.11012218582245688 1/m, k1=-0.8, k2=0.02 1/m, "
+     "l=2.57 m, d=9.080822293268293 m, V=20.0 m/s"),
+    ("stability-map", _LAM1_ZERO,
+     "lambda4 divides by zero at kappa0=0.11012218582245688 1/m, k1=[-2.0, 2.0], "
+     "k2=[-1.0, 1.0] 1/m, l=2.57 m, d=9.080822293268293 m, V=20.0 m/s"),
+], ids=["gain-squared-overflows", "k1-squared-overflows", "speed-to-the-fourth-overflows",
+        "discriminant-overflows", "response-lam1-rounds-to-0", "map-lam1-rounds-to-0"])
+def test_closed_form_that_overflows_or_divides_by_zero_exits_domain(tmp_path, capsys, command,
+                                                                     edits, message):
+    # Python floats raise where numpy gives inf; the error names the quantity
+    # and its inputs, and no numpy warning comes first (pyproject.toml makes
+    # one an error).
+    text = ANALYSIS_YAML
+    for old, new in edits:
+        text = text.replace(old, new)
+    config = tmp_path / "analysis.yaml"
+    config.write_text(text)
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"domain error: {message}\n"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_stability_map_at_a_speed_whose_fourth_power_overflows_still_runs(tmp_path, capsys):
+    # The map evaluates no V**4, so the speed that stops freq-response gives
+    # a map without NaN (M_max is inf where the response is unbounded).
+    config = tmp_path / "analysis.yaml"
+    config.write_text(ANALYSIS_YAML.replace("speed_mps: 20.0", "speed_mps: 1.0e+150"))
+    assert main(["stability-map", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(tmp_path / "out" / "stability_map.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (2 * 9 * 9, 7) and not np.isnan(rows).any()
 
 
 def test_exit_code_io_error(tmp_path):

@@ -396,6 +396,91 @@ def test_threads_share_one_pose_grid():
             assert np.array_equal(_bits(column), _bits(want))
 
 
+# Uneven knots over 2 m, so a 1 mm walk crosses each interval in a few to a
+# few hundred lookups; 0.375 m is no multiple of the walk's step.
+_SHORT_TABLE = PathSpec.sampled([-0.5, -0.25, 0.0, 0.375, 0.5, 1.125, 1.5],
+                                [0.01, -0.002, 0.0, 0.004, 0.0035, -0.006, 0.001])
+
+
+def _walk(spec):
+    """Arc lengths over the whole table in steps of about 1 mm, with every
+    knot and the neighbours of each knot inside the table, in order."""
+    knots = np.array(spec.table_s)
+    lo, hi = knots[0], knots[-1]
+    near = np.concatenate((np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)))
+    s = np.concatenate((np.linspace(lo, hi, 2001), knots, near[(near >= lo) & (near <= hi)]))
+    return np.unique(s).tolist()
+
+
+def _fresh_curvature(spec, points):
+    """What a fresh road answers at each point on its first lookup, which bisects."""
+    return [build_path(spec).curvature(s) for s in points]
+
+
+def test_sampled_lookup_walk_equals_a_fresh_lookup():
+    # The loop's pattern: one road, looked up forward and then back over the
+    # whole table, where each lookup starts from the interval used last.
+    path, walk = build_path(_SHORT_TABLE), _walk(_SHORT_TABLE)
+    assert set(_SHORT_TABLE.table_s) <= set(walk) and max(np.diff(walk)) < 1.001e-3
+    want = _fresh_curvature(_SHORT_TABLE, walk)
+    for order in (walk, walk[::-1]):
+        got = [path.curvature(s) for s in order]
+        assert np.array_equal(_bits(got), _bits(want if order is walk else want[::-1]))
+
+
+def test_sampled_lookup_jumping_between_intervals_equals_a_fresh_lookup():
+    path, walk = build_path(_SHORT_TABLE), _walk(_SHORT_TABLE)
+    rng = np.random.default_rng(35)
+    points = [*rng.choice(walk, 1000), *rng.uniform(-0.5, 1.5, 1000)]
+    rng.shuffle(points)
+    got = [path.curvature(s) for s in points]
+    assert np.array_equal(_bits(got), _bits(_fresh_curvature(_SHORT_TABLE, points)))
+
+
+@pytest.mark.parametrize("bad", [-0.75, math.nextafter(-0.5, -math.inf),
+                                 math.nextafter(1.5, math.inf), 2.0, math.nan, math.inf,
+                                 -math.inf])
+def test_sampled_lookup_that_raises_leaves_the_next_answer(bad):
+    # A lookup outside the table, or at a non-finite s, raises the text a
+    # fresh road raises, from whichever interval was used last; the next
+    # lookup, in that interval or in another, answers as a fresh road does.
+    path = build_path(_SHORT_TABLE)
+    with pytest.raises(DomainError) as fresh:
+        build_path(_SHORT_TABLE).curvature(bad)
+    for before, after in ((0.1, 0.2), (1.5, -0.5), (-0.5, 1.5), (0.4, 0.4)):
+        want = _fresh_curvature(_SHORT_TABLE, [after])
+        path.curvature(before)
+        with pytest.raises(DomainError) as info:
+            path.curvature(bad)
+        assert str(info.value) == str(fresh.value)
+        assert _bits([path.curvature(after)]) == _bits(want)
+    assert str(fresh.value) in (f"arc length must be finite, got s={bad}",
+                                f"s={bad:.6g} outside sampled table range [-0.5, 1.5]")
+
+
+def test_threads_share_one_sampled_lookup():
+    # The interval used last is one attribute that any thread may replace;
+    # each thread walks the road in its own order and gets what a fresh road
+    # answers at every point.
+    walk = _walk(_SHORT_TABLE)
+    want = dict(zip(walk, _fresh_curvature(_SHORT_TABLE, walk)))
+    rng = np.random.default_rng(36)
+    orders = [walk, walk[::-1], walk[::7] + walk[3::7], walk[::-3] + walk[::3],
+              *(rng.permutation(walk).tolist() for _ in range(4))]
+    path = build_path(_SHORT_TABLE)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda order: [path.curvature(s) for s in order], order)
+                       for order in orders]
+            answers = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for order, got in zip(orders, answers):
+        assert np.array_equal(_bits(got), _bits([want[s] for s in order]))
+
+
 def test_curvature_table_csv_round_trip(tmp_path):
     csv_file = tmp_path / "profile.csv"
     csv_file.write_text("s_meters,kappa_per_meter\n0.0,0.0\n50.0,0.002\n100.0,0.0\n")

@@ -748,7 +748,7 @@ def test_non_finite_state_reports_divergence_and_the_step():
     # as every other loop failure does.
     cfg = replace(make_scenario(PathSpec.straight(), dt=0.01, t_end=0.05,
                                 initial=PathState(5.0, -1.0, 0.0)),
-                  vehicle=benchmark_params(wheelbase=1e-300, sensor_offset=1e300))
+                  vehicle=benchmark_params(wheelbase=1e-150, sensor_offset=1e300))
     message = "integration diverged: state (nan, nan, nan) (at t=0 s, s=5 m)"
     with pytest.raises(OffsetSteerError, match=f"^{re.escape(message)}$"):
         run_scenario(cfg)
