@@ -219,12 +219,18 @@ def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams) -> Sta
     k1*(lam1 + d*k2) < 0 and lam3 < 0; ``sufficient_any_kappa`` reports
     whether the gains guarantee stability for every curvature the vehicle
     can physically follow.
+
+    Both curvature-independent conditions assume the sensor on or ahead of
+    the rear axle: condition 1 (k1 < 0, k2 above ``prop1_k2_threshold``)
+    holds only for d >= 0, condition 2 (k1 > 0, k2 < -1/d) only for d > 0.
+    Behind the axle (d < 0) the threshold turns negative, and gains above it
+    can be unstable on the straight road, so neither is claimed there.
     """
     lam = lambdas(kappa0, k1, k2, params)
     stable, marginal = _sign_conditions(lam, k1, k2, params)
 
     condition: int | None = None
-    if k1 < 0.0 and k2 > prop1_k2_threshold(params):
+    if k1 < 0.0 and params.sensor_offset >= 0.0 and k2 > prop1_k2_threshold(params):
         condition = 1
     elif k1 > 0.0 and params.sensor_offset > 0.0 and k2 < -1.0 / params.sensor_offset:
         condition = 2

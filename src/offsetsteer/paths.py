@@ -3,11 +3,19 @@
 A path is described by its curvature profile kappa(s) plus an anchor pose
 (x0, y0, psi0) at s = 0. Heading and position follow from integrating the
 curvature, so tangent angle and coordinates are always consistent with the
-profile by construction. Roads whose curvature varies (cosine, sampled)
-integrate their poses on a grid that fills on demand, only as far along the
-road as the queries reach. Vehicle states can be expressed either in the
-earth frame (x, y, psi) or relative to the path (arc length of the closest
-point, signed lateral deviation, heading error).
+profile by construction. On the roads whose curvature varies the heading
+has a closed form: the cosine road's own, and on a sampled road the
+integral of its PCHIP interval by interval, a quartic. Their positions come
+from a grid of nodes at most ``POSE_GRID_STEP`` apart, the step a committed
+accuracy table picks (tests/golden/pose_accuracy.csv), and the grid fills on
+demand, only as far along the road as the queries reach. The cosine road's
+grid holds one period, which serves every period once turned and moved to
+where that period starts, so a run started far along the road costs at most
+one period's nodes. A sampled road's grid fills from the table's start: its
+position at a knot is the sum over every interval before it. Vehicle states
+can be expressed either in the earth frame (x, y, psi) or relative to the
+path (arc length of the closest point, signed lateral deviation, heading
+error).
 """
 
 from __future__ import annotations
@@ -26,10 +34,18 @@ from .errors import ConfigError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
-# Grid step for numerically reconstructed poses (cosine / sampled kinds).
-POSE_GRID_STEP = 0.01  # [m]
+# Longest segment of the pose grid (cosine / sampled kinds), the largest step
+# of tests/golden/pose_accuracy.csv that is at least as accurate on every road
+# there as the 0.01 m grid it replaced.
+POSE_GRID_STEP = 0.2  # [m]
 # Most grid nodes integrated per pass when a query needs more of them.
 POSE_GRID_CHUNK = 4096
+# Fewest nodes a pass integrates, so that a run's first pose, read alone,
+# does not cost a pass of its own.
+POSE_GRID_MIN_PASS = 256
+# Most pose grid steps a road may span, so that node indices stay exact
+# integers in a float.
+POSE_GRID_MAX_STEPS = 2**53
 
 
 class PathState(NamedTuple):
@@ -126,16 +142,24 @@ class PathSpec:
         elif self.kind != "straight":
             raise ConfigError(f"unknown path kind {self.kind!r}")
         if self.kind in ("cosine", "sampled"):
-            # The pose grid's node count must be finite. Python floats, so an
-            # overflow gives inf without a warning.
+            # Python floats, so an overflow gives inf without a warning, and
+            # inf and NaN fail each check.
             if self.kind == "cosine":
                 length, terms = self.periods * self.period, f"{self.periods} * {self.period:.6g}"
             else:
                 lo, hi = self.table_s[0], self.table_s[-1]
                 length, terms = hi - lo, f"{hi:.6g} - {lo:.6g}"
-            if not math.isfinite(length / POSE_GRID_STEP):
-                raise ConfigError(f"{self.kind} path length {terms} = {length:.6g} m must be "
-                                  f"a finite count of {POSE_GRID_STEP} m pose grid steps")
+            if not length / POSE_GRID_STEP <= POSE_GRID_MAX_STEPS:
+                raise ConfigError(f"{self.kind} path length {terms} = {length:.6g} m must span "
+                                  f"at most 2**53 pose grid steps of {POSE_GRID_STEP} m")
+        if self.kind == "cosine":
+            # The heading at s lies within kappa_max * (s + period) / 2 of psi0.
+            length = self.periods * self.period
+            if not math.isfinite(abs(self.psi0) + 0.5 * self.kappa_max * (length + self.period)):
+                raise ConfigError(
+                    f"cosine path heading |psi0| + kappa_max * (length + period) / 2 = "
+                    f"|{self.psi0:.6g}| + {self.kappa_max:.6g} * ({length:.6g} + "
+                    f"{self.period:.6g}) / 2 rad must be finite")
 
     def check_arc_length(self, s) -> None:
         """A road is evaluated at finite arc lengths only, and a sampled road
@@ -193,10 +217,14 @@ def _line(x0: float, y0: float, psi0: float, ds: np.ndarray):
     return x0 + ds * math.cos(psi0), y0 + ds * math.sin(psi0), np.full_like(ds, psi0)
 
 
-def _cosine_kappa_array(kappa_max: float, omega: float, s_end: float, s: np.ndarray):
-    """The cosine road's curvature at an array of arc lengths, zero off the road."""
-    inside = (s >= 0.0) & (s <= s_end)
-    return np.where(inside, 0.5 * kappa_max * (1.0 - np.cos(omega * s)), 0.0)
+def _cosine_heading(psi0: float, half_kappa_max: float, omega: float, s: np.ndarray):
+    """The cosine road's heading on the road, psi0 + (kappa_max/2) * (s - sin(omega*s)/omega)."""
+    return psi0 + half_kappa_max * (s - np.sin(omega * s) / omega)
+
+
+def _cosine_kappa(half_kappa_max: float, omega: float, s: np.ndarray):
+    """The cosine road's curvature on the road, in ``Path.curvature``'s order."""
+    return half_kappa_max * (1.0 - np.cos(omega * s))
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -250,125 +278,158 @@ def _pchip_array(knots: np.ndarray, coefs: np.ndarray, s: np.ndarray) -> np.ndar
     return c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
 
 
+def _sampled_heading(knots: np.ndarray, antider: np.ndarray, knot_psi: np.ndarray,
+                     s: np.ndarray) -> np.ndarray:
+    """The sampled road's heading at an array of arc lengths inside the table:
+    the heading at the interval's start knot plus the quartic antiderivative
+    of its PCHIP cubic, a0 u^4 + a1 u^3 + a2 u^2 + a3 u in Horner's order."""
+    j = np.clip(np.searchsorted(knots, s, "right") - 1, 0, knots.size - 2)
+    a0, a1, a2, a3 = np.take(antider, j, axis=1)
+    u = s - np.take(knots, j)
+    return np.take(knot_psi, j) + u * (a3 + u * (a2 + u * (a1 + u * a0)))
+
+
 def _floats_for_scalar(s, values: tuple) -> tuple:
     """``values`` as floats for a scalar arc length ``s``, unchanged for an array."""
     return tuple(map(float, values)) if np.ndim(s) == 0 else values
 
 
+def _quintic(p0, p1, d0, d1, e0, e1) -> tuple:
+    """Coefficients, lowest power first, of the quintic in t on [0, 1] with
+    value p, slope d and second derivative e at t = 0 and t = 1."""
+    dp = p1 - p0
+    return (p0, d0, 0.5 * e0,
+            10.0 * dp - (6.0 * d0 + 4.0 * d1) - (1.5 * e0 - 0.5 * e1),
+            -15.0 * dp + (8.0 * d0 + 7.0 * d1) + (1.5 * e0 - e1),
+            6.0 * dp - 3.0 * (d0 + d1) - 0.5 * (e0 - e1))
+
+
 class _PoseGrid:
-    """Numerically reconstructed pose cache for kinds without closed form.
+    """Positions along a road whose heading and curvature are known at every
+    arc length.
 
-    Marches (x, y, psi) along the arc with classical fixed-step RK4 on
-    x' = cos(psi), y' = sin(psi), psi' = kappa(s), caches the nodes, and
-    answers queries by cubic Hermite interpolation (node derivatives are
-    known exactly from the headings and curvatures).
+    The lattice has a node on every break (a sampled road's knots; the
+    cosine road's period start and end) and splits each interval between
+    breaks into equal segments of at most ``POSE_GRID_STEP``. The position
+    steps over a segment of length h integrate x' = cos(psi), y' = sin(psi)
+    by the three-point rule with end slopes, exact for quintics:
+    h/30 (7 f_a + 16 f_mid + 7 f_b) + h^2/60 (f'_a - f'_b), where
+    f' = -kappa sin(psi) for x and kappa cos(psi) for y. Their running sums
+    are the node positions, relative to the first node. Each segment keeps
+    the quintic in t = (s - s_a) / h that matches the positions and their
+    first and second derivatives at both ends (quintic Hermite): column i of
+    ``coef`` holds segment i's six coefficients for x, then six for y,
+    lowest power first. A query evaluates them by Horner's rule.
 
-    The grid fills on demand. Construction fixes the lattice (``s0``, ``h``,
-    ``n``), and a query fills the nodes, up to ``POSE_GRID_CHUNK`` per pass,
-    as far as the highest node it reads: a run that drives the first metres
-    of a long road integrates, and holds, only those. The node arrays double
-    in size as the passes reach their end, up to the ``n + 1`` nodes of the
-    whole road. The running sums carry from one pass to the next, so every
-    node equals the one a single pass over the whole lattice gives, bit for
-    bit.
+    The grid fills on demand: a query fills the segments, up to
+    ``POSE_GRID_CHUNK`` per pass, as far as the farthest one it reads, and
+    at least ``POSE_GRID_MIN_PASS`` at a time. ``coef`` doubles in size as
+    the passes reach its end, up to the ``n`` segments of the whole
+    lattice. The running sums carry from one pass to the next, so every
+    segment equals the one a single pass over the whole lattice gives, bit
+    for bit. ``end`` sums the rest of the lattice the same way without
+    keeping it.
     """
 
-    def __init__(self, kappa_fn, s_start: float, s_end: float,
-                 x0: float, y0: float, psi0: float):
-        n = max(1, int(math.ceil((s_end - s_start) / POSE_GRID_STEP - 1e-9)))
-        self.s0 = s_start
-        self.h = (s_end - s_start) / n
-        self.n = n
-        self.x, self.y, self.psi, self.kappa = (
-            np.empty(min(n, POSE_GRID_CHUNK) + 1) for _ in range(4))
-        self.x[0], self.y[0], self.psi[0] = x0, y0, psi0
-        self._kappa_fn = kappa_fn
-        self._anchor = (psi0, x0, y0)
-        # Nodes 0 to _last hold their poses (node 0 its curvature only once
-        # the first pass has run). The running sums of the (psi, x, y)
-        # increments start at -0.0, the exact additive identity.
+    def __init__(self, heading, kappa, breaks: np.ndarray):
+        lengths = breaks[1:] - breaks[:-1]
+        self.counts = np.maximum(np.ceil(lengths / POSE_GRID_STEP - 1e-9), 1.0).astype(np.int64)
+        self.breaks = breaks
+        # Each interval's step; the last break starts no interval.
+        self.h = np.append(lengths / self.counts, 0.0)
+        # The index of each break's node; the last one is n.
+        self.first = np.concatenate(([0], np.cumsum(self.counts)))
+        self.n = int(self.first[-1])
+        self._heading, self._kappa = heading, kappa
+        self.coef = np.empty((12, min(self.n, POSE_GRID_MIN_PASS)))
+        # Segments 0 to _last - 1 hold their coefficients. The running sums
+        # of the (x, y) steps start at -0.0, the exact additive identity.
         self._last = 0
-        self._sums = [-0.0, -0.0, -0.0]
+        self._sums = (-0.0, -0.0)
+        self._end = None
         self._lock = threading.Lock()
 
+    def nodes(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The arc lengths of nodes a to b and the steps of the segments a to b - 1."""
+        i = np.arange(a, b + 1)
+        j = np.searchsorted(self.first, i, "right") - 1
+        h = self.h[j]
+        return self.breaks[j] + (i - self.first[j]) * h, h[:-1]
+
+    def _passes(self, last: int):
+        """Integrate the segments from _last up to ``last`` without storing
+        them, at most ``POSE_GRID_CHUNK`` a pass, the sums carried from pass to
+        pass. Yields each pass's first node a, its segments' steps h, the
+        (slope, second derivative) of x and of y at its nodes, and the
+        positions of x and of y at its nodes."""
+        a, sums = self._last, self._sums
+        while a < last:
+            b = min(a + POSE_GRID_CHUNK, last)
+            s, h = self.nodes(a, b)
+            psi, kappa = self._heading(s), self._kappa(s)
+            psi_mid = self._heading(s[:-1] + 0.5 * h)
+            cos, sin = np.cos(psi), np.sin(psi)
+            derivatives = ((cos, -kappa * sin), (sin, kappa * cos))
+            positions = []
+            for (f, g), f_mid, carry in zip(derivatives, (np.cos(psi_mid), np.sin(psi_mid)), sums):
+                steps = (h * (7.0 * (f[:-1] + f[1:]) + 16.0 * f_mid) / 30.0
+                         + h * h * (g[:-1] - g[1:]) / 60.0)
+                # cumsum adds in sequence, so resuming from the carried sum
+                # gives the sums of one cumsum over the whole lattice.
+                steps[0] += carry
+                positions.append(np.concatenate(([carry], np.cumsum(steps))))
+            sums = positions[0][-1], positions[1][-1]
+            yield a, h, derivatives, positions
+            a = b
+
     def fill(self, last: int) -> None:
-        """Fill the nodes up to index ``last`` (clamped to ``n``)."""
+        """Fill the segments below index ``last``, and at least
+        ``POSE_GRID_MIN_PASS`` past the filled ones (clamped to ``n``)."""
         if last <= self._last:
             return
         with self._lock:
-            while self._last < min(last, self.n):
-                self._fill_pass(self._last, min(self._last + POSE_GRID_CHUNK, self.n))
+            if last <= self._last:
+                return
+            last = min(max(last, self._last + POSE_GRID_MIN_PASS), self.n)
+            for a, h, derivatives, positions in self._passes(last):
+                b = a + h.size
+                if b > self.coef.shape[1]:
+                    # A reader may still hold the old array; its filled
+                    # segments stay valid.
+                    grown = np.empty((12, min(max(2 * self.coef.shape[1], b), self.n)))
+                    grown[:, :a] = self.coef[:, :a]
+                    self.coef = grown
+                hh = h * h
+                for row, (f, g), p in zip((0, 6), derivatives, positions):
+                    self.coef[row:row + 6, a:b] = _quintic(p[:-1], p[1:], h * f[:-1], h * f[1:],
+                                                           hh * g[:-1], hh * g[1:])
+                self._last, self._sums = b, (positions[0][-1], positions[1][-1])
 
-    def _fill_pass(self, a: int, b: int) -> None:
-        """Integrate the segments a to b - 1: nodes a + 1 to b, curvatures a to b."""
-        if b >= self.x.size:
-            # One array at a time, so that one old array is held while copying.
-            # A reader may still hold old arrays; their filled nodes stay valid.
-            size = min(max(2 * self.x.size, b + 1), self.n + 1)
-            for name in ("x", "y", "psi", "kappa"):
-                grown = np.empty(size)
-                grown[:a + 1] = getattr(self, name)[:a + 1]
-                setattr(self, name, grown)
-        h = self.h
-        s_nodes = self.s0 + h * np.arange(a, b + 1)
-        k_nodes = self._kappa_fn(s_nodes)
-        k_half = self._kappa_fn(s_nodes[:-1] + 0.5 * h)
+    def end(self) -> tuple[float, float]:
+        """The last node's position, summed without keeping the segments past
+        the filled ones."""
+        if self._end is None:
+            with self._lock:
+                sums = self._sums
+                for *_, positions in self._passes(self.n):
+                    sums = positions[0][-1], positions[1][-1]
+                self._end = float(sums[0]), float(sums[1])
+        return self._end
 
-        # psi' = kappa(s) does not depend on the state, so the RK4 increment
-        # reduces to Simpson's rule and the nodes can be accumulated first.
-        self._accumulate(0, self.psi, a, h * (k_nodes[:-1] + 4.0 * k_half + k_nodes[1:]) / 6.0)
-
-        # RK4 stage headings for the position equations.
-        psi_a = self.psi[a:b]
-        psi_b = psi_a + 0.5 * h * k_nodes[:-1]
-        psi_c = psi_a + 0.5 * h * k_half
-        psi_d = psi_a + h * k_half
-        self._accumulate(1, self.x, a, h * (np.cos(psi_a) + 2.0 * np.cos(psi_b)
-                                            + 2.0 * np.cos(psi_c) + np.cos(psi_d)) / 6.0)
-        self._accumulate(2, self.y, a, h * (np.sin(psi_a) + 2.0 * np.sin(psi_b)
-                                            + 2.0 * np.sin(psi_c) + np.sin(psi_d)) / 6.0)
-        self.kappa[a:b + 1] = k_nodes
-        self._last = b
-
-    def _accumulate(self, i: int, column: np.ndarray, a: int, steps: np.ndarray) -> None:
-        """Write anchor ``i`` plus the running sum ``i`` of ``steps`` from node a + 1 on.
-
-        cumsum adds in sequence, so resuming from the carried sum gives the
-        sums of one cumsum over the whole lattice.
-        """
-        steps[0] += self._sums[i]
-        sums = np.cumsum(steps)
-        self._sums[i] = sums[-1]
-        column[a + 1:a + 1 + sums.size] = sums + self._anchor[i]
-
-    def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        u = (s - self.s0) / self.h
-        # int(u) clamped to the first and last segment.
-        j = np.clip(u, 0, self.n - 1).astype(np.intp)
-        self.fill(int(j.max(initial=-1)) + 1)
-        u = u - j
-        # Hermite basis on the segment [s_j, s_j + h].
-        u2 = u * u
-        u3 = u2 * u
-        h00 = 2.0 * u3 - 3.0 * u2 + 1.0
-        h10 = u3 - 2.0 * u2 + u
-        h01 = -2.0 * u3 + 3.0 * u2
-        h11 = u3 - u2
-        h = self.h
-        pa, pb = self.psi[j], self.psi[j + 1]
-        ka, kb = self.kappa[j], self.kappa[j + 1]
-        x = (h00 * self.x[j] + h10 * h * np.cos(pa)
-             + h01 * self.x[j + 1] + h11 * h * np.cos(pb))
-        y = (h00 * self.y[j] + h10 * h * np.sin(pa)
-             + h01 * self.y[j + 1] + h11 * h * np.sin(pb))
-        psi = h00 * pa + h10 * h * ka + h01 * pb + h11 * h * kb
-        return x, y, psi
-
-    def end_pose(self) -> tuple[float, float, float]:
-        """The last node's pose; fills the whole grid."""
-        n = self.n
-        self.fill(n)
-        return float(self.x[n]), float(self.y[n]), float(self.psi[n])
+    def positions(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions at arc lengths ``s`` inside the breaks, relative to the first node."""
+        # One interval (the cosine road's period) needs no search.
+        j = 0 if self.breaks.size == 2 else np.clip(
+            np.searchsorted(self.breaks, s, "right") - 1, 0, self.breaks.size - 2)
+        u = (s - self.breaks[j]) / self.h[j]
+        # int(u) clamped to the interval's first and last segment.
+        k = np.clip(u, 0, self.counts[j] - 1).astype(np.int64)
+        i = self.first[j] + k
+        self.fill(int(i.max(initial=-1)) + 1)
+        t = u - k
+        x0, x1, x2, x3, x4, x5, y0, y1, y2, y3, y4, y5 = np.take(self.coef, i, axis=1)
+        return (x0 + t * (x1 + t * (x2 + t * (x3 + t * (x4 + t * x5)))),
+                y0 + t * (y1 + t * (y2 + t * (y3 + t * (y4 + t * y5)))))
 
 
 class Path:
@@ -400,9 +461,14 @@ class Path:
             self._half_kappa_max = 0.5 * spec.kappa_max
             self._omega = TWO_PI / spec.period
             self._s_end = spec.periods * spec.period
+            self._heading = partial(_cosine_heading, spec.psi0, self._half_kappa_max, self._omega)
+            # One period's grid serves every period: the heading turns by
+            # kappa_max * period / 2 over each.
             self._grid = _PoseGrid(
-                partial(_cosine_kappa_array, spec.kappa_max, self._omega, self._s_end),
-                0.0, self._s_end, spec.x0, spec.y0, spec.psi0)
+                self._heading, partial(_cosine_kappa, self._half_kappa_max, self._omega),
+                np.array([0.0, spec.period]))
+            self._turn = self._half_kappa_max * spec.period
+            self._blocks = None
         else:
             knots = np.array(spec.table_s, dtype=float)
             # A table of finite numbers can still overflow its slopes; such a road
@@ -410,11 +476,11 @@ class Path:
             with np.errstate(over="ignore", invalid="ignore"):
                 coefs = _pchip_coefficients(knots, np.array(spec.table_kappa, dtype=float))
             overflowed = np.flatnonzero(~np.isfinite(coefs).all(axis=0))
+            h = knots[1:] - knots[:-1]
             if not overflowed.size:
                 # Finite coefficients can still overflow between the knots. The
                 # lookup's sum in its own order, on |c| and u = h, bounds every
                 # partial result of it, as rounding is monotonic.
-                h = knots[1:] - knots[:-1]
                 c0, c1, c2, c3 = np.abs(coefs)
                 with np.errstate(over="ignore", invalid="ignore"):
                     h2 = h * h
@@ -437,8 +503,24 @@ class Path:
                                in zip(self._knots, ends, coefs.T.tolist())]
             # No interval yet: a NaN window holds no s, so the first lookup bisects.
             self._interval = (math.nan,) * 6
-            self._grid = _PoseGrid(partial(_pchip_array, knots, coefs), self._s_start,
-                                   self._s_end, spec.x0, spec.y0, spec.psi0)
+            # The heading is each interval's quartic antiderivative of its cubic,
+            # a0 u^4 + a1 u^3 + a2 u^2 + a3 u, from the heading at its start knot.
+            # Bounding it on |a| and u = h, as above, bounds every partial result.
+            antider = coefs / np.array([[4.0], [3.0], [2.0], [1.0]])
+            a0, a1, a2, a3 = np.abs(antider)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = np.cumsum(np.append(abs(spec.psi0),
+                                            h * (a3 + h * (a2 + h * (a1 + h * a0)))))
+            overflowed = np.flatnonzero(~np.isfinite(bound[1:]))
+            if overflowed.size:
+                j = overflowed[0]
+                raise DomainError(
+                    f"sampled path table over [{knots[0]:.6g}, {knots[-1]:.6g}] m: its heading "
+                    f"is not finite on [{knots[j]:.6g}, {knots[j + 1]:.6g}] m")
+            a0, a1, a2, a3 = antider
+            knot_psi = np.cumsum(np.append(spec.psi0, h * (a3 + h * (a2 + h * (a1 + h * a0)))))
+            self._heading = partial(_sampled_heading, knots, antider, knot_psi)
+            self._grid = _PoseGrid(self._heading, partial(_pchip_array, knots, coefs), knots)
 
     # -- curvature -----------------------------------------------------
 
@@ -500,17 +582,74 @@ class Path:
                     spec.y0 - rho * (np.cos(psi) - math.cos(spec.psi0)),
                     psi)
         elif spec.kind == "cosine":
-            inside = self._grid.pose(s)
-            # Straight continuations before the start and past the end; the
-            # end pose fills the whole grid, so it is read only when needed.
-            before = _line(spec.x0, spec.y0, spec.psi0, s)
-            past = s > self._s_end
-            after = _line(*self._grid.end_pose(), s - self._s_end) if past.any() else inside
-            pose = tuple(np.where(s < 0.0, b, np.where(past, a, g))
-                         for b, a, g in zip(before, after, inside))
+            # + 0.0 makes a -0.0 from the clip +0.0, whatever numpy's clip returns.
+            pose = self._cosine_pose(np.clip(s, 0.0, self._s_end) + 0.0)
+            before, past = s < 0.0, s > self._s_end
+            if before.any() or past.any():
+                # Straight continuations before the start and past the end;
+                # the end pose sums the whole period, so it is read only when
+                # needed.
+                start = _line(spec.x0, spec.y0, spec.psi0, s)
+                end = (_line(*map(float, self._cosine_pose(np.asarray(self._s_end))),
+                             s - self._s_end) if past.any() else pose)
+                pose = tuple(np.where(before, b, np.where(past, a, g))
+                             for b, a, g in zip(start, end, pose))
         else:
-            pose = self._grid.pose(s)
+            x, y = self._grid.positions(s)
+            pose = spec.x0 + x, spec.y0 + y, self._heading(s)
         return _floats_for_scalar(s, pose)
+
+    def _cosine_pose(self, s: np.ndarray) -> tuple:
+        """Poses (x, y, psi) at arc lengths on the cosine road.
+
+        Period k of the road is period 0 turned by k * kappa_max * period / 2
+        and moved to where period k starts. The grid answers for period 0,
+        so a far start costs at most one period's nodes.
+        """
+        period = self.spec.period
+        k = np.minimum(np.floor(s / period), self.spec.periods)
+        x, y = self._grid.positions(np.clip(s - k * period, 0.0, period))
+        lo, hi = (int(k.min()), int(k.max())) if k.size else (0, 0)
+        if lo == hi:
+            start_x, start_y, cos, sin = self._period_start(lo)
+        else:
+            ks, index = np.unique(k, return_inverse=True)
+            starts = np.array([self._period_start(int(v)) for v in ks]).T
+            start_x, start_y, cos, sin = np.take(starts, index.ravel(), axis=1).reshape(
+                (4, *k.shape))
+        return (self.spec.x0 + (start_x + (cos * x - sin * y)),
+                self.spec.y0 + (start_y + (sin * x + cos * y)),
+                self._heading(s))
+
+    def _period_start(self, k: int) -> tuple[float, float, float, float]:
+        """Where period k of the cosine road starts, from the anchor, and the cos
+        and sin of the heading's turn over k periods.
+
+        The start is the sum of the period chord turned by j periods, for j
+        below k: a block of 2**m periods that starts at period j is block m
+        (``_blocks[m]``) turned by j periods, so the sum takes one block per
+        binary digit of k, the highest first.
+        """
+        turn, blocks = self._turn, self._blocks
+        if k and blocks is None:
+            # Blocks 0 to the bit length of periods, each twice the one before;
+            # threads that build them at once build the same tuple.
+            bx, by = self._grid.end()
+            blocks = []
+            for m in range(int(self.spec.periods).bit_length()):
+                blocks.append((bx, by))
+                c, s = math.cos((1 << m) * turn), math.sin((1 << m) * turn)
+                bx, by = bx + (c * bx - s * by), by + (s * bx + c * by)
+            self._blocks = blocks = tuple(blocks)
+        x = y = 0.0
+        j = 0
+        for m in reversed(range(k.bit_length())):
+            if k >> m & 1:
+                bx, by = blocks[m]
+                c, s = math.cos(j * turn), math.sin(j * turn)
+                x, y = x + (c * bx - s * by), y + (s * bx + c * by)
+                j += 1 << m
+        return x, y, math.cos(k * turn), math.sin(k * turn)
 
     # -- frame conversions ----------------------------------------------
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_right
 from pathlib import Path as FsPath
 
 import pytest
@@ -51,6 +52,8 @@ CROSSING_YAML = textwrap.dedent("""\
 # At --dt 0.01 it runs the default step's code at about a fifth of the cost.
 FIGS_REPRO_GOLDEN_ARGS = ("figs-repro", "--dt", "0.01")
 FIGS_REPRO_GOLDEN = FsPath(__file__).resolve().parent / "golden" / "figs_repro.sha256"
+# The pose grid's accuracy table; tests/golden/pose_accuracy.py rewrites it.
+POSE_ACCURACY = FsPath(__file__).resolve().parent / "golden" / "pose_accuracy.csv"
 
 
 def figs_repro_digests(out: FsPath) -> dict[str, str]:
@@ -108,11 +111,14 @@ def make_scenario(path_spec: PathSpec, variant="full", k1=K1, k2=K2,
 def reference_pose(path, s: float) -> tuple[float, float, float]:
     """Path.pose at one arc length in scalar math, kept apart from the library.
 
-    The straight and circular closed forms, the cosine road's straight
-    continuations before its start and past its end, and the cubic Hermite
-    evaluation over the pose grid's nodes (``path._grid``, filled whole
-    first, since it fills on demand), each written as scalar ``math``
-    expressions in the library's order.
+    The straight and circular closed forms; on the cosine road the straight
+    continuations before its start and past its end, the closed-form heading
+    and period k as period 0 turned by k periods and moved to where period k
+    starts; on the sampled road the heading from the interval's quartic
+    antiderivative; and on both Horner's rule on the pose grid's quintics
+    (``path._grid``, filled whole first, since it fills on demand). Each is
+    written as scalar ``math`` expressions in the library's order; the
+    sampled road's PCHIP coefficients are read from the road.
     """
     spec = path.spec
     if spec.kind == "straight":
@@ -127,34 +133,64 @@ def reference_pose(path, s: float) -> tuple[float, float, float]:
                 psi)
     grid = path._grid
     grid.fill(grid.n)
-    if spec.kind == "cosine":
-        if s < 0.0:
-            return (spec.x0 + s * math.cos(spec.psi0),
-                    spec.y0 + s * math.sin(spec.psi0),
-                    spec.psi0)
-        s_end = spec.periods * spec.period
-        if s > s_end:
-            xe, ye, pe = float(grid.x[-1]), float(grid.y[-1]), float(grid.psi[-1])
-            ds = s - s_end
-            return (xe + ds * math.cos(pe), ye + ds * math.sin(pe), pe)
-    u = (s - grid.s0) / grid.h
-    j = min(max(int(u), 0), grid.n - 1)
-    u -= j
-    u2 = u * u
-    u3 = u2 * u
-    h00 = 2.0 * u3 - 3.0 * u2 + 1.0
-    h10 = u3 - 2.0 * u2 + u
-    h01 = -2.0 * u3 + 3.0 * u2
-    h11 = u3 - u2
-    h = grid.h
-    pa, pb = float(grid.psi[j]), float(grid.psi[j + 1])
-    ka, kb = float(grid.kappa[j]), float(grid.kappa[j + 1])
-    x = (h00 * float(grid.x[j]) + h10 * h * math.cos(pa)
-         + h01 * float(grid.x[j + 1]) + h11 * h * math.cos(pb))
-    y = (h00 * float(grid.y[j]) + h10 * h * math.sin(pa)
-         + h01 * float(grid.y[j + 1]) + h11 * h * math.sin(pb))
-    psi = h00 * pa + h10 * h * ka + h01 * pb + h11 * h * kb
-    return x, y, psi
+    if spec.kind == "sampled":
+        qx, qy = _reference_grid_position(grid, s)
+        knots = spec.table_s
+        j = min(max(bisect_right(knots, s) - 1, 0), len(knots) - 2)
+        psi = spec.psi0
+        for i, (start, _, c0, c1, c2, c3) in enumerate(path._intervals[:j + 1]):
+            u = (s if i == j else knots[i + 1]) - start
+            psi = psi + u * (c3 / 1.0 + u * (c2 / 2.0 + u * (c1 / 3.0 + u * (c0 / 4.0))))
+        return spec.x0 + qx, spec.y0 + qy, psi
+    s_end = spec.periods * spec.period
+    if s < 0.0:
+        return (spec.x0 + s * math.cos(spec.psi0),
+                spec.y0 + s * math.sin(spec.psi0),
+                spec.psi0)
+    if s > s_end:
+        xe, ye, pe = reference_pose(path, s_end)
+        ds = s - s_end
+        return (xe + ds * math.cos(pe), ye + ds * math.sin(pe), pe)
+    s = s + 0.0
+    period, half_kappa_max = spec.period, 0.5 * spec.kappa_max
+    omega = 2.0 * math.pi / period
+    q = s / period
+    k = min(math.copysign(math.floor(q), q), spec.periods)
+    qx, qy = _reference_grid_position(grid, min(max(s - k * period, 0.0), period))
+    # Where period k starts: the period chord turned by j periods, summed over
+    # j < k by blocks of 2**m periods, one per binary digit of k.
+    turn = half_kappa_max * period
+    blocks = [grid.end()]
+    for m in range(int(spec.periods).bit_length()):
+        bx, by = blocks[m]
+        c, sn = math.cos((1 << m) * turn), math.sin((1 << m) * turn)
+        blocks.append((bx + (c * bx - sn * by), by + (sn * bx + c * by)))
+    k = int(k)
+    sx = sy = 0.0
+    j = 0
+    for m in reversed(range(k.bit_length())):
+        if k >> m & 1:
+            bx, by = blocks[m]
+            c, sn = math.cos(j * turn), math.sin(j * turn)
+            sx, sy = sx + (c * bx - sn * by), sy + (sn * bx + c * by)
+            j += 1 << m
+    c, sn = math.cos(k * turn), math.sin(k * turn)
+    return (spec.x0 + (sx + (c * qx - sn * qy)),
+            spec.y0 + (sy + (sn * qx + c * qy)),
+            spec.psi0 + half_kappa_max * (s - math.sin(omega * s) / omega))
+
+
+def _reference_grid_position(grid, s: float) -> tuple[float, float]:
+    """The pose grid's position at s, relative to its first node: Horner's
+    rule on the quintic of the segment that holds s."""
+    breaks = grid.breaks.tolist()
+    j = min(max(bisect_right(breaks, s) - 1, 0), len(breaks) - 2)
+    u = (s - breaks[j]) / float(grid.h[j])
+    k = int(min(max(u, 0.0), int(grid.counts[j]) - 1))
+    t = u - k
+    x0, x1, x2, x3, x4, x5, y0, y1, y2, y3, y4, y5 = grid.coef[:, int(grid.first[j]) + k].tolist()
+    return (x0 + t * (x1 + t * (x2 + t * (x3 + t * (x4 + t * x5)))),
+            y0 + t * (y1 + t * (y2 + t * (y3 + t * (y4 + t * y5)))))
 
 
 def reference_to_earth(path, ps: PathState) -> tuple[float, float, float]:

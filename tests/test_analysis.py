@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from offsetsteer import (ControlConfig, DomainError, HatPathState, PathState,
+from offsetsteer import (ControlConfig, DomainError, HatPathState, PathState, VehicleParams,
                          amplification, cli, control, desired_heading, desired_yaw_error,
                          eigenvalues, feedforward, feedforward_error, frequency_response,
                          hat_path_derivatives, is_stable, kappa_bar, lambdas, linearize,
@@ -193,18 +193,43 @@ def test_verdict_agrees_with_eigenvalue_signs(params):
         assert verdict.necessary_sufficient == (spectral < 0.0)
 
 
-def test_sufficient_conditions_imply_exact_condition(params):
+@pytest.mark.parametrize("d", [-3.0, -1.0, -0.2, 0.0, 0.5, 2.0, 4.0, 8.0])
+def test_sufficient_conditions_imply_exact_condition(d):
+    # Behind the rear axle, on it, between the axles and past the front axle:
+    # whenever a curvature-independent condition is claimed, the exact sign
+    # conditions hold at every trackable curvature. k2 is drawn on a log
+    # scale above its bound, so gains just past it are drawn too; behind the
+    # axle those are unstable on the straight road.
+    params = benchmark_params(sensor_offset=d)
+    kappas = np.linspace(-kappa_bar(params), kappa_bar(params), 21)
     rng = np.random.default_rng(43)
-    kappas = np.linspace(-KAPPA_BAR, KAPPA_BAR, 21)
+    claims = 0
     for _ in range(200):
-        if rng.random() < 0.5:
+        if rng.random() < 0.5 or d <= 0.0:
             k1 = rng.uniform(-3.0, -1e-3)
-            k2 = prop1_k2_threshold(params) + rng.uniform(1e-6, 3.0)
+            k2 = prop1_k2_threshold(params) + 10.0 ** rng.uniform(-6.0, 0.5)
         else:
             k1 = rng.uniform(1e-3, 3.0)
-            k2 = -1.0 / params.sensor_offset - rng.uniform(1e-6, 3.0)
-        for kappa0 in kappas:
-            assert is_stable(kappa0, k1, k2, params).necessary_sufficient
+            k2 = -1.0 / d - 10.0 ** rng.uniform(-6.0, 0.5)
+        verdicts = [is_stable(kappa0, k1, k2, params) for kappa0 in kappas]
+        assert len({(v.sufficient_any_kappa, v.sufficient_condition) for v in verdicts}) == 1
+        if verdicts[0].sufficient_any_kappa:
+            claims += 1
+            assert all(v.necessary_sufficient for v in verdicts), (k1, k2)
+    # Every drawn pair meets a condition's inequalities; it is claimed where
+    # the sensor is on or ahead of the rear axle.
+    assert claims == (200 if d >= 0.0 else 0)
+
+
+def test_no_sufficient_condition_behind_the_rear_axle():
+    # Sensor 1 m behind the rear axle: k2 is above condition 1's bound,
+    # which is negative there, yet the straight road is unstable.
+    params = VehicleParams(2.57, -1.0, math.radians(30.0), 15.0)
+    verdict = is_stable(0.0, -1.917, 2.213, params)
+    assert 2.213 > prop1_k2_threshold(params)
+    assert not verdict.sufficient_any_kappa and verdict.sufficient_condition is None
+    assert not verdict.necessary_sufficient
+    assert max(root.real for root in verdict.eigenvalues) == pytest.approx(6.79, abs=0.01)
 
 
 def test_lambda_bounds_over_trackable_curvatures():

@@ -8,6 +8,7 @@ import math
 import pathlib
 import re
 import textwrap
+import tracemalloc
 from importlib import resources
 from types import SimpleNamespace
 
@@ -24,7 +25,7 @@ from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              AnalysisConfig, _echo_analysis, _echo_scenario,
                              cmd_freq_response, cmd_simulate, cmd_stability_map, main,
                              parse_config, preset_text)
-from offsetsteer.paths import POSE_GRID_STEP
+from offsetsteer.paths import POSE_GRID_MAX_STEPS, POSE_GRID_STEP
 from offsetsteer.steering import WRAPPED
 
 from conftest import (CROSSING_YAML, FIGS_REPRO_GOLDEN, FIGS_REPRO_GOLDEN_ARGS,
@@ -465,14 +466,17 @@ def _path_specs(draw):
         return PathSpec.straight(**anchor)
     if kind == "circular":
         return PathSpec.circular(draw(_positive), **anchor)
-    # A cosine or sampled road has a finite count of pose grid steps.
+    # A cosine or sampled road spans at most 2**53 pose grid steps, and a
+    # cosine road's heading stays finite.
     if kind == "cosine":
         kappa_max, period, periods = (draw(st.floats(0.0, 1e300)), draw(_positive),
                                       draw(st.integers(1, 10**6)))
-        assume(math.isfinite(periods * period / POSE_GRID_STEP))
+        assume(periods * period / POSE_GRID_STEP <= POSE_GRID_MAX_STEPS)
+        assume(math.isfinite(abs(anchor.get("psi0", 0.0))
+                             + 0.5 * kappa_max * (periods * period + period)))
         return PathSpec.cosine(kappa_max, period, periods, **anchor)
     s = sorted(draw(st.lists(_finite, min_size=2, max_size=6, unique=True)))
-    assume(math.isfinite((s[-1] - s[0]) / POSE_GRID_STEP))
+    assume((s[-1] - s[0]) / POSE_GRID_STEP <= POSE_GRID_MAX_STEPS)
     kappa = draw(st.lists(_finite, min_size=len(s), max_size=len(s)))
     return PathSpec.sampled(s, kappa, **anchor)
 
@@ -910,9 +914,11 @@ _OPTIMAL_GAIN_ROAD = ("  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n
 @pytest.mark.parametrize("road, table, code, message", [
     ("  kind: sampled\n  csv: table.csv\n", "0.0,0.0\n1.0e+9,0.0\n", EXIT_OK, None),
     ("  kind: sampled\n  csv: table.csv\n", "-1.0e+308,0.0\n1.0e+308,0.0\n", EXIT_CONFIG,
-     "table.csv: sampled path length 1e+308 - -1e+308 = inf m must be a finite count"),
+     "table.csv: sampled path length 1e+308 - -1e+308 = inf m must span at most 2**53 pose "
+     "grid steps of 0.2 m\n"),
     (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+307"), None, EXIT_CONFIG,
-     "config error: cosine path length 4 * 1e+307 = 4e+307 m must be a finite count"),
+     "config error: cosine path length 4 * 1e+307 = 4e+307 m must span at most 2**53 pose "
+     "grid steps of 0.2 m\n"),
 ], ids=["a-billion-metres", "most-doubles", "cosine-past-the-grid"])
 def test_long_road_runs_or_exits_config(tmp_path, capsys, road, table, code, message):
     # A road costs the pose grid nodes of the distance driven, not of its
@@ -930,6 +936,40 @@ def test_long_road_runs_or_exits_config(tmp_path, capsys, road, table, code, mes
     else:
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("road, start, code, message", [
+    # The heading overflowed, and the straight line past the road's end
+    # raised ValueError from math.cos.
+    (_OPTIMAL_GAIN_ROAD.replace("0.012566370614359173", "1.7e+308").replace("4", "1"), "300.0",
+     EXIT_CONFIG, "config error: cosine path heading |psi0| + kappa_max * (length + period) / 2 "
+                  "= |0| + 1.7e+308 * (250 + 250) / 2 rad must be finite\n"),
+    # A pose grid index past the integers of an array raised IndexError.
+    (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+300").replace("4", "1"), "1.7e+308",
+     EXIT_CONFIG, "config error: cosine path length 1 * 1e+300 = 1e+300 m must span at most "
+                  "2**53 pose grid steps of 0.2 m\n"),
+    # The pose past the end filled the whole 1,000 km grid, a 512 MiB array
+    # at the 0.01 m step; now it sums the period without keeping it.
+    (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+6").replace("4", "1"), "2.0e+6", EXIT_OK, None),
+], ids=["heading-overflows", "index-overflows", "end-past-a-1000-km-period"])
+def test_pose_grid_escapes_exit_ok_or_config(tmp_path, capsys, road, start, code, message):
+    # Each of these once exited 1 with a traceback.
+    config = tmp_path / "escape.yaml"
+    text = preset_text("optimal_gain").replace(_OPTIMAL_GAIN_ROAD, road)
+    config.write_text(text.replace("  s_m: 0.0\n", f"  s_m: {start}\n") + "sim: {t_end_s: 3.0}\n")
+    out = tmp_path / "bad" / "out"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == "" and (out / "trajectory.csv").is_file()
+        assert peak <= 8e6, peak
+    else:
+        assert err == message and not (tmp_path / "bad").exists()
 
 
 def test_sampled_table_whose_pchip_overflows_exits_domain_without_a_warning(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Reference-path construction, curvature profiles, and frame transforms."""
 
+import csv
 import math
 import sys
 import textwrap
@@ -14,9 +15,9 @@ from scipy.interpolate import PchipInterpolator
 from offsetsteer import (ConfigError, DomainError, PathSpec,
                          PathState, build_path, load_curvature_table,
                          wrap_angle_error)
-from offsetsteer.paths import POSE_GRID_CHUNK
+from offsetsteer.paths import POSE_GRID_CHUNK, POSE_GRID_MIN_PASS, POSE_GRID_STEP
 
-from conftest import (COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS,
+from conftest import (COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS, POSE_ACCURACY,
                       reference_pose, reference_to_earth, run_python)
 
 
@@ -81,7 +82,7 @@ def test_sampled_table_spanning_most_doubles_checks_its_order_without_a_warning(
     # The difference of its two arc lengths overflows; comparing them does not.
     # In order, the table is too long for a finite count of pose grid steps.
     with pytest.raises(ConfigError, match=r"^sampled path length 1e\+308 - -1e\+308 = inf m "
-                                          r"must be a finite count of 0\.01 m pose grid steps$"):
+                                          r"must span at most 2\*\*53 pose grid steps of 0\.2 m$"):
         PathSpec.sampled([-1e308, 1e308], [0.0, 0.0])
     with pytest.raises(ConfigError, match="strictly increasing"):
         PathSpec.sampled([1e308, -1e308], [0.0, 0.0])
@@ -98,6 +99,15 @@ def test_sampled_table_whose_pchip_overflows_between_its_knots_is_refused(recwar
     s = np.linspace(0.0, 2e6, 201)
     path = build_path(PathSpec.sampled(s, np.where(np.arange(s.size) % 2, 1e300, -1e300)))
     assert all(math.isfinite(path.curvature(q)) for q in (0.0, 5e3, 1e6 + 1.0, 2e6))
+    assert not recwarn.list
+
+
+def test_sampled_table_whose_heading_overflows_is_refused(recwarn):
+    # A finite interpolant whose integral over a long interval overflows: the
+    # heading, the quartic antiderivative, would read inf there.
+    with pytest.raises(DomainError, match=r"^sampled path table over \[0, 1e\+15\] m: its "
+                                          r"heading is not finite on \[1e\+14, 1e\+15\] m$"):
+        build_path(PathSpec.sampled([0.0, 1e14, 1e15], [1e290, 1e290, 1e295]))
     assert not recwarn.list
 
 
@@ -211,7 +221,8 @@ def test_sampled_curvature_equals_pchip_exactly(table_s, table_kappa):
     # The package builds the interpolant itself; its scalar lookup must return
     # PchipInterpolator's value bit for bit, sign of zero included, at every
     # knot (the table ends included), beside each interior knot and at seeded
-    # points in between. So must the pose grid's array lookup at its nodes.
+    # points in between. So must the pose grid's array lookup at its nodes,
+    # and the heading must be scipy's antiderivative of it.
     path = build_path(PathSpec.sampled(table_s, table_kappa))
     pchip = PchipInterpolator(table_s, table_kappa)
     if table_kappa is _END_RULE_TABLE[1]:
@@ -225,13 +236,15 @@ def test_sampled_curvature_equals_pchip_exactly(table_s, table_kappa):
         assert np.sign(m[-1]) != np.sign(m[-2]) and abs(end) > 3.0 * abs(m[-1])
         assert slopes[1] == pytest.approx(3.0 * m[-1], rel=1e-12)
     grid = path._grid
-    grid.end_pose()
-    nodes = grid.s0 + grid.h * np.arange(grid.n + 1)
-    assert np.array_equal(_bits(grid.kappa), _bits(pchip(nodes)))
-    # The last node may lie past the table's end by rounding.
-    inside = nodes[nodes <= table_s[-1]]
-    assert np.array_equal(_bits(grid.kappa[:inside.size]),
-                          _bits([path.curvature(s) for s in inside]))
+    nodes = grid.nodes(0, grid.n)[0]
+    # A node on every knot, the table's ends included.
+    assert set(table_s) <= set(nodes.tolist()) and nodes[-1] == table_s[-1]
+    kappa = grid._kappa(nodes)
+    assert np.array_equal(_bits(kappa), _bits(pchip(nodes)))
+    assert np.array_equal(_bits(kappa), _bits([path.curvature(s) for s in nodes]))
+    turn = pchip.antiderivative()
+    at = np.linspace(table_s[0], table_s[-1], 1001)
+    np.testing.assert_allclose(path.pose(at)[2], turn(at) - turn(table_s[0]), rtol=0, atol=1e-14)
     interior = table_s[1:-1]
     rng = np.random.default_rng(21)
     queries = [*table_s,
@@ -307,72 +320,115 @@ def test_non_finite_arc_length_raises(spec, bad):
             check()
 
 
-def _single_pass_nodes(path):
-    """The pose grid's nodes (x, y, psi, kappa) from one vectorised pass
-    over the whole lattice, the way the grid was built before it filled on
-    demand."""
-    grid, spec = path._grid, path.spec
-    h = grid.h
-    s_nodes = grid.s0 + h * np.arange(grid.n + 1)
-    k_nodes = grid._kappa_fn(s_nodes)
-    k_half = grid._kappa_fn(s_nodes[:-1] + 0.5 * h)
-    dpsi = h * (k_nodes[:-1] + 4.0 * k_half + k_nodes[1:]) / 6.0
-    psi = np.concatenate(([spec.psi0], np.cumsum(dpsi) + spec.psi0))
-    psi_a = psi[:-1]
-    psi_b = psi_a + 0.5 * h * k_nodes[:-1]
-    psi_c = psi_a + 0.5 * h * k_half
-    psi_d = psi_a + h * k_half
-    dx = h * (np.cos(psi_a) + 2.0 * np.cos(psi_b) + 2.0 * np.cos(psi_c) + np.cos(psi_d)) / 6.0
-    dy = h * (np.sin(psi_a) + 2.0 * np.sin(psi_b) + 2.0 * np.sin(psi_c) + np.sin(psi_d)) / 6.0
-    return (np.concatenate(([spec.x0], np.cumsum(dx) + spec.x0)),
-            np.concatenate(([spec.y0], np.cumsum(dy) + spec.y0)), psi, k_nodes)
+def _single_pass(path):
+    """The pose grid's coefficients, and its last node's position, from one
+    vectorised pass over the whole lattice by the rule of the grid's
+    docstring."""
+    grid = path._grid
+    s, h = grid.nodes(0, grid.n)
+    psi, kappa = grid._heading(s), grid._kappa(s)
+    psi_mid = grid._heading(s[:-1] + 0.5 * h)
+    coef, end = [], []
+    for f, g, f_mid in ((np.cos(psi), -kappa * np.sin(psi), np.cos(psi_mid)),
+                        (np.sin(psi), kappa * np.cos(psi), np.sin(psi_mid))):
+        p = np.concatenate(([-0.0], np.cumsum(h * (7.0 * (f[:-1] + f[1:]) + 16.0 * f_mid) / 30.0
+                                             + h * h * (g[:-1] - g[1:]) / 60.0)))
+        p0, p1, d0, d1, e0, e1 = p[:-1], p[1:], h * f[:-1], h * f[1:], h * h * g[:-1], h * h * g[1:]
+        dp = p1 - p0
+        coef += [p0, d0, 0.5 * e0,
+                 10.0 * dp - (6.0 * d0 + 4.0 * d1) - (1.5 * e0 - 0.5 * e1),
+                 -15.0 * dp + (8.0 * d0 + 7.0 * d1) + (1.5 * e0 - e1),
+                 6.0 * dp - 3.0 * (d0 + d1) - 0.5 * (e0 - e1)]
+        end.append(p[-1])
+    return np.array(coef), end
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _long_table():
+    """Knots 5 to 60 m apart over about 2.6 km: more than three passes of nodes."""
+    rng = np.random.default_rng(24)
+    table_s = np.concatenate(([0.0], np.cumsum(rng.uniform(5.0, 60.0, 80))))
+    return table_s, rng.normal(0.0, 0.005, table_s.size)
+
+
 @pytest.mark.parametrize("spec", [
-    PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, COSINE_PERIODS, 3.0, -0.0, 0.7),
-    PathSpec.sampled(*_random_table(), 2.0, 3.0, -0.4),
-    # Every increment of psi and y is -0.0, so the sums keep their signed zeros.
-    PathSpec.cosine(-0.0, COSINE_PERIOD, COSINE_PERIODS, 0.0, -0.0, -0.0),
+    # One period holds more than three passes of nodes.
+    PathSpec.cosine(0.1 * COSINE_KAPPA_MAX, 2600.0, 2, 3.0, -0.0, 0.7),
+    PathSpec.sampled(*_long_table(), 2.0, 3.0, -0.4),
+    # Every heading is -0.0, so every y step is -0.0.
+    PathSpec.cosine(-0.0, 2600.0, 2, 0.0, -0.0, -0.0),
 ], ids=["cosine", "sampled", "signed-zero"])
 def test_pose_grid_fills_on_demand_bit_for_bit(spec):
-    # Queried out of order, across pass boundaries, at both ends and past
-    # the cosine road's end, the on-demand grid answers what a grid filled
-    # in one pass answers, bit for bit, and fills only what was asked for.
-    nodes = _single_pass_nodes(build_path(spec))
+    # Queried out of order, across pass boundaries, at both ends, in the
+    # cosine road's second period and past its end, the on-demand grid
+    # answers what a grid filled in one pass answers, bit for bit. A query
+    # fills the grid to the farthest segment it reads, or POSE_GRID_MIN_PASS
+    # segments past the filled ones if that is farther, and no further.
+    coef, end = _single_pass(build_path(spec))
     whole = build_path(spec)
-    whole._grid.end_pose()
-    for got, want in zip((whole._grid.x, whole._grid.y, whole._grid.psi, whole._grid.kappa),
-                         nodes):
-        assert np.array_equal(_bits(got), _bits(want))
+    whole._grid.fill(whole._grid.n)
+    assert np.array_equal(_bits(whole._grid.coef), _bits(coef))
+    # end() sums the whole lattice but keeps none of it.
+    grid = build_path(spec)._grid
+    assert np.array_equal(_bits(grid.end()), _bits(end)) and grid._last == 0
 
     path = build_path(spec)
     grid = path._grid
-    at = grid.s0 + grid.h * np.array([POSE_GRID_CHUNK + 0.5, 2.5 * POSE_GRID_CHUNK, 0.0,
-                                      POSE_GRID_CHUNK - 0.5, POSE_GRID_CHUNK,
-                                      2.0 * POSE_GRID_CHUNK - 1e-3, 1.0])
-    queries = [*at, at[:4], at[::-1], grid.s0]
-    s_end = path._s_end
+    n, s_end = grid.n, path._s_end
+    s_nodes, h = grid.nodes(0, n)
+    chunk = POSE_GRID_CHUNK
+    assert n > 3 * chunk
+    # At node positions v: node int(v) plus the fraction of its segment.
+    v = np.array([chunk + 0.5, 2.5 * chunk, 0.0, chunk - 0.5, chunk, 2.0 * chunk - 1e-3, 1.0])
+    at = s_nodes[v.astype(int)] + (v - v.astype(int)) * h[v.astype(int)]
+    queries = [*at, at[:4], at[::-1], grid.breaks[0]]
     if spec.kind == "cosine":
-        queries += [np.array([-7.0, 30.0]), np.array([s_end + 5.0, 12.0]), s_end + 0.5, -1.0]
-    queries += [s_end, np.array([s_end, grid.s0])]
-    for i, s in enumerate(queries):
-        if i == len(at):
-            # The single queries reached 2.5 passes in, so three passes ran.
-            assert grid._last == 3 * POSE_GRID_CHUNK < grid.n
+        queries += [np.array([-7.0, 30.0]), np.array([s_end + 5.0, 12.0]), s_end + 0.5, -1.0,
+                    spec.period + at[6], np.array([spec.period + at[0], at[2]])]
+    queries += [s_end, np.array([s_end, grid.breaks[0]])]
+    last = 0
+    for s in queries:
         for got, want in zip(path.pose(s), whole.pose(s)):
             assert np.array_equal(_bits(got), _bits(want)), s
-        filled = grid._last + 1
-        for got, want in zip((grid.x, grid.y, grid.psi, grid.kappa), nodes):
-            assert np.array_equal(_bits(got[:filled]), _bits(want[:filled]))
-    assert grid._last == grid.n
+        # The farthest segment the query read, in period 0 of the cosine road.
+        r = np.clip(s, 0.0, s_end)
+        if spec.kind == "cosine":
+            r = r - np.minimum(np.floor(r / spec.period), spec.periods) * spec.period
+        reach = np.clip(np.searchsorted(s_nodes, r, "right") - 1, 0, n - 1).max() + 1
+        if reach > last:
+            last = min(max(reach, last + POSE_GRID_MIN_PASS), n)
+        assert grid._last == last, s
+        assert np.array_equal(_bits(grid.coef[:, :last]), _bits(coef[:, :last]))
+        assert grid.coef.shape[1] <= max(2 * last, POSE_GRID_MIN_PASS)
+    assert grid._last == (n if spec.kind == "sampled" else 5 * chunk // 2 + 1)
 
-    # end_pose alone fills the whole grid and reads its last node.
-    assert np.array_equal(_bits(build_path(spec)._grid.end_pose()),
-                          _bits([column[-1] for column in nodes[:3]]))
+
+def test_pose_grid_step_is_the_largest_as_accurate_as_the_old_grid():
+    # The committed accuracy table, which tests/golden/pose_accuracy.py
+    # writes (and CI rewrites in a fresh process): at POSE_GRID_STEP the
+    # grid's worst position and heading errors on every road are at most the
+    # replaced 0.01 m grid's, and at the table's next larger step they are
+    # not, on some road of each kind.
+    with open(POSE_ACCURACY, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    old = {row["road"]: row for row in rows if row["grid"] == "old"}
+    assert set(old) == {row["road"] for row in rows}
+    errors = ("position_error_m", "heading_error_rad")
+
+    def as_accurate(row):
+        return all(float(row[e]) <= float(old[row["road"]][e]) for e in errors)
+
+    for kind in ("cosine", "sampled"):
+        new = [row for row in rows if row["grid"] == "new" and row["road"].startswith(kind)]
+        steps = sorted({float(row["step_m"]) for row in new})
+        assert POSE_GRID_STEP in steps
+        by_step = {step: [row for row in new if float(row["step_m"]) == step] for step in steps}
+        assert all(as_accurate(row) for row in by_step[POSE_GRID_STEP])
+        larger = [step for step in steps if step > POSE_GRID_STEP]
+        assert larger and not all(as_accurate(row) for row in by_step[larger[0]])
 
 
 def test_threads_share_one_pose_grid():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 import types
 from collections import Counter
@@ -22,12 +23,13 @@ from offsetsteer import (VARIANTS, ConfigError, ControlConfig, DomainError, Offs
 from offsetsteer import _writer, sim, steering
 from offsetsteer.bicycle import _arc_chord
 from offsetsteer.cli import parse_config, preset_text
-from offsetsteer.paths import POSE_GRID_CHUNK, Path
+from offsetsteer.paths import POSE_GRID_MIN_PASS, POSE_GRID_STEP, Path
 from offsetsteer.sim import TRAJECTORY_COLUMNS
 
 from conftest import (CIRCLE_RADIUS, COSINE_KAPPA_MAX, COSINE_PERIOD,
-                      COSINE_PERIODS, CROSSING_YAML, K2, benchmark_control,
-                      benchmark_params, cosine_spec, make_scenario, reference_to_earth)
+                      COSINE_PERIODS, CROSSING_YAML, K2, SENSOR_OFFSET, WHEELBASE,
+                      benchmark_control, benchmark_params, cosine_spec, make_scenario,
+                      reference_to_earth)
 
 
 # -- integrator ----------------------------------------------------------------
@@ -599,9 +601,10 @@ def test_long_run_maps_its_pose_in_slices(frame):
 
 
 def test_short_run_fills_only_the_pose_grid_it_drives(monkeypatch):
-    # 2 s at 20 m/s covers 40 m of the 1 km cosine road: the run integrates
-    # the pose grid that far, up to one fill pass beyond, not the whole road,
-    # and its node arrays hold at most twice the nodes it filled.
+    # 5 s at 20 m/s covers 100 m of the 1 km cosine road, whose grid holds
+    # one 250 m period: the run fills the grid to the farthest node its poses
+    # read, or less than one minimum pass further, and its coefficient array
+    # holds at most twice the segments it filled.
     built = []
 
     def recording_build_path(spec):
@@ -609,12 +612,35 @@ def test_short_run_fills_only_the_pose_grid_it_drives(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(sim, "build_path", recording_build_path)
-    traj, _ = run_scenario(make_scenario(cosine_spec(), t_end=2.0))
+    traj, _ = run_scenario(make_scenario(cosine_spec(), t_end=5.0))
     grid = built[0]._grid
-    reached = int(traj.s_d.max() / grid.h) + 1
-    assert reached < grid._last <= reached + POSE_GRID_CHUNK < grid.n
-    assert all(column.size <= 2 * (grid._last + 1) for column in
-               (grid.x, grid.y, grid.psi, grid.kappa))
+    reached = int(traj.s_d.max() / grid.h[0]) + 1
+    assert POSE_GRID_MIN_PASS < reached <= grid._last < reached + POSE_GRID_MIN_PASS < grid.n
+    assert grid.coef.shape[1] <= 2 * grid._last
+
+
+def test_far_start_on_a_long_cosine_road_costs_one_period():
+    # 1 s started 99.9 km along a 100 km cosine road: the grid fills at most
+    # one 250 m period and sums it once for the period chords, where a grid
+    # filled from the road's start took 1.7 s and 359 MB (max RSS). The
+    # paper's road turns by pi/2 a period, so period 399 lies on period 3.
+    spec = PathSpec.cosine(COSINE_KAPPA_MAX, COSINE_PERIOD, 400)
+    cfg = make_scenario(spec, k1=-WHEELBASE / SENSOR_OFFSET, t_end=1.0,
+                        initial=PathState(99_900.0, -10.0, 0.0))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        traj, _ = run_scenario(cfg)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6 and seconds <= 1.0, (peak, seconds)
+    path = build_path(spec)
+    assert path._grid.n == COSINE_PERIOD / POSE_GRID_STEP
+    far, near = path.pose(traj.s_d), path.pose(traj.s_d - 396 * COSINE_PERIOD)
+    for got, want in zip(far[:2], near[:2]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_small_perturbations_follow_linear_model(params):
