@@ -6,6 +6,13 @@ road of nominal curvature ``kappa0``, under the full offset-aware steering
 law with gains (k1, k2). Curvature variations enter the reduced two-state
 model through their time derivative; the amplification ratio M(omega) maps
 curvature perturbations [1/m] to lateral deviation [m], hence carries m^2.
+
+Every input lies in its config range (``errors.RANGES``): ``VehicleParams``
+checks its own, and ``lambdas``, which every closed form goes through, checks
+kappa0 and the gains. Inside them no closed form overflows, so the one guard
+left is for lam1 = 0, where |d*kappa0| < 1 yet 1 - d^2 kappa0^2 rounds to 0.
+``max_control_period`` gives the longest step the held loop at kappa0 = 0
+allows, which ``sim.ScenarioConfig`` requires of dt.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from ._writer import write_columns
 from .bicycle import VehicleParams, check_trackable
-from .errors import DomainError
+from .errors import DomainError, check_range
 
 logger = logging.getLogger(__name__)
 
@@ -95,40 +102,31 @@ def _text(x) -> str:
     return repr(float(x)) if np.ndim(x) == 0 else f"[{_text(np.min(x))}, {_text(np.max(x))}]"
 
 
-def _not_finite(quantity: str, exc: OverflowError | ZeroDivisionError, kappa0, k1, k2,
-                params: VehicleParams) -> DomainError:
-    """The error for a closed form whose float arithmetic raised ``exc``.
-
-    Python floats raise where numpy arrays give inf: ``**`` on overflow, and
-    ``/`` on a divisor that underflowed to 0. The closed forms catch that
-    where it happens, so a failing input costs nothing on the others.
-    """
-    what = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
-    return DomainError(
-        f"{quantity} {what} at kappa0={_text(kappa0)} 1/m, k1={_text(k1)}, "
-        f"k2={_text(k2)} 1/m, l={_text(params.wheelbase)} m, "
-        f"d={_text(params.sensor_offset)} m, V={_text(params.speed)} m/s")
-
-
 def lambdas(kappa0: float, k1, k2, params: VehicleParams) -> Lambdas:
     """Coefficient bundle (lam1..lam4) at a nominal curvature and gain pair.
 
     ``kappa0`` is a scalar; ``k1`` and ``k2`` may be numpy arrays, which
-    broadcast against each other.
+    broadcast against each other. Each must lie in its config range, so that
+    no closed form overflows; ``params`` checked its own when it was made.
     """
+    for key, value in (("kappa0", kappa0), ("k1", k1), ("k2", k2)):
+        check_range(key, value)
     check_trackable(kappa0, params.sensor_offset)
     l = params.wheelbase
     d = params.sensor_offset
     v = params.speed
     k0sq = kappa0 * kappa0
     lam1 = math.sqrt(1.0 - d * d * k0sq)
+    if lam1 == 0.0:
+        # Trackable, |d*kappa0| < 1, yet d^2 kappa0^2 rounded to 1: every
+        # closed form divides by lam1.
+        raise DomainError(
+            f"lambda4 divides by zero at kappa0={_text(kappa0)} 1/m, k1={_text(k1)}, "
+            f"k2={_text(k2)} 1/m, l={_text(l)} m, d={_text(d)} m, V={_text(v)} m/s")
     lam2 = 1.0 + (l * l - d * d) * k0sq
     lam3 = lam1 * lam2 * k1 * k2 - d * k0sq * lam2 * k1 - l * k0sq
-    try:
-        lam4 = (v * v / (l * l * lam1 * lam1)) * (
-            2.0 * l * lam3 + lam2 * lam2 * k1 * k1 * (lam1 + d * k2) ** 2)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _not_finite("lambda4", exc, kappa0, k1, k2, params) from None
+    lam4 = (v * v / (l * l * lam1 * lam1)) * (
+        2.0 * l * lam3 + lam2 * lam2 * k1 * k1 * (lam1 + d * k2) ** 2)
     return Lambdas(lam1, lam2, lam3, lam4)
 
 
@@ -159,25 +157,21 @@ def linearize(kappa0: float, k1: float, k2: float, params: VehicleParams) -> Lin
     return LinearModel(a, b, c, kappa0, k1, k2, params)
 
 
-def _roots(lam: Lambdas, kappa0: float, k1: float, k2: float,
-           params: VehicleParams) -> tuple[complex, complex]:
+def _roots(lam: Lambdas, k1: float, k2: float, params: VehicleParams) -> tuple[complex, complex]:
     """Roots of the characteristic polynomial s^2 + b1*s + b0."""
     l = params.wheelbase
     d = params.sensor_offset
     v = params.speed
     b1 = -v * k1 * lam.lam2 / (l * lam.lam1) * (lam.lam1 + d * k2)
     b0 = -v * v * lam.lam3 / (l * lam.lam1 * lam.lam1)
-    try:
-        disc = complex(b1 * b1 - 4.0 * b0) ** 0.5
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _not_finite("closed-loop eigenvalues", exc, kappa0, k1, k2, params) from None
+    disc = complex(b1 * b1 - 4.0 * b0) ** 0.5
     return (0.5 * (-b1 + disc), 0.5 * (-b1 - disc))
 
 
 def eigenvalues(model: LinearModel) -> tuple[complex, complex]:
     """Closed-loop eigenvalues from the characteristic polynomial."""
     lam = lambdas(model.kappa0, model.k1, model.k2, model.params)
-    return _roots(lam, model.kappa0, model.k1, model.k2, model.params)
+    return _roots(lam, model.k1, model.k2, model.params)
 
 
 def prop1_k2_threshold(params: VehicleParams) -> float:
@@ -195,17 +189,14 @@ def _sign_conditions(lam: Lambdas, k1, k2, params: VehicleParams):
     return stable, marginal
 
 
-def _peak(lam: Lambdas, kappa0, k1, k2, params: VehicleParams):
+def _peak(lam: Lambdas, k1, k2, params: VehicleParams):
     """(M_max [m^2], omega_m [rad/s]) elementwise; M_max is inf where unbounded."""
     l = params.wheelbase
     d = params.sensor_offset
     omega_m = params.speed / lam.lam1 * np.sqrt(abs(lam.lam3) / l)
     num = d / lam.lam1 * abs(l + d * lam.lam2 * k1)
-    try:
-        den_sq = (2.0 * l * (lam.lam3 + abs(lam.lam3))
-                  + lam.lam2 ** 2 * k1 ** 2 * (lam.lam1 + d * k2) ** 2)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _not_finite("peak amplification M_max", exc, kappa0, k1, k2, params) from None
+    den_sq = (2.0 * l * (lam.lam3 + abs(lam.lam3))
+              + lam.lam2 ** 2 * k1 ** 2 * (lam.lam1 + d * k2) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_max = np.where(num == 0.0, 0.0,
                          np.where(den_sq <= 0.0, np.inf, num / np.sqrt(den_sq)))
@@ -236,7 +227,31 @@ def is_stable(kappa0: float, k1: float, k2: float, params: VehicleParams) -> Sta
         condition = 2
 
     return StabilityVerdict(bool(stable), bool(marginal), condition is not None, condition,
-                            _roots(lam, kappa0, k1, k2, params))
+                            _roots(lam, k1, k2, params))
+
+
+def max_control_period(k1: float, k2: float, params: VehicleParams) -> float:
+    """Longest stable step h_max [s] of the loop linearized at kappa0 = 0 with the
+    steering held over each step; inf where the continuous loop is not stable.
+
+    Every variant shares that loop. Held, it is M = Phi + Gamma [k1 k2, k1] with
+    Phi = [[1, V h], [0, 1]] and Gamma = [V d h / l + V^2 h^2 / (2 l), V h / l],
+    so Jury's conditions are polynomials in h with a = k1 (V/l)(1 + d k2) and
+    b = (V^2 / (2 l)) k1 k2, both negative where the continuous loop is stable:
+    1 - tr + det = -2 b h^2 > 0 always holds; 1 + tr + det = 4 + 2 a h > 0
+    until h = -2/a; det = 1 + a h - b h^2 < 1 until h = a/b; and det > -1
+    unless h lies between the roots of 2 + a h - b h^2.
+    """
+    l, d, v = params.wheelbase, params.sensor_offset, params.speed
+    a = k1 * v / l * (1.0 + d * k2)
+    b = v * v / (2.0 * l) * k1 * k2
+    if not (a < 0.0 and b < 0.0):
+        return math.inf
+    h_max = min(-2.0 / a, a / b)
+    disc = a * a + 8.0 * b
+    if disc >= 0.0:
+        h_max = min(h_max, (-a - math.sqrt(disc)) / (-2.0 * b))
+    return h_max
 
 
 def amplification(omega, kappa0: float, k1: float, k2: float, params: VehicleParams):
@@ -252,13 +267,8 @@ def amplification(omega, kappa0: float, k1: float, k2: float, params: VehiclePar
     v = params.speed
     w = np.asarray(omega, dtype=float)
     lam1sq = lam.lam1 * lam.lam1
-    # The scalar factors first, so that one that overflows raises before any
-    # array arithmetic runs; each sum and product keeps its order.
-    try:
-        gain = (v * v * d * d / (lam1sq * lam1sq)) * (1.0 + d / l * lam.lam2 * k1) ** 2
-        rest = v ** 4 * lam.lam3 * lam.lam3 / (l * l * lam1sq * lam1sq)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _not_finite("amplification ratio M(omega)", exc, kappa0, k1, k2, params) from None
+    gain = (v * v * d * d / (lam1sq * lam1sq)) * (1.0 + d / l * lam.lam2 * k1) ** 2
+    rest = v ** 4 * lam.lam3 * lam.lam3 / (l * l * lam1sq * lam1sq)
     num = gain * w * w
     den = w ** 4 + lam.lam4 * w * w + rest
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -269,7 +279,7 @@ def amplification(omega, kappa0: float, k1: float, k2: float, params: VehiclePar
 def peak_amplification(kappa0: float, k1: float, k2: float,
                        params: VehicleParams) -> tuple[float, float]:
     """Peak (M_max [m^2], omega_m [rad/s]) of the amplification ratio."""
-    m_max, omega_m = _peak(lambdas(kappa0, k1, k2, params), kappa0, k1, k2, params)
+    m_max, omega_m = _peak(lambdas(kappa0, k1, k2, params), k1, k2, params)
     if math.isinf(m_max):
         logger.warning("amplification unbounded at kappa0=%.6g, k1=%.6g, k2=%.6g",
                        kappa0, k1, k2)
@@ -327,7 +337,7 @@ def stability_region_scan(k1_range: tuple[float, float], k2_range: tuple[float, 
         # A closed form that fails on a trackable slice raises.
         lam = lambdas(kappa0, grid_k1, grid_k2, params)
         stable[i], marginal[i] = _sign_conditions(lam, grid_k1, grid_k2, params)
-        m_max[i], omega_m[i] = _peak(lam, kappa0, grid_k1, grid_k2, params)
+        m_max[i], omega_m[i] = _peak(lam, grid_k1, grid_k2, params)
         valid[i] = True
 
     return StabilityMap(k1_vals, k2_vals, kappa0_values,

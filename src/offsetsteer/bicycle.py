@@ -16,7 +16,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularityError
+from .errors import DomainError, SingularityError, check_range
 from .paths import EarthState, PathState
 
 _HALF_PI = 0.5 * math.pi
@@ -33,20 +33,8 @@ class VehicleParams:
     speed: float           # constant longitudinal speed, forward [m/s]
 
     def __post_init__(self):
-        # Written so that NaN fails each check.
-        # The closed forms divide by l**2, as the comfort bound does by V**2.
-        if not (0.0 < self.wheelbase < math.inf and 0.0 < self.wheelbase * self.wheelbase):
-            raise ConfigError(f"wheelbase must be positive and finite with a positive square, "
-                              f"got {self.wheelbase}")
-        if not -math.inf < self.sensor_offset < math.inf:
-            raise ConfigError(f"sensor_offset must be finite, got {self.sensor_offset}")
-        # V**2 enters the comfort bound, lambda4 and the lateral acceleration;
-        # the comfort bound divides by it.
-        if not (self.speed > 0.0 and 0.0 < self.speed * self.speed < math.inf):
-            raise ConfigError(f"speed must be positive (forward motion) with a positive, "
-                              f"finite square, got {self.speed}")
-        if not 0.0 < self.max_steer < _HALF_PI:
-            raise ConfigError(f"max_steer must lie in (0, pi/2), got {self.max_steer}")
+        for name in ("wheelbase", "sensor_offset", "max_steer", "speed"):
+            check_range(name, getattr(self, name))
 
 
 class HatPathState(NamedTuple):

@@ -30,7 +30,8 @@ from ._writer import write_columns, write_json, write_rows
 from .analysis import (OMEGA_MAX, OMEGA_MIN, OMEGA_POINTS, frequency_response, kappa_bar,
                        stability_region_scan, write_freq_csv, write_stability_csv)
 from .bicycle import VehicleParams
-from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
+from .errors import (ConfigError, DomainError, OffsetSteerError, SingularityError,
+                     check_range)
 from .paths import PathSpec, PathState, load_curvature_table
 from .sim import (ScenarioConfig, compare_controllers, run_scenario,
                   write_metrics, write_trajectory_csv)
@@ -90,10 +91,11 @@ def _number(value, what: str) -> float:
 
 
 def _count(value, what: str) -> int:
-    """The whole number >= 1 a count (resolution, points, periods) must be."""
+    """The whole number a count (resolution, points, periods) must be; its
+    range is checked where it is held."""
     number = _number(value, what)
-    if number < 1.0 or number != int(number):
-        raise ConfigError(f"{what} must be a whole number >= 1, got {value!r}")
+    if number != int(number):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
     return int(number)
 
 
@@ -107,6 +109,17 @@ class AnalysisConfig:
     grid: tuple[float, float, float, float, int] | None = None
     gains: tuple[tuple[float, float], ...] | None = None
     omega: tuple[float, float, int] | None = None
+
+    def __post_init__(self):
+        checks = [("kappa0", kappa0) for kappa0 in self.kappa0]
+        if self.grid is not None:
+            checks += zip(("k1", "k1", "k2", "k2", "resolution"), self.grid)
+        for gain in self.gains or ():
+            checks += zip(("k1", "k2"), gain)
+        if self.omega is not None:
+            checks += zip(("omega", "omega", "points"), self.omega)
+        for key, value in checks:
+            check_range(key, value)
 
 
 @dataclass
@@ -325,9 +338,6 @@ def _parse(text: str, base_dir: FsPath) -> tuple[ScenarioConfig | AnalysisConfig
                       for idx, item in enumerate(raw_gains))
     if "omega" in top:
         omega = tuple(_section(top, "omega", _OMEGA).values())
-        if not (omega[0] > 0.0 and omega[1] > 0.0):
-            raise ConfigError(f"config.omega: min_rad_s and max_rad_s must be > 0, "
-                              f"got {omega[0]!r} and {omega[1]!r}")
     _finish("config", top)
     return AnalysisConfig(vehicle=vehicle, kappa0=kappa0, grid=grid,
                           gains=gains, omega=omega), {}

@@ -12,7 +12,9 @@ demand, only as far along the road as the queries reach. The cosine road's
 grid holds one period, which serves every period once turned and moved to
 where that period starts, so a run started far along the road costs at most
 one period's nodes. A sampled road's grid fills from the table's start: its
-position at a knot is the sum over every interval before it. Vehicle states
+position at a knot is the sum over every interval before it. The ranges of
+the period, the table's arc lengths and curvatures (``errors.RANGES``) bound
+both grids and keep every PCHIP coefficient and heading finite. Vehicle states
 can be expressed either in the earth frame (x, y, psi) or relative to the
 path (arc length of the closest point, signed lateral deviation, heading
 error).
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_range
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,9 +45,6 @@ POSE_GRID_CHUNK = 4096
 # Fewest nodes a pass integrates, so that a run's first pose, read alone,
 # does not cost a pass of its own.
 POSE_GRID_MIN_PASS = 256
-# Most pose grid steps a road may span, so that node indices stay exact
-# integers in a float.
-POSE_GRID_MAX_STEPS = 2**53
 
 
 class PathState(NamedTuple):
@@ -114,17 +113,12 @@ class PathSpec:
                    x0=x0, y0=y0, psi0=psi0)
 
     def __post_init__(self):
-        # Written so that NaN fails each check.
         if self.kind == "circular":
-            if self.radius is None or not 0.0 < self.radius < math.inf:
-                raise ConfigError(f"circular path needs a finite radius > 0, got {self.radius}")
+            check_range("radius", self.radius)
         elif self.kind == "cosine":
-            if self.period is None or not 0.0 < self.period < math.inf:
-                raise ConfigError(f"cosine path needs a finite period > 0, got {self.period}")
-            if self.kappa_max is None or not 0.0 <= self.kappa_max < math.inf:
-                raise ConfigError(
-                    f"cosine path needs a finite kappa_max >= 0, got {self.kappa_max}")
-            if not (self.periods >= 1 and float(self.periods).is_integer()):
+            for name in ("kappa_max", "period", "periods"):
+                check_range(name, getattr(self, name))
+            if not float(self.periods).is_integer():
                 raise ConfigError(
                     f"cosine path needs a whole number of periods >= 1, got {self.periods}")
         elif self.kind == "sampled":
@@ -134,32 +128,14 @@ class PathSpec:
                 raise ConfigError("sampled path table columns differ in length")
             if len(self.table_s) < 2:
                 raise ConfigError("sampled path table needs at least two rows")
-            if not (np.all(np.isfinite(self.table_s)) and np.all(np.isfinite(self.table_kappa))):
-                raise ConfigError("sampled path table must hold finite numbers only")
-            s = np.asarray(self.table_s)
-            if not np.all(s[1:] > s[:-1]):
-                raise ConfigError("sampled path table must be strictly increasing in s")
+            s = np.array(self.table_s)
+            check_range("table s", s)
+            check_range("table s step", s[1:] - s[:-1])
+            check_range("table kappa", np.array(self.table_kappa))
         elif self.kind != "straight":
             raise ConfigError(f"unknown path kind {self.kind!r}")
-        if self.kind in ("cosine", "sampled"):
-            # Python floats, so an overflow gives inf without a warning, and
-            # inf and NaN fail each check.
-            if self.kind == "cosine":
-                length, terms = self.periods * self.period, f"{self.periods} * {self.period:.6g}"
-            else:
-                lo, hi = self.table_s[0], self.table_s[-1]
-                length, terms = hi - lo, f"{hi:.6g} - {lo:.6g}"
-            if not length / POSE_GRID_STEP <= POSE_GRID_MAX_STEPS:
-                raise ConfigError(f"{self.kind} path length {terms} = {length:.6g} m must span "
-                                  f"at most 2**53 pose grid steps of {POSE_GRID_STEP} m")
-        if self.kind == "cosine":
-            # The heading at s lies within kappa_max * (s + period) / 2 of psi0.
-            length = self.periods * self.period
-            if not math.isfinite(abs(self.psi0) + 0.5 * self.kappa_max * (length + self.period)):
-                raise ConfigError(
-                    f"cosine path heading |psi0| + kappa_max * (length + period) / 2 = "
-                    f"|{self.psi0:.6g}| + {self.kappa_max:.6g} * ({length:.6g} + "
-                    f"{self.period:.6g}) / 2 rad must be finite")
+        for name in ("x0", "y0", "psi0"):
+            check_range(name, getattr(self, name))
 
     def check_arc_length(self, s) -> None:
         """A road is evaluated at finite arc lengths only, and a sampled road
@@ -248,8 +224,9 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
         w1 = 2 * hk[1:] + hk[:-1]
         w2 = hk[1:] + 2 * hk[:-1]
-        # Where this divides by zero, condition holds and the mean is unused.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Where this divides by zero or overflows (a slope of a few ulps),
+        # condition holds or the mean is inf, whose reciprocal is 0, as in scipy.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
         dk = np.zeros_like(y)
         dk[1:-1][~condition] = 1.0 / whmean[~condition]
@@ -471,26 +448,8 @@ class Path:
             self._blocks = None
         else:
             knots = np.array(spec.table_s, dtype=float)
-            # A table of finite numbers can still overflow its slopes; such a road
-            # is refused here, without a numpy warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                coefs = _pchip_coefficients(knots, np.array(spec.table_kappa, dtype=float))
-            overflowed = np.flatnonzero(~np.isfinite(coefs).all(axis=0))
+            coefs = _pchip_coefficients(knots, np.array(spec.table_kappa, dtype=float))
             h = knots[1:] - knots[:-1]
-            if not overflowed.size:
-                # Finite coefficients can still overflow between the knots. The
-                # lookup's sum in its own order, on |c| and u = h, bounds every
-                # partial result of it, as rounding is monotonic.
-                c0, c1, c2, c3 = np.abs(coefs)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    h2 = h * h
-                    bound = c3 + c2 * h + c1 * h2 + c0 * (h2 * h)
-                overflowed = np.flatnonzero(~np.isfinite(bound))
-            if overflowed.size:
-                j = overflowed[0]
-                raise DomainError(
-                    f"sampled path table over [{knots[0]:.6g}, {knots[-1]:.6g}] m: its PCHIP "
-                    f"interpolant is not finite on [{knots[j]:.6g}, {knots[j + 1]:.6g}] m")
             # Scalar lookups read the knots and one (start, end, c0, c1, c2, c3)
             # tuple per interval (c0 u^3 + c1 u^2 + c2 u + c3) in plain Python,
             # without the array set-up of an array call; the pose grid makes
@@ -505,18 +464,7 @@ class Path:
             self._interval = (math.nan,) * 6
             # The heading is each interval's quartic antiderivative of its cubic,
             # a0 u^4 + a1 u^3 + a2 u^2 + a3 u, from the heading at its start knot.
-            # Bounding it on |a| and u = h, as above, bounds every partial result.
             antider = coefs / np.array([[4.0], [3.0], [2.0], [1.0]])
-            a0, a1, a2, a3 = np.abs(antider)
-            with np.errstate(over="ignore", invalid="ignore"):
-                bound = np.cumsum(np.append(abs(spec.psi0),
-                                            h * (a3 + h * (a2 + h * (a1 + h * a0)))))
-            overflowed = np.flatnonzero(~np.isfinite(bound[1:]))
-            if overflowed.size:
-                j = overflowed[0]
-                raise DomainError(
-                    f"sampled path table over [{knots[0]:.6g}, {knots[-1]:.6g}] m: its heading "
-                    f"is not finite on [{knots[j]:.6g}, {knots[j + 1]:.6g}] m")
             a0, a1, a2, a3 = antider
             knot_psi = np.cumsum(np.append(spec.psi0, h * (a3 + h * (a2 + h * (a1 + h * a0)))))
             self._heading = partial(_sampled_heading, knots, antider, knot_psi)

@@ -6,7 +6,10 @@ is recomputed at a fixed control period and held constant in between
 (zero-order hold), so at a fixed control period refining the integration
 step converges to the exact sampled-data trajectory. Left unset, the
 control period follows the step, and refining the step then refines the
-sampling too.
+sampling too. ``ScenarioConfig`` checks each value against its range
+(``errors.RANGES``), the step count against the record's bound, and dt
+against ``analysis.max_control_period``; inside the ranges every rate the
+loop takes stays finite, so the metrics are plain means and differences.
 
 While the steering is held, ``run_scenario`` takes each path-frame step as
 one straight-line RK4 kernel, its four stages written out in the loop:
@@ -64,11 +67,13 @@ from ._writer import write_columns, write_json, write_rows
 from .bicycle import (SINGULAR_DENOM, _HALF_PI, VehicleParams,  # noqa: F401
                       _arc_chord, _check_steer, _singular, check_trackable,
                       earth_derivatives, path_derivatives)
-from .errors import ConfigError, DomainError, OffsetSteerError, SingularityError
+from .analysis import max_control_period
+from .errors import (ConfigError, DomainError, OffsetSteerError, SingularityError,
+                     check_range)
 from .paths import TWO_PI, PathSpec, PathState, build_path, wrap_angle_error
 # The loop calls the run's bound law; control stays importable from here,
 # where perfbench's tracer wraps it.
-from .steering import WRAPPED, ControlConfig, _law, control, max_allowable_steer  # noqa: F401
+from .steering import ControlConfig, _law, control, max_allowable_steer  # noqa: F401
 
 # A step starts only while 1 - e*kappa >= SINGULARITY_TOL (path-frame singularity).
 SINGULARITY_TOL = 1e-6
@@ -101,44 +106,37 @@ class ScenarioConfig:
     settle_threshold: float = SETTLE_THRESHOLD  # [m]
 
     def __post_init__(self):
-        # Written so that NaN fails each check.
-        if not 0.0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        check_range("dt", self.dt)
         if self.frame not in ("path", "earth", "both"):
             raise ConfigError(f"frame must be path|earth|both, got {self.frame!r}")
         if self.control_dt is not None:
+            check_range("control_dt", self.control_dt)
             ratio = self.control_dt / self.dt
-            if not (math.isfinite(ratio) and round(ratio) >= 1
-                    and abs(ratio - round(ratio)) <= 1e-9):
+            if not (round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
                 raise ConfigError(
                     f"control_dt ({self.control_dt}) must be a positive integer "
                     f"multiple of dt ({self.dt})")
-        if not 0.0 < self.settle_threshold < math.inf:
-            raise ConfigError(
-                f"settle_threshold must be positive and finite, got {self.settle_threshold}")
-        if self.control.variant in WRAPPED:
-            # The wrapped laws divide by the wrapper's scale 2*g_sat/pi.
-            g_sat = max_allowable_steer(self.vehicle, self.control.max_lat_accel)
-            if not 2.0 * g_sat / math.pi > 0.0:
-                raise ConfigError(
-                    f"the {self.control.variant} law's feedback bound g_sat = {g_sat:.6g} rad "
-                    f"(max_lat_accel {self.control.max_lat_accel:.6g} m/s^2 at "
-                    f"{self.vehicle.speed:.6g} m/s) leaves its wrapper scale 2*g_sat/pi at 0")
+        check_range("settle_threshold", self.settle_threshold)
         for name, value in zip(PathState._fields, self.initial):
-            if not -math.inf < value < math.inf:
-                raise ConfigError(f"initial {name} must be finite, got {value}")
+            check_range(f"initial {name}", value)
+        if self.t_end is not None:
+            check_range("t_end", self.t_end)
         t_end = self.resolved_t_end()
-        if not self.dt < t_end < math.inf:
-            note = "" if self.t_end is not None else " (the road's default horizon)"
+        note = "" if self.t_end is not None else " (the road's default horizon)"
+        if not self.dt < t_end:
             raise ConfigError(
                 f"t_end must be finite and exceed dt ({self.dt}), got {t_end}{note}")
-        # The run's record is at most (n + 1, 16) float64 values, n = round(t_end / dt),
-        # and numpy sizes an array in np.intp bytes.
-        steps = t_end / self.dt
-        if not (math.isfinite(steps) and (round(steps) + 1) * 16 * 8 <= np.iinfo(np.intp).max):
+        try:
+            check_range("t_end", t_end)
+            check_range("t_end / dt", t_end / self.dt)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}{note}") from None
+        # A step the linear loop proves unstable, which no run should take.
+        h_max = max_control_period(self.control.k1, self.control.k2, self.vehicle)
+        if self.dt >= h_max:
             raise ConfigError(
-                f"t_end / dt must be a finite step count whose record numpy can size, "
-                f"got {t_end} / {self.dt} = {steps:.6g} steps")
+                f"dt must be below h_max = {h_max:.7g} s, the longest step at which the "
+                f"loop linearized on a straight road stays stable, got {self.dt}")
         try:
             self.path_spec.check_arc_length(self.initial.s)
         except DomainError as exc:
@@ -243,17 +241,6 @@ def _check_finite(*state: float) -> None:
             raise OffsetSteerError(f"integration diverged: state {state}")
 
 
-def _mean(values: np.ndarray) -> float:
-    """``values.mean()``, finite for finite values: where their sum overflows,
-    the mean is taken of the values scaled by a power of two, which is exact."""
-    with np.errstate(over="ignore"):
-        mean = float(values.mean())
-    if math.isinf(mean):
-        k = values.size.bit_length()
-        mean = math.ldexp(float(np.ldexp(values, -k).mean()), k)
-    return mean
-
-
 def _metrics(traj: Trajectory, cfg: ScenarioConfig) -> TrackingMetrics:
     e = traj.e_d
     n = e.size
@@ -268,8 +255,8 @@ def _metrics(traj: Trajectory, cfg: ScenarioConfig) -> TrackingMetrics:
         settling = float(traj.t[above[-1] + 1])
 
     tail = slice(n - max(1, n // 5), n)
-    steady_e = _mean(e[tail])
-    steady_theta_hat = _mean(traj.theta_hat[tail])
+    steady_e = float(e[tail].mean())
+    steady_theta_hat = float(traj.theta_hat[tail].mean())
 
     spec = cfg.path_spec
     window = None
@@ -281,9 +268,7 @@ def _metrics(traj: Trajectory, cfg: ScenarioConfig) -> TrackingMetrics:
             window = e[mask]
     if window is None:
         window = e[tail]
-    high, low = float(window.max()), float(window.min())
-    # Halved first where the peak-to-peak overflows; halving is exact.
-    sway = 0.5 * (high - low) if math.isfinite(high - low) else 0.5 * high - 0.5 * low
+    sway = 0.5 * float(window.max() - window.min())
 
     e0 = float(e[0])
     if e0 < 0.0:

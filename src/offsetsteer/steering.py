@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bicycle import VehicleParams, check_trackable
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .paths import PathState
 
 logger = logging.getLogger(__name__)
@@ -48,16 +48,11 @@ class ControlConfig:
     variant: str = "full"
 
     def __post_init__(self):
-        # Written so that NaN fails each check.
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown controller variant {self.variant!r}; "
                               f"expected one of {VARIANTS}")
-        for name in ("k1", "k2"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.max_lat_accel < math.inf:
-            raise ConfigError(
-                f"max_lat_accel must be positive and finite, got {self.max_lat_accel}")
+        for name in ("k1", "k2", "max_lat_accel"):
+            check_range(name, getattr(self, name))
 
 
 class SteeringDecision(NamedTuple):

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from offsetsteer import (ControlConfig, DomainError, HatPathState, PathState, VehicleParams,
-                         amplification, cli, control, desired_heading, desired_yaw_error,
+from offsetsteer import (ConfigError, ControlConfig, DomainError, HatPathState, PathState,
+                         VehicleParams, amplification, cli, control, desired_heading,
+                         desired_yaw_error,
                          eigenvalues, feedforward, feedforward_error, frequency_response,
                          hat_path_derivatives, is_stable, kappa_bar, lambdas, linearize,
                          max_allowable_steer, peak_amplification,
                          stability_region_scan, wrapper)
 from offsetsteer import _writer
-from offsetsteer.analysis import (StabilityMap, prop1_k2_threshold, write_freq_csv,
-                                  write_stability_csv)
-from offsetsteer.cli import cmd_freq_response, parse_config
+from offsetsteer.analysis import (StabilityMap, max_control_period, prop1_k2_threshold,
+                                  write_freq_csv, write_stability_csv)
+from offsetsteer.cli import cmd_freq_response, parse_config, preset_text
 
 from conftest import benchmark_control, benchmark_params
 
@@ -230,6 +231,53 @@ def test_no_sufficient_condition_behind_the_rear_axle():
     assert not verdict.sufficient_any_kappa and verdict.sufficient_condition is None
     assert not verdict.necessary_sufficient
     assert max(root.real for root in verdict.eigenvalues) == pytest.approx(6.79, abs=0.01)
+
+
+@pytest.mark.parametrize("preset, h_max", [
+    ("optimal_gain", 0.1923077), ("positive_feedback", 0.1070833), ("straight_compare", 0.3088942),
+    ("circular_compare", 0.3088942), ("varying_curvature_compare", 0.3088942)])
+def test_max_control_period_of_the_presets(preset, h_max):
+    cfg = parse_config(preset_text(preset))
+    assert max_control_period(cfg.control.k1, cfg.control.k2, cfg.vehicle) == pytest.approx(
+        h_max, abs=5e-8)
+
+
+def test_scenario_step_must_be_below_h_max():
+    # Just below h_max the step is accepted; at h_max it is refused.
+    cfg = parse_config(preset_text("optimal_gain"))
+    h_max = max_control_period(cfg.control.k1, cfg.control.k2, cfg.vehicle)
+    assert replace(cfg, dt=math.nextafter(h_max, 0.0)).dt < h_max
+    with pytest.raises(ConfigError, match=r"^dt must be below h_max = 0\.1923077 s, "):
+        replace(cfg, dt=h_max)
+
+
+def _held_radius(h: float, k1: float, k2: float, params: VehicleParams) -> float:
+    """Spectral radius of the loop at kappa0 = 0 with the steering held over a
+    step h: the plant [[0, V], [0, 0]], its input [V d / l, V / l] held."""
+    l, d, v = params.wheelbase, params.sensor_offset, params.speed
+    phi = np.array([[1.0, v * h], [0.0, 1.0]])
+    gamma = np.array([v * d * h / l + v * v * h * h / (2.0 * l), v * h / l])
+    return max(abs(np.linalg.eigvals(phi + np.outer(gamma, [k1 * k2, k1]))))
+
+
+def test_max_control_period_bounds_the_held_loops_stability():
+    # Below h_max the held loop's eigenvalues lie inside the unit circle, just
+    # past it one leaves; gains whose continuous loop is unstable have none.
+    rng = np.random.default_rng(3)
+    checked = 0
+    while checked < 200:
+        params = VehicleParams(float(rng.uniform(1.5, 4.0)), float(rng.uniform(-2.0, 4.0)),
+                               0.5, float(rng.uniform(2.0, 40.0)))
+        k1, k2 = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))
+        h_max = max_control_period(k1, k2, params)
+        if not is_stable(0.0, k1, k2, params).necessary_sufficient:
+            assert h_max == math.inf
+            continue
+        checked += 1
+        assert _held_radius(h_max * (1 - 1e-6), k1, k2, params) < 1.0
+        assert _held_radius(h_max * (1 + 1e-6), k1, k2, params) > 1.0
+        for h in np.linspace(0.0, h_max, 12)[1:-1]:
+            assert _held_radius(h, k1, k2, params) < 1.0
 
 
 def test_lambda_bounds_over_trackable_curvatures():

@@ -19,14 +19,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from offsetsteer import (VARIANTS, ComparisonReport, ConfigError, ControlConfig, PathSpec,
                          PathState, ScenarioConfig, TrackingMetrics, VehicleParams,
-                         amplification, is_stable, max_allowable_steer, run_scenario)
+                         amplification, is_stable, run_scenario)
 from offsetsteer import cli
+from offsetsteer.paths import Path
 from offsetsteer.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                              AnalysisConfig, _echo_analysis, _echo_scenario,
                              cmd_freq_response, cmd_simulate, cmd_stability_map, main,
                              parse_config, preset_text)
-from offsetsteer.paths import POSE_GRID_MAX_STEPS, POSE_GRID_STEP
-from offsetsteer.steering import WRAPPED
+from offsetsteer.analysis import max_control_period
+from offsetsteer.errors import RANGES
 
 from conftest import (CROSSING_YAML, FIGS_REPRO_GOLDEN, FIGS_REPRO_GOLDEN_ARGS,
                       figs_repro_digests, run_python)
@@ -179,15 +180,14 @@ def test_counts_and_ranges_exit_config(tmp_path, command, key, value):
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.parametrize("key, value, message", [
-    ("speed_mps", "1.0e-200",
-     "speed must be positive (forward motion) with a positive, finite square, got 1e-200"),
+    ("speed_mps", "1.0e-200", "speed must lie in [1e-06, 1e+06] m/s, got 1e-200"),
     ("max_lat_accel_mps2", "5.0e-324",
-     "the full law's feedback bound g_sat = 0 rad (max_lat_accel 4.94066e-324 m/s^2 at 20 m/s) "
-     "leaves its wrapper scale 2*g_sat/pi at 0"),
+     "max_lat_accel must lie in [1e-06, 1e+06] m/s^2, got 5e-324"),
 ], ids=["speed-square-underflows", "wrapper-scale-zero"])
 def test_comfort_bound_that_would_divide_by_zero_exits_config(tmp_path, capsys, command, key,
                                                               value, message):
-    # The comfort bound divides by V**2, and the wrapped laws by 2*g_sat/pi.
+    # The comfort bound divides by V**2, and the wrapped laws by 2*g_sat/pi;
+    # the ranges of V and max_lat_accel keep both positive.
     config = tmp_path / "straight.yaml"
     config.write_text(re.sub(rf"(?m)^(\s*{key}): .*$", rf"\1: {value}",
                              preset_text("straight_compare")))
@@ -222,7 +222,7 @@ def test_bad_sampled_path_exits_config(tmp_path, csv, kappa):
 
 
 @pytest.mark.parametrize("kappa, s_m, message", [
-    ("nan", "0.0", "table.csv: sampled path table must hold finite numbers only"),
+    ("nan", "0.0", "table.csv: table kappa must lie in [-1e+06, 1e+06] 1/m, got nan"),
     ("0.002", "-10.0", "initial s=-10 outside sampled table range [0, 1000]"),
     ("0.002", "1100.0", "initial s=1100 outside sampled table range [0, 1000]"),
     ("0.002 # caf\xe9", "0.0", "table.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"),
@@ -447,77 +447,74 @@ def test_config_loader_is_libyaml_where_pyyaml_has_it():
     assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
-# Generated valid configs: the echo must parse back to the same config.
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-_positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
-_vehicles = st.builds(VehicleParams, wheelbase=_positive.filter(lambda l: 0.0 < l * l),
-                      sensor_offset=_finite,
-                      max_steer=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
-                      speed=st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
-                      .filter(lambda v: 0.0 < v * v < math.inf))
+# Generated valid configs: the echo must parse back to the same config. Each
+# value is drawn from its range.
+def _in(key: str):
+    return st.floats(RANGES[key].lo, RANGES[key].hi)
+
+
+_vehicles = st.builds(VehicleParams, wheelbase=_in("wheelbase"),
+                      sensor_offset=_in("sensor_offset"), max_steer=_in("max_steer"),
+                      speed=_in("speed"))
 
 
 @st.composite
 def _path_specs(draw):
     anchor = draw(st.just({}) | st.fixed_dictionaries(
-        {"x0": _finite, "y0": _finite, "psi0": _finite}))
+        {"x0": _in("x0"), "y0": _in("y0"), "psi0": _in("psi0")}))
     kind = draw(st.sampled_from(("straight", "circular", "cosine", "sampled")))
     if kind == "straight":
         return PathSpec.straight(**anchor)
     if kind == "circular":
-        return PathSpec.circular(draw(_positive), **anchor)
-    # A cosine or sampled road spans at most 2**53 pose grid steps, and a
-    # cosine road's heading stays finite.
+        return PathSpec.circular(draw(_in("radius")), **anchor)
     if kind == "cosine":
-        kappa_max, period, periods = (draw(st.floats(0.0, 1e300)), draw(_positive),
-                                      draw(st.integers(1, 10**6)))
-        assume(periods * period / POSE_GRID_STEP <= POSE_GRID_MAX_STEPS)
-        assume(math.isfinite(abs(anchor.get("psi0", 0.0))
-                             + 0.5 * kappa_max * (periods * period + period)))
-        return PathSpec.cosine(kappa_max, period, periods, **anchor)
-    s = sorted(draw(st.lists(_finite, min_size=2, max_size=6, unique=True)))
-    assume((s[-1] - s[0]) / POSE_GRID_STEP <= POSE_GRID_MAX_STEPS)
-    kappa = draw(st.lists(_finite, min_size=len(s), max_size=len(s)))
+        return PathSpec.cosine(draw(_in("kappa_max")), draw(_in("period")),
+                               draw(st.integers(1, int(RANGES["periods"].hi))), **anchor)
+    s = sorted(draw(st.lists(_in("table s"), min_size=2, max_size=6, unique=True)))
+    assume(RANGES["table s step"].lo <= min(b - a for a, b in zip(s, s[1:])))
+    kappa = draw(st.lists(_in("table kappa"), min_size=len(s), max_size=len(s)))
     return PathSpec.sampled(s, kappa, **anchor)
 
 
 @st.composite
 def _scenarios(draw):
-    dt = draw(st.floats(0.0, 1e3, exclude_min=True))
+    dt = draw(_in("dt"))
     spec = draw(_path_specs())
     # A sampled road starts inside its table.
-    s = st.floats(spec.table_s[0], spec.table_s[-1]) if spec.kind == "sampled" else _finite
+    s = (st.sampled_from(spec.table_s) if spec.kind == "sampled" else _in("initial s"))
     fields = dict(path_spec=spec, vehicle=draw(_vehicles),
-                  initial=draw(st.builds(PathState, s, _finite, _finite)),
-                  t_end=draw(st.none() | st.floats(2e3, 1e300)))
-    # dt must stay below the horizon, and at most 1e15 steps span it, well
-    # inside the step count a run's record can have. Without a t_end the
-    # horizon is the road's default, which follows from these fields alone.
-    horizon = ScenarioConfig.resolved_t_end(SimpleNamespace(**fields))
-    assume(dt < horizon < math.inf and horizon / dt <= 1e15)
-    control = draw(st.builds(ControlConfig, k1=_finite, k2=_finite, max_lat_accel=_positive,
+                  initial=draw(st.builds(PathState, s, _in("initial e"), _in("initial theta"))),
+                  t_end=draw(st.none() | _in("t_end")))
+    control = draw(st.builds(ControlConfig, k1=_in("k1"), k2=_in("k2"),
+                             max_lat_accel=_in("max_lat_accel"),
                              variant=st.sampled_from(VARIANTS)))
-    # A wrapped law divides by its wrapper's scale 2*g_sat/pi.
-    assume(control.variant not in WRAPPED
-           or 2.0 * max_allowable_steer(fields["vehicle"], control.max_lat_accel) / math.pi > 0.0)
+    # dt must stay below the horizon, which spans at most 1e7 steps, and below
+    # h_max. Without a t_end the horizon is the road's default, which follows
+    # from these fields alone.
+    horizon = ScenarioConfig.resolved_t_end(SimpleNamespace(**fields))
+    assume(dt < horizon <= RANGES["t_end"].hi and horizon / dt <= RANGES["t_end / dt"].hi)
+    assume(dt < max_control_period(control.k1, control.k2, fields["vehicle"]))
+    control_dt = draw(st.none() | st.integers(1, 1000).map(lambda n: n * dt))
+    assume(control_dt is None or control_dt <= RANGES["control_dt"].hi)
     return ScenarioConfig(
         **fields, dt=dt, control=control,
         frame=draw(st.sampled_from(("path", "earth", "both"))),
-        control_dt=draw(st.none() | st.integers(1, 1000).map(lambda n: n * dt)),
-        settle_threshold=draw(_positive))
+        control_dt=control_dt, settle_threshold=draw(_in("settle_threshold")))
 
 
 @st.composite
 def _analyses(draw):
-    grid = draw(st.none() | st.tuples(_finite, _finite, _finite, _finite, st.integers(1, 10**6)))
-    gains = draw(st.none() | st.lists(st.tuples(_finite, _finite), min_size=1,
+    resolution = st.integers(1, int(RANGES["resolution"].hi))
+    grid = draw(st.none() | st.tuples(_in("k1"), _in("k1"), _in("k2"), _in("k2"), resolution))
+    gains = draw(st.none() | st.lists(st.tuples(_in("k1"), _in("k2")), min_size=1,
                                       max_size=4).map(tuple))
     assume(grid is not None or gains is not None)
     return AnalysisConfig(
         vehicle=draw(_vehicles),
-        kappa0=tuple(draw(st.lists(_finite, min_size=1, max_size=4))),
+        kappa0=tuple(draw(st.lists(_in("kappa0"), min_size=1, max_size=4))),
         grid=grid, gains=gains,
-        omega=draw(st.none() | st.tuples(_positive, _positive, st.integers(1, 10**6))))
+        omega=draw(st.none() | st.tuples(_in("omega"), _in("omega"),
+                                         st.integers(1, int(RANGES["points"].hi)))))
 
 
 @settings(deadline=None)
@@ -840,13 +837,20 @@ def test_run_past_the_curvature_centre_exits_domain_and_leaves_no_output(tmp_pat
     assert not (tmp_path / "bad").exists()
 
 
-def test_stage_rate_overflow_exits_domain_and_leaves_no_output(tmp_path, capsys):
-    # On a 1e-307 m circle a rate overflows inside the first step.
+def test_stage_rate_overflow_exits_domain_and_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # A 1e-307 m circle, where a rate once overflowed inside the first step, is
+    # refused by the radius's range. No road in range overflows a rate, so a
+    # road whose lookup reads kappa = 1e307 drives the loop's divergence exit.
+    text = (preset_text("circular_compare").replace("sensor_offset_m: 2.0", "sensor_offset_m: 0.0")
+            .replace("e_m: -10.0", "e_m: 0.0"))
     config = tmp_path / "tiny_circle.yaml"
-    config.write_text(preset_text("circular_compare")
-                      .replace("sensor_offset_m: 2.0", "sensor_offset_m: 0.0")
-                      .replace("radius_m: 200.0", "radius_m: 1.0e-307")
-                      .replace("e_m: -10.0", "e_m: 0.0"))
+    config.write_text(text.replace("radius_m: 200.0", "radius_m: 1.0e-307"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: radius must lie in [1e-06, 1e+06] m, got 1e-307\n")
+    config.write_text(text)
+    monkeypatch.setattr(Path, "curvature", lambda self, s: 1e307)
     assert main(["simulate", "--config", str(config),
                  "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
     err = capsys.readouterr().err
@@ -891,19 +895,35 @@ def test_step_longer_than_the_default_horizon_exits_config(tmp_path, capsys, arg
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("tail, flags, steps", [
-    ("sim: {t_end_s: 1.0e+306}\n", [], "inf"),
-    ("", ["--dt", "1e-300"], "3e+301"),
-], ids=["t_end-over-dt-overflows", "record-beyond-intp"])
-def test_step_count_beyond_one_array_exits_config(tmp_path, capsys, tail, flags, steps):
-    # Both fail the config check, before the run allocates its record.
+def test_step_the_linear_loop_proves_unstable_exits_config(tmp_path, capsys):
+    # One 50 s step on optimal_gain once ran and wrote e_D = -677.72 m; the
+    # held loop at kappa0 = 0 is unstable for steps of h_max or longer.
+    config = tmp_path / "optimal_gain.yaml"
+    config.write_text(preset_text("optimal_gain"))
+    assert main(["simulate", "--config", str(config), "--dt", "50",
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: dt must be below h_max = 0.1923077 s, the longest step at which the "
+        "loop linearized on a straight road stays stable, got 50.0\n")
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("tail, flags, message", [
+    ("sim: {t_end_s: 1.0e+306}\n", [], "t_end must lie in [1e-06, 1e+06] s, got 1e+306"),
+    ("", ["--dt", "1e-300"], "dt must lie in [1e-06, 1e+06] s, got 1e-300"),
+    # Both in range, but 1e9 steps: a record of 16 GB.
+    ("sim: {t_end_s: 1.0e+6}\n", [], "t_end / dt must lie in [1, 1e+07], got 1000000000.0"),
+    ("", ["--dt", "1e-6"],
+     "t_end / dt must lie in [1, 1e+07], got 30000000.0 (the road's default horizon)"),
+], ids=["t_end-over-dt-overflows", "record-beyond-intp", "steps-past-the-record",
+        "default-horizon-past-the-record"])
+def test_step_count_beyond_one_array_exits_config(tmp_path, capsys, tail, flags, message):
+    # Each fails the config check, before the run allocates its record.
     config = tmp_path / "straight.yaml"
     config.write_text(preset_text("straight_compare") + tail)
     assert main(["simulate", "--config", str(config), *flags,
                  "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: t_end / dt must be a finite step count")
-    assert err.rstrip().endswith(f"= {steps} steps")
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "bad").exists()
 
 
@@ -912,17 +932,17 @@ _OPTIMAL_GAIN_ROAD = ("  kind: cosine\n  kappa_max_per_m: 0.012566370614359173\n
 
 
 @pytest.mark.parametrize("road, table, code, message", [
-    ("  kind: sampled\n  csv: table.csv\n", "0.0,0.0\n1.0e+9,0.0\n", EXIT_OK, None),
+    ("  kind: sampled\n  csv: table.csv\n", "0.0,0.0\n1.0e+5,0.0\n", EXIT_OK, None),
+    ("  kind: sampled\n  csv: table.csv\n", "0.0,0.0\n1.0e+9,0.0\n", EXIT_CONFIG,
+     "table.csv: table s must lie in [-100000, 100000] m, got 1000000000.0\n"),
     ("  kind: sampled\n  csv: table.csv\n", "-1.0e+308,0.0\n1.0e+308,0.0\n", EXIT_CONFIG,
-     "table.csv: sampled path length 1e+308 - -1e+308 = inf m must span at most 2**53 pose "
-     "grid steps of 0.2 m\n"),
+     "table.csv: table s must lie in [-100000, 100000] m, got -1e+308\n"),
     (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+307"), None, EXIT_CONFIG,
-     "config error: cosine path length 4 * 1e+307 = 4e+307 m must span at most 2**53 pose "
-     "grid steps of 0.2 m\n"),
-], ids=["a-billion-metres", "most-doubles", "cosine-past-the-grid"])
+     "config error: period must lie in [1e-06, 100000] m, got 1e+307\n"),
+], ids=["the-longest-table", "a-billion-metres", "most-doubles", "cosine-past-the-grid"])
 def test_long_road_runs_or_exits_config(tmp_path, capsys, road, table, code, message):
     # A road costs the pose grid nodes of the distance driven, not of its
-    # length; a road too long to count its grid steps fails the config check.
+    # length; a road longer than its ranges allow fails the config check.
     if table is not None:
         (tmp_path / "table.csv").write_text("s_meters,kappa_per_meter\n" + table)
     config = tmp_path / "long.yaml"
@@ -942,18 +962,20 @@ def test_long_road_runs_or_exits_config(tmp_path, capsys, road, table, code, mes
     # The heading overflowed, and the straight line past the road's end
     # raised ValueError from math.cos.
     (_OPTIMAL_GAIN_ROAD.replace("0.012566370614359173", "1.7e+308").replace("4", "1"), "300.0",
-     EXIT_CONFIG, "config error: cosine path heading |psi0| + kappa_max * (length + period) / 2 "
-                  "= |0| + 1.7e+308 * (250 + 250) / 2 rad must be finite\n"),
+     EXIT_CONFIG, "config error: kappa_max must lie in [0, 1e+06] 1/m, got 1.7e+308\n"),
     # A pose grid index past the integers of an array raised IndexError.
     (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+300").replace("4", "1"), "1.7e+308",
-     EXIT_CONFIG, "config error: cosine path length 1 * 1e+300 = 1e+300 m must span at most "
-                  "2**53 pose grid steps of 0.2 m\n"),
+     EXIT_CONFIG, "config error: period must lie in [1e-06, 100000] m, got 1e+300\n"),
     # The pose past the end filled the whole 1,000 km grid, a 512 MiB array
-    # at the 0.01 m step; now it sums the period without keeping it.
-    (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+6").replace("4", "1"), "2.0e+6", EXIT_OK, None),
-], ids=["heading-overflows", "index-overflows", "end-past-a-1000-km-period"])
+    # at the 0.01 m step; a period that long is now refused.
+    (_OPTIMAL_GAIN_ROAD.replace("250.0", "1.0e+6").replace("4", "1"), "2.0e+6", EXIT_CONFIG,
+     "config error: period must lie in [1e-06, 100000] m, got 1000000.0\n"),
+    # Past the end of a 50 km period the end pose sums the period without keeping it.
+    (_OPTIMAL_GAIN_ROAD.replace("250.0", "5.0e+4").replace("4", "1"), "1.0e+5", EXIT_OK, None),
+], ids=["heading-overflows", "index-overflows", "end-past-a-1000-km-period",
+        "end-past-a-50-km-period"])
 def test_pose_grid_escapes_exit_ok_or_config(tmp_path, capsys, road, start, code, message):
-    # Each of these once exited 1 with a traceback.
+    # Each of the first three once exited 1 with a traceback.
     config = tmp_path / "escape.yaml"
     text = preset_text("optimal_gain").replace(_OPTIMAL_GAIN_ROAD, road)
     config.write_text(text.replace("  s_m: 0.0\n", f"  s_m: {start}\n") + "sim: {t_end_s: 3.0}\n")
@@ -972,18 +994,18 @@ def test_pose_grid_escapes_exit_ok_or_config(tmp_path, capsys, road, start, code
         assert err == message and not (tmp_path / "bad").exists()
 
 
-def test_sampled_table_whose_pchip_overflows_exits_domain_without_a_warning(tmp_path, capsys):
-    # Finite knots whose slopes overflow: the road is refused when it is built,
-    # and no numpy warning reaches stderr (pyproject.toml makes one an error).
+def test_sampled_table_whose_pchip_would_overflow_exits_config(tmp_path, capsys):
+    # Finite knots whose slopes would overflow: the curvatures are refused by
+    # their range, before a slope is taken, and no numpy warning reaches
+    # stderr (pyproject.toml makes one an error).
     config = tmp_path / "overflow.yaml"
     config.write_text(preset_text("optimal_gain").replace(
         _OPTIMAL_GAIN_ROAD, "  kind: sampled\n  table: {s_m: [0.0, 10.0, 20.0, 30.0],\n"
                             "          kappa_per_m: [0.0, 1.0e+308, -1.0e+308, 0.0]}\n"))
     assert main(["simulate", "--config", str(config),
-                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "domain error: sampled path table over [0, 30] m: its PCHIP interpolant is not finite "
-        "on [10, 20] m\n")
+        "config error: table kappa must lie in [-1e+06, 1e+06] 1/m, got 1e+308\n")
     assert not (tmp_path / "bad").exists()
 
 
@@ -995,8 +1017,7 @@ def test_wheelbase_whose_square_underflows_exits_config(tmp_path, capsys, comman
     assert main([command, "--config", str(config),
                  "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: wheelbase must be positive and finite with a positive square, "
-        "got 5e-324\n")
+        "config error: wheelbase must lie in [1e-06, 1e+06] m, got 5e-324\n")
     assert not (tmp_path / "bad").exists()
 
 
@@ -1006,49 +1027,53 @@ _LAM1_ZERO = (("sensor_offset_m: 2.0", "sensor_offset_m: 9.080822293268293"),
 
 
 @pytest.mark.parametrize("command, edits, message", [
+    # The four closed forms that once overflowed: their inputs are now
+    # refused by range, before any closed form is evaluated.
     ("freq-response", [("k2_per_m: 0.02", "k2_per_m: 1.0e+200")],
-     "lambda4 overflows at kappa0=0.0 1/m, k1=-0.8, k2=1e+200 1/m, l=2.57 m, d=2.0 m, "
-     "V=20.0 m/s"),
+     "config error: k2 must lie in [-1e+06, 1e+06] 1/m, got 1e+200"),
     ("freq-response", [("{k1: -0.8,", "{k1: -1.0e+200,")],
-     "peak amplification M_max overflows at kappa0=0.0 1/m, k1=-1e+200, k2=0.02 1/m, "
-     "l=2.57 m, d=2.0 m, V=20.0 m/s"),
+     "config error: k1 must lie in [-1e+06, 1e+06], got -1e+200"),
     ("freq-response", [("speed_mps: 20.0", "speed_mps: 1.0e+150")],
-     "amplification ratio M(omega) overflows at kappa0=0.0 1/m, k1=-0.8, k2=0.02 1/m, "
-     "l=2.57 m, d=2.0 m, V=1e+150 m/s"),
-    # Every factor before the eigenvalues stays finite or becomes inf by *,
-    # which does not raise; the discriminant's square root does.
+     "config error: speed must lie in [1e-06, 1e+06] m/s, got 1e+150"),
     ("freq-response", [("{k1: -0.8, k2_per_m: 0.02}", "{k1: -8.0e+9, k2_per_m: 1.0e+150}")],
-     "closed-loop eigenvalues overflows at kappa0=0.0 1/m, k1=-8000000000.0, k2=1e+150 1/m, "
-     "l=2.57 m, d=2.0 m, V=20.0 m/s"),
+     "config error: k1 must lie in [-1e+06, 1e+06], got -8000000000.0"),
+    # In range, d*kappa0 is trackable but 1 - d^2 kappa0^2 rounds to 0: the
+    # one guard of the closed forms left.
     ("freq-response", _LAM1_ZERO,
-     "lambda4 divides by zero at kappa0=0.11012218582245688 1/m, k1=-0.8, k2=0.02 1/m, "
-     "l=2.57 m, d=9.080822293268293 m, V=20.0 m/s"),
+     "domain error: lambda4 divides by zero at kappa0=0.11012218582245688 1/m, k1=-0.8, "
+     "k2=0.02 1/m, l=2.57 m, d=9.080822293268293 m, V=20.0 m/s"),
     ("stability-map", _LAM1_ZERO,
-     "lambda4 divides by zero at kappa0=0.11012218582245688 1/m, k1=[-2.0, 2.0], "
-     "k2=[-1.0, 1.0] 1/m, l=2.57 m, d=9.080822293268293 m, V=20.0 m/s"),
+     "domain error: lambda4 divides by zero at kappa0=0.11012218582245688 1/m, "
+     "k1=[-2.0, 2.0], k2=[-1.0, 1.0] 1/m, l=2.57 m, d=9.080822293268293 m, V=20.0 m/s"),
 ], ids=["gain-squared-overflows", "k1-squared-overflows", "speed-to-the-fourth-overflows",
         "discriminant-overflows", "response-lam1-rounds-to-0", "map-lam1-rounds-to-0"])
 def test_closed_form_that_overflows_or_divides_by_zero_exits_domain(tmp_path, capsys, command,
                                                                      edits, message):
-    # Python floats raise where numpy gives inf; the error names the quantity
-    # and its inputs, and no numpy warning comes first (pyproject.toml makes
-    # one an error).
+    # The error names the quantity and its inputs, or the value and its range,
+    # and no numpy warning comes first (pyproject.toml makes one an error).
     text = ANALYSIS_YAML
     for old, new in edits:
         text = text.replace(old, new)
     config = tmp_path / "analysis.yaml"
     config.write_text(text)
+    code = EXIT_DOMAIN if message.startswith("domain") else EXIT_CONFIG
     assert main([command, "--config", str(config),
-                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_DOMAIN
-    assert capsys.readouterr().err == f"domain error: {message}\n"
+                 "--out", str(tmp_path / "bad" / "out")]) == code
+    assert capsys.readouterr().err == f"{message}\n"
     assert not (tmp_path / "bad").exists()
 
 
-def test_stability_map_at_a_speed_whose_fourth_power_overflows_still_runs(tmp_path, capsys):
-    # The map evaluates no V**4, so the speed that stops freq-response gives
-    # a map without NaN (M_max is inf where the response is unbounded).
+def test_stability_map_at_a_speed_past_its_range_exits_config(tmp_path, capsys):
+    # A speed whose fourth power overflows is refused; at the range's top
+    # edge the map has no NaN (M_max is inf where the response is unbounded).
     config = tmp_path / "analysis.yaml"
     config.write_text(ANALYSIS_YAML.replace("speed_mps: 20.0", "speed_mps: 1.0e+150"))
+    assert main(["stability-map", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: speed must lie in [1e-06, 1e+06] m/s, got 1e+150\n")
+    assert not (tmp_path / "bad").exists()
+    config.write_text(ANALYSIS_YAML.replace("speed_mps: 20.0", "speed_mps: 1.0e+6"))
     assert main(["stability-map", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == EXIT_OK
     assert capsys.readouterr().err == ""

@@ -72,41 +72,47 @@ def test_invalid_specs_rejected():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_sampled_table_must_be_finite(bad):
     # A spec checks itself when it is made: a bad table never becomes a spec.
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match=f"^table kappa must lie in \\[-1e\\+06, 1e\\+06\\] 1/m, "
+                                          f"got {bad}$"):
         PathSpec.sampled([0.0, 500.0, 1000.0], [0.0, bad, 0.0])
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match=f"^table s must lie in \\[-100000, 100000\\] m, "
+                                          f"got {bad}$"):
         PathSpec.sampled([0.0, bad, 1000.0], [0.0, 0.0, 0.0])
 
 
 def test_sampled_table_spanning_most_doubles_checks_its_order_without_a_warning(recwarn):
-    # The difference of its two arc lengths overflows; comparing them does not.
-    # In order, the table is too long for a finite count of pose grid steps.
-    with pytest.raises(ConfigError, match=r"^sampled path length 1e\+308 - -1e\+308 = inf m "
-                                          r"must span at most 2\*\*53 pose grid steps of 0\.2 m$"):
+    # Arc lengths past 1e5 m are refused before their difference, which
+    # overflows, is taken; in range, knots out of order are refused by step.
+    with pytest.raises(ConfigError, match=r"^table s must lie in \[-100000, 100000\] m, "
+                                          r"got -1e\+308$"):
         PathSpec.sampled([-1e308, 1e308], [0.0, 0.0])
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        PathSpec.sampled([1e308, -1e308], [0.0, 0.0])
+    with pytest.raises(ConfigError, match=r"^table s step must lie in \[1e-06, 200000\] m, "
+                                          r"got -200000.0$"):
+        PathSpec.sampled([1e5, -1e5], [0.0, 0.0])
     assert not recwarn.list
 
 
 def test_sampled_table_whose_pchip_overflows_between_its_knots_is_refused(recwarn):
-    # Every coefficient is finite, but the interpolant's sum overflows inside
-    # [0, 10] (kappa(5) would read inf): the road is refused when it is built.
-    with pytest.raises(DomainError, match=r"^sampled path table over \[0, 20\] m: its PCHIP "
-                                          r"interpolant is not finite on \[0, 10\] m$"):
-        build_path(PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 1.7e308, 0.0]))
-    # A 2,000 km table of curvatures near 1e300 still builds and reads finite.
-    s = np.linspace(0.0, 2e6, 201)
-    path = build_path(PathSpec.sampled(s, np.where(np.arange(s.size) % 2, 1e300, -1e300)))
-    assert all(math.isfinite(path.curvature(q)) for q in (0.0, 5e3, 1e6 + 1.0, 2e6))
+    # Curvatures past 1e6 1/m are refused, so no PCHIP sum overflows: the
+    # table that once read inf at s = 5 no longer becomes a spec.
+    with pytest.raises(ConfigError, match=r"^table kappa must lie in \[-1e\+06, 1e\+06\] 1/m, "
+                                          r"got 1\.7e\+308$"):
+        PathSpec.sampled([0.0, 10.0, 20.0], [0.0, 1.7e308, 0.0])
+    # At the edges of the ranges every lookup reads finite: alternating
+    # extreme curvatures on the longest table, and on knots 1e-6 m apart.
+    for s in (np.linspace(-1e5, 1e5, 201), np.array([0.0, 1e-6, 2e-6, 1e5])):
+        path = build_path(PathSpec.sampled(s, np.where(np.arange(s.size) % 2, 1e6, -1e6)))
+        probes = np.linspace(s[0], s[-1], 1001)
+        assert all(math.isfinite(path.curvature(q)) for q in probes)
+        assert np.isfinite(np.array(path.pose(probes))).all()
     assert not recwarn.list
 
 
 def test_sampled_table_whose_heading_overflows_is_refused(recwarn):
-    # A finite interpolant whose integral over a long interval overflows: the
-    # heading, the quartic antiderivative, would read inf there.
-    with pytest.raises(DomainError, match=r"^sampled path table over \[0, 1e\+15\] m: its "
-                                          r"heading is not finite on \[1e\+14, 1e\+15\] m$"):
+    # The heading is the integral of kappa, at most 1e6 1/m over 2e5 m: the
+    # table whose heading once overflowed is refused by its ranges.
+    with pytest.raises(ConfigError, match=r"^table s must lie in \[-100000, 100000\] m, "
+                                          r"got 100000000000000\.0$"):
         build_path(PathSpec.sampled([0.0, 1e14, 1e15], [1e290, 1e290, 1e295]))
     assert not recwarn.list
 
