@@ -7,9 +7,10 @@ is recomputed at a fixed control period and held constant in between
 step converges to the exact sampled-data trajectory. Left unset, the
 control period follows the step, and refining the step then refines the
 sampling too. ``ScenarioConfig`` checks each value against its range
-(``errors.RANGES``), the step count against the record's bound, and dt
-against ``analysis.max_control_period``; inside the ranges every rate the
-loop takes stays finite, so the metrics are plain means and differences.
+(``errors.RANGES``), the step count against the record's bound, and the
+control period against ``analysis.max_control_period``; inside the ranges
+every rate the loop takes stays finite, so the metrics are plain means and
+differences.
 
 While the steering is held, ``run_scenario`` takes each path-frame step as
 one straight-line RK4 kernel, its four stages written out in the loop:
@@ -30,27 +31,20 @@ the range test), equal to ``steering.desired_yaw_error`` bit for bit.
 A run is recorded in one row-major array with a row per step; the loop
 writes what the dynamics produce with one ``struct`` pack per row into the
 array's buffer, and the ``Trajectory`` fields are the array's columns, not
-copies. Columns 0-12 mean the same in every frame, and the pose ``x_A, y_A,
-psi`` is always columns 10-12; only frame ``both`` appends columns 13-15
-for the earth run it keeps alongside (``earth_x``, ``earth_y``,
-``earth_psi``) for the cross-check. During the loop column 10 holds the yaw
-rate held over the previous step (NaN on row 0), and the time column is
-filled after the loop. The dynamics never read the earth frame, so the loop
-does only the path-frame step and the control law. The earth run and the
-pose are built after it, ``POSE_SLICE_ROWS`` rows per array pass so that a
-long run's temporaries stay small:
-
-- For ``earth`` and ``both`` the earth run is exact, not integrated: with
-  the steering held, the rear axle circles a fixed centre and A, rigidly
-  attached, circles it too. From its mapped initial pose, each step's
-  body-frame chord (``bicycle._arc_chord`` over a slice of turns
-  yaw_rate * dt) is rotated by the heading, and the heading and the
-  positions are running sums (``np.cumsum``, which adds in sequence). Each
-  element equals the step-by-step scalar sums bit for bit. It goes to the
-  pose columns for ``earth`` and to columns 13-15 for ``both``.
-- Then for ``path`` and ``both`` the pose columns are mapped by array
-  calls of ``Path.to_earth`` on the recorded ``s, e, theta`` columns; each
-  element equals the row-by-row scalar mapping bit for bit.
+copies. During the loop column 10 holds the yaw rate held over the previous
+step (NaN on row 0). The dynamics never read the earth frame, so the loop
+does only the path-frame step and the control law; the rest is filled after
+it, ``POSE_SLICE_ROWS`` rows per array pass so that a long run's
+temporaries stay small. Columns 0-12 mean the same in every frame: the pose
+``x_A, y_A, psi`` in columns 10-12 is the recorded ``s, e, theta`` mapped by
+``Path.to_earth``, each element equal to the scalar mapping bit for bit.
+Frame ``both`` appends columns 13-15 (``earth_x``, ``earth_y``,
+``earth_psi``) for the cross-check: the exact earth run of A under the same
+steering. While the steering is held the rear axle circles a fixed centre
+and A, rigidly attached, circles it too, so from the mapped initial pose
+each step's body-frame chord (``bicycle._arc_chord``) is rotated by the
+heading, and the heading and the positions are running sums (``np.cumsum``,
+which adds in sequence), equal to the step-by-step scalar sums bit for bit.
 """
 
 from __future__ import annotations
@@ -101,14 +95,14 @@ class ScenarioConfig:
     initial: PathState
     dt: float = 1e-3              # integration step [s]
     t_end: float | None = None    # horizon [s]; defaults per path kind
-    frame: str = "both"           # path | earth | both
+    frame: str = "both"           # path | both
     control_dt: float | None = None  # steering update period [s]; defaults to dt
     settle_threshold: float = SETTLE_THRESHOLD  # [m]
 
     def __post_init__(self):
         check_range("dt", self.dt)
-        if self.frame not in ("path", "earth", "both"):
-            raise ConfigError(f"frame must be path|earth|both, got {self.frame!r}")
+        if self.frame not in ("path", "both"):
+            raise ConfigError(f"frame must be path|both, got {self.frame!r}")
         if self.control_dt is not None:
             check_range("control_dt", self.control_dt)
             ratio = self.control_dt / self.dt
@@ -131,12 +125,14 @@ class ScenarioConfig:
             check_range("t_end / dt", t_end / self.dt)
         except ConfigError as exc:
             raise ConfigError(f"{exc}{note}") from None
-        # A step the linear loop proves unstable, which no run should take.
+        # A step or a control period the linear loop proves unstable. A run
+        # that holds the steering for one period has no loop to destabilise.
         h_max = max_control_period(self.control.k1, self.control.k2, self.vehicle)
-        if self.dt >= h_max:
+        name, h = ("dt", self.dt) if self.control_dt is None else ("control_dt", self.control_dt)
+        if self.dt >= h_max or (h >= h_max and round(t_end / self.dt) > round(h / self.dt)):
             raise ConfigError(
-                f"dt must be below h_max = {h_max:.7g} s, the longest step at which the "
-                f"loop linearized on a straight road stays stable, got {self.dt}")
+                f"{name} must be below h_max = {h_max:.7g} s, the longest step at which the "
+                f"loop linearized on a straight road stays stable, got {h}")
         try:
             self.path_spec.check_arc_length(self.initial.s)
         except DomainError as exc:
@@ -172,7 +168,7 @@ class Trajectory:
     kappa_d: np.ndarray
     g_sat: float             # feedback bound of the run [rad]
     fb_saturated: np.ndarray  # per-row: pre-wrapper command exceeded the bound
-    earth_x: np.ndarray | None = None  # parallel earth-frame integration
+    earth_x: np.ndarray | None = None  # frame "both": the exact earth run
     earth_y: np.ndarray | None = None
     earth_psi: np.ndarray | None = None
 
@@ -305,9 +301,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
     # columns 1-10: the TRAJECTORY_COLUMNS without t, theta_hat and the pose
     # (columns 1-8), the raw feedback command (9) and the yaw rate held over
     # the previous step (10; NaN on row 0). After the loop, column 0 gets t,
-    # the earth run of frames "earth" and "both" goes to the record's last
-    # three columns, and frames "path" and "both" map columns 1-3 (s, e,
-    # theta) to the pose columns 10-12. Only "both" has columns 13-15.
+    # frame "both" alone appends its earth run as columns 13-15, and columns
+    # 1-3 (s, e, theta) are mapped to the pose columns 10-12.
     width = 16 if cfg.frame == "both" else 13
     rec = np.empty((n + 1, width))
     buf = memoryview(rec).cast("B")
@@ -428,32 +423,29 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, TrackingMetrics]:
 
     cols = rec.T
     np.multiply(np.arange(n + 1), dt, out=cols[0])
-    if cfg.frame != "path":
-        _earth_pass(cols, cols[-3:], path, dt, v * dt, offset)
-    if cfg.frame != "earth":
-        for lo in range(0, n + 1, POSE_SLICE_ROWS):
-            rows = slice(lo, lo + POSE_SLICE_ROWS)
-            cols[10:13, rows] = path.to_earth(PathState(*cols[1:4, rows]))
+    if cfg.frame == "both":  # before the mapping overwrites the yaw rates
+        _earth_pass(cols, path, dt, v * dt, offset)
+    for lo in range(0, n + 1, POSE_SLICE_ROWS):
+        rows = slice(lo, lo + POSE_SLICE_ROWS)
+        cols[10:13, rows] = path.to_earth(PathState(*cols[1:4, rows]))
     # The earth fields stay None unless the record has columns 13-15.
     traj = Trajectory(*cols[:5], cols[3] - cols[4], *cols[5:8], *cols[10:13], cols[8], g_sat,
                       np.abs(cols[9]) > g_sat, *cols[13:])
     return traj, _metrics(traj, cfg)
 
 
-def _earth_pass(cols: np.ndarray, out: np.ndarray, path, dt: float, v_dt: float,
-                offset: float) -> None:
-    """Write the earth run's pose into ``out``, three columns of the record ``cols``.
+def _earth_pass(cols: np.ndarray, path, dt: float, v_dt: float, offset: float) -> None:
+    """Write the earth run's pose into columns 13-15 of the record ``cols``.
 
     Row i + 1 of the yaw-rate column 10 holds the yaw rate held over step i.
     From the mapped initial pose, each step rotates its body-frame chord by
     the heading and advances the heading by yaw_rate * dt,
-    ``POSE_SLICE_ROWS`` steps per array pass. ``out`` may be columns 10-12:
-    a pass overwrites only rows whose yaw rates it has read. cumsum adds in
-    sequence, so each slice resumes from the previous one's last row and
-    every element equals the step-by-step scalar sums bit for bit. The chord
-    is bounded by V*dt + 2d, so the sums stay finite.
+    ``POSE_SLICE_ROWS`` steps per array pass. cumsum adds in sequence, so
+    each slice resumes from the previous one's last row and every element
+    equals the step-by-step scalar sums bit for bit. The chord is bounded by
+    V*dt + 2d, so the sums stay finite.
     """
-    x, y, psi = out
+    x, y, psi = cols[13:16]
     x[0], y[0], psi[0] = path.to_earth(PathState(*cols[1:4, 0].tolist()))
     for lo in range(1, cols.shape[1], POSE_SLICE_ROWS):
         turn = cols[10, lo:lo + POSE_SLICE_ROWS] * dt

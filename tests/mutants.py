@@ -108,9 +108,12 @@ MUTANTS = (
     Mutant("errors.py", '"wheelbase": _LENGTH,', '"wheelbase": _LENGTH._replace(hi=1e5),',
            "tests/test_ranges.py::test_every_range_edge_and_the_value_set_through_every_command",
            "a range's edge moved inward"),
-    Mutant("sim.py", "if self.dt >= h_max:", "if self.dt < h_max:",
+    Mutant("sim.py", "if self.dt >= h_max or", "if self.dt < h_max or",
            "tests/test_analysis.py::test_scenario_step_must_be_below_h_max",
            "the h_max comparison flipped"),
+    Mutant("sim.py", 'else ("control_dt", self.control_dt)', 'else ("control_dt", self.dt)',
+           "tests/test_cli.py::test_control_period_the_linear_loop_proves_unstable_exits_config",
+           "the guard reads dt in place of the control period"),
 )
 
 # Known to be equivalent, or to change only speed: listed, not run.
@@ -121,7 +124,7 @@ EQUIVALENT = (
     Mutant("paths.py", "ends = self._knots[1:-1] + [math.nextafter(self._s_end, math.inf)]",
            "ends = self._knots[1:]", "",
            "a last window closed at s_end only sends s_end to the bisect"),
-    Mutant("sim.py", "if self.dt >= h_max:", "if self.dt > h_max:", "",
+    Mutant("sim.py", "if self.dt >= h_max or", "if self.dt > h_max or", "",
            "dt equal to h_max to the last bit is the boundary itself"),
 )
 

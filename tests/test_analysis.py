@@ -7,14 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
-from offsetsteer import (ConfigError, ControlConfig, DomainError, HatPathState, PathState,
-                         VehicleParams, amplification, cli, control, desired_heading,
+from offsetsteer import (ConfigError, ControlConfig, DomainError, HatPathState, PathSpec,
+                         PathState, VehicleParams, amplification, cli, control, desired_heading,
                          desired_yaw_error,
                          eigenvalues, feedforward, feedforward_error, frequency_response,
                          hat_path_derivatives, is_stable, kappa_bar, lambdas, linearize,
-                         max_allowable_steer, peak_amplification,
+                         max_allowable_steer, peak_amplification, run_scenario,
                          stability_region_scan, wrapper)
 from offsetsteer import _writer
 from offsetsteer.analysis import (StabilityMap, max_control_period, prop1_k2_threshold,
@@ -251,13 +252,44 @@ def test_scenario_step_must_be_below_h_max():
         replace(cfg, dt=h_max)
 
 
-def _held_radius(h: float, k1: float, k2: float, params: VehicleParams) -> float:
-    """Spectral radius of the loop at kappa0 = 0 with the steering held over a
-    step h: the plant [[0, V], [0, 0]], its input [V d / l, V / l] held."""
+def _held_pair(h: float, params: VehicleParams) -> tuple[np.ndarray, np.ndarray]:
+    """Phi and Gamma of the plant at kappa0 = 0, [[0, V], [0, 0]] on (e, theta),
+    with its input [V d / l, V / l] held over a period h, in closed form."""
     l, d, v = params.wheelbase, params.sensor_offset, params.speed
-    phi = np.array([[1.0, v * h], [0.0, 1.0]])
-    gamma = np.array([v * d * h / l + v * v * h * h / (2.0 * l), v * h / l])
+    return (np.array([[1.0, v * h], [0.0, 1.0]]),
+            np.array([v * d * h / l + v * v * h * h / (2.0 * l), v * h / l]))
+
+
+def _held_radius(h: float, k1: float, k2: float, params: VehicleParams) -> float:
+    """Spectral radius of the loop at kappa0 = 0 with the steering held over a step h."""
+    phi, gamma = _held_pair(h, params)
     return max(abs(np.linalg.eigvals(phi + np.outer(gamma, [k1 * k2, k1]))))
+
+
+@pytest.mark.parametrize("h", [0.02, 0.1, 0.18])
+def test_held_model_equals_expm_and_the_simulated_periods(h):
+    # The closed form equals expm of the augmented matrix [[A0, B0], [0, 0]] h,
+    # and optimal_gain on the straight road, 1e-4 m off with the steering held
+    # for h and dt = h / 100, follows (Phi + Gamma K)^k x0 period by period:
+    # its nonlinear terms are of relative size e0^2.
+    cfg = parse_config(preset_text("optimal_gain"))
+    params, k1, k2 = cfg.vehicle, cfg.control.k1, cfg.control.k2
+    v, ratio = params.speed, params.sensor_offset / params.wheelbase
+    augmented = np.array([[0.0, v, v * ratio], [0.0, 0.0, v / params.wheelbase],
+                          [0.0, 0.0, 0.0]])
+    held = expm(augmented * h)
+    phi, gamma = _held_pair(h, params)
+    np.testing.assert_allclose(held[:2, :2], phi, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(held[:2, 2], gamma, rtol=0, atol=1e-14)
+    traj, _ = run_scenario(replace(cfg, path_spec=PathSpec.straight(), dt=h / 100,
+                                   control_dt=h, t_end=5 * h, frame="path",
+                                   initial=PathState(0.0, 1e-4, 0.0)))
+    loop = phi + np.outer(gamma, [k1 * k2, k1])
+    x = np.array([1e-4, 0.0])
+    for k in range(1, 6):
+        x = loop @ x
+        simulated = np.array([traj.e_d[100 * k], traj.theta_d[100 * k]])
+        assert np.linalg.norm(simulated - x) <= 1e-7 * np.linalg.norm(x), (k, simulated, x)
 
 
 def test_max_control_period_bounds_the_held_loops_stability():

@@ -9,6 +9,7 @@ import pathlib
 import re
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 from types import SimpleNamespace
 
@@ -488,17 +489,17 @@ def _scenarios(draw):
     control = draw(st.builds(ControlConfig, k1=_in("k1"), k2=_in("k2"),
                              max_lat_accel=_in("max_lat_accel"),
                              variant=st.sampled_from(VARIANTS)))
-    # dt must stay below the horizon, which spans at most 1e7 steps, and below
-    # h_max. Without a t_end the horizon is the road's default, which follows
-    # from these fields alone.
+    # dt must stay below the horizon, which spans at most 1e7 steps, and the
+    # control period below h_max. Without a t_end the horizon is the road's
+    # default, which follows from these fields alone.
     horizon = ScenarioConfig.resolved_t_end(SimpleNamespace(**fields))
     assume(dt < horizon <= RANGES["t_end"].hi and horizon / dt <= RANGES["t_end / dt"].hi)
-    assume(dt < max_control_period(control.k1, control.k2, fields["vehicle"]))
     control_dt = draw(st.none() | st.integers(1, 1000).map(lambda n: n * dt))
     assume(control_dt is None or control_dt <= RANGES["control_dt"].hi)
+    assume((control_dt or dt) < max_control_period(control.k1, control.k2, fields["vehicle"]))
     return ScenarioConfig(
         **fields, dt=dt, control=control,
-        frame=draw(st.sampled_from(("path", "earth", "both"))),
+        frame=draw(st.sampled_from(("path", "both"))),
         control_dt=control_dt, settle_threshold=draw(_in("settle_threshold")))
 
 
@@ -905,6 +906,41 @@ def test_step_the_linear_loop_proves_unstable_exits_config(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: dt must be below h_max = 0.1923077 s, the longest step at which the "
         "loop linearized on a straight road stays stable, got 50.0\n")
+    assert not (tmp_path / "bad").exists()
+
+
+# optimal_gain on the straight road, dt 1 ms: at a 0.25 s control period the
+# run held a 2.65 cm oscillation over its last 20 s of 60, and at 0.15 s it
+# decays to 1.3e-6 m; h_max is 0.1923077 s.
+@pytest.mark.parametrize("control_dt, code, message", [
+    (0.25, EXIT_CONFIG, "config error: control_dt must be below h_max = 0.1923077 s, the "
+     "longest step at which the loop linearized on a straight road stays stable, got 0.25\n"),
+    (0.15, EXIT_OK, ""),
+], ids=["0.25-refused", "0.15-runs"])
+def test_control_period_the_linear_loop_proves_unstable_exits_config(tmp_path, capsys,
+                                                                     control_dt, code, message):
+    config = tmp_path / "optimal_gain.yaml"
+    config.write_text(preset_text("optimal_gain").split("path:")[0] + textwrap.dedent(f"""\
+        path: {{kind: straight}}
+        initial: {{s_m: 0.0, e_m: -10.0, theta_deg: 0.0}}
+        sim: {{dt_s: 0.001, t_end_s: 10.0, frame: path, control_dt_s: {control_dt}}}
+        """))
+    out = tmp_path / "runs" / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+    assert capsys.readouterr().err == message
+    assert (tmp_path / "runs").exists() == (code == EXIT_OK)
+
+
+def test_frame_earth_exits_config(tmp_path, capsys):
+    # The exact earth run is only frame "both"'s cross-check: the pose
+    # columns always map the path-frame state.
+    with pytest.raises(ConfigError, match=r"^frame must be path\|both, got 'earth'$"):
+        replace(parse_config(SCENARIO_YAML), frame="earth")
+    config = tmp_path / "earth.yaml"
+    config.write_text(SCENARIO_YAML + "  frame: earth\n")
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "bad" / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: frame must be path|both, got 'earth'\n"
     assert not (tmp_path / "bad").exists()
 
 

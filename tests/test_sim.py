@@ -210,19 +210,13 @@ def test_frame_heading_gap_is_the_row_by_row_maximum(cfg):
     replace(parse_config(preset_text("circular_compare")), t_end=10.0),
 ], ids=["cosine", "circular_compare"])
 def test_only_both_frames_cross_check(cfg):
-    # With frame "earth" the pose columns are the earth integration itself,
-    # so there is no second integration to compare them with; frame "path"
-    # maps the same path-frame run as "both". So the two single-frame runs
-    # differ by the gap that "both" reports.
+    # Frame "path" maps the same path-frame run as "both" but keeps no earth
+    # run, so it has nothing to compare its pose with.
     both, _ = run_scenario(replace(cfg, frame="both"))
-    earth, _ = run_scenario(replace(cfg, frame="earth"))
     path, _ = run_scenario(replace(cfg, frame="path"))
     assert 0.0 < both.frame_mismatch()[0] <= 1e-6
-    assert earth.frame_mismatch() is None and path.frame_mismatch() is None
-    assert earth.t.size == path.t.size == round(cfg.t_end / cfg.dt) + 1
-    assert np.array_equal(earth.x_a, both.earth_x)
-    assert np.array_equal(earth.y_a, both.earth_y)
-    assert np.array_equal(earth.psi, both.earth_psi)
+    assert path.frame_mismatch() is None
+    assert path.t.size == round(cfg.t_end / cfg.dt) + 1
     assert np.array_equal(path.x_a, both.x_a)
     assert np.array_equal(path.y_a, both.y_a)
 
@@ -319,13 +313,13 @@ def _fused_case(road: str, variant: str, hold: str, frame: str):
 @pytest.mark.parametrize("road, variant, control_dt, frame", [
     *(_fused_case(road, variant, hold, frame)
       for road in ("sampled", "cosine", "circular") for variant in ("full", "linear")
-      for hold in _HOLDS for frame in ("both", "path", "earth")),
+      for hold in _HOLDS for frame in ("both", "path")),
     _fused_case("straight", "full", "every-step", "both"),
     _fused_case("straight", "linear", "every-10-steps", "path"),
-    _fused_case("straight", "naive", "every-10-steps", "earth"),
+    _fused_case("straight", "naive", "every-10-steps", "both"),
     _fused_case("sampled", "naive", "every-step", "path"),
     _fused_case("cosine", "naive", "every-10-steps", "both"),
-    _fused_case("circular", "naive", "every-step", "earth"),
+    _fused_case("circular", "naive", "every-step", "path"),
 ])
 def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt, frame,
                                                        monkeypatch):
@@ -341,22 +335,17 @@ def test_fused_step_matches_reference_loop_bit_for_bit(road, variant, control_dt
 
     monkeypatch.setattr(Path, "to_earth", counting_to_earth)
     traj, _ = run_scenario(cfg)
-    # The earth integration maps its initial pose; the pose columns of
-    # frames "path" and "both" are mapped in one call after the loop.
-    assert len(calls) == {"path": 1, "earth": 1, "both": 2}[frame]
-    pose = ("x_a", "y_a", "psi")
+    # The pose columns are mapped in one call after the loop; the earth run
+    # of frame "both" maps its initial pose.
+    assert len(calls) == {"path": 1, "both": 2}[frame]
     earth = ("earth_x", "earth_y", "earth_psi")
-    if frame == "earth":
-        for name, source in zip(pose, earth):
-            expected[name] = expected[source]
     # The loop's exact earth step and the turning-centre construction round
     # differently, so the earth positions agree to 1e-9 m; every other
     # column, the earth heading included, agrees bit for bit.
-    from_earth = {"earth_x", "earth_y"} | ({"x_a", "y_a"} if frame == "earth" else set())
     for name, values in expected.items():
         if name in earth and frame != "both":
             assert getattr(traj, name) is None, name
-        elif name in from_earth:
+        elif name in ("earth_x", "earth_y"):
             np.testing.assert_allclose(getattr(traj, name), values, rtol=0, atol=1e-9,
                                        err_msg=name)
         else:
@@ -421,12 +410,11 @@ def test_exact_earth_step_runs_straight_at_zero_steer(params):
     assert np.array_equal(chord_x, np.full(3, v_dt)) and not chord_y.any()
     # On a straight road from the path the full law commands gamma = 0, so
     # every earth step adds exactly V*dt to x and leaves y and psi alone.
-    cfg = replace(make_scenario(PathSpec.straight(), t_end=1.0,
-                                initial=PathState(0.0, 0.0, 0.0)), frame="earth")
-    traj, _ = run_scenario(cfg)
+    traj, _ = run_scenario(make_scenario(PathSpec.straight(), t_end=1.0,
+                                         initial=PathState(0.0, 0.0, 0.0)))
     assert not traj.gamma_des.any()
-    assert np.array_equal(traj.x_a[1:], traj.x_a[:-1] + v_dt)
-    assert not traj.y_a.any() and not traj.psi.any()
+    assert np.array_equal(traj.earth_x[1:], traj.earth_x[:-1] + v_dt)
+    assert not traj.earth_y.any() and not traj.earth_psi.any()
 
 
 def test_exact_earth_step_closes_a_held_turn(params):
@@ -440,20 +428,20 @@ def test_exact_earth_step_closes_a_held_turn(params):
     omega = params.speed / params.wheelbase * math.tan(gamma)
     steps = 5000
     dt = 2.0 * math.pi / omega / steps
-    cfg = replace(make_scenario(PathSpec.circular(CIRCLE_RADIUS), dt=dt, t_end=steps * dt,
-                                control_dt=steps * dt, initial=initial), frame="earth")
-    traj, _ = run_scenario(cfg)
+    traj, _ = run_scenario(make_scenario(PathSpec.circular(CIRCLE_RADIUS), dt=dt,
+                                         t_end=steps * dt, control_dt=steps * dt,
+                                         initial=initial))
     assert traj.t.size == steps + 1
     assert np.all(traj.gamma_des == gamma)
-    x0, y0, psi0 = traj.x_a[0], traj.y_a[0], traj.psi[0]
+    x0, y0, psi0 = traj.earth_x[0], traj.earth_y[0], traj.earth_psi[0]
     radius = params.wheelbase / math.tan(gamma)
     cx = x0 - d * math.cos(psi0) - radius * math.sin(psi0)
     cy = y0 - d * math.sin(psi0) + radius * math.cos(psi0)
-    np.testing.assert_allclose(np.hypot(traj.x_a - cx, traj.y_a - cy),
+    np.testing.assert_allclose(np.hypot(traj.earth_x - cx, traj.earth_y - cy),
                                math.hypot(radius, d), rtol=0, atol=1e-9)
-    assert abs(traj.x_a[-1] - x0) < 1e-9
-    assert abs(traj.y_a[-1] - y0) < 1e-9
-    assert traj.psi[-1] == pytest.approx(psi0 + 2.0 * math.pi, abs=1e-9)
+    assert abs(traj.earth_x[-1] - x0) < 1e-9
+    assert abs(traj.earth_y[-1] - y0) < 1e-9
+    assert traj.earth_psi[-1] == pytest.approx(psi0 + 2.0 * math.pi, abs=1e-9)
 
 
 def _scalar_arc_chord(turn: float, v_dt: float, d: float) -> tuple[float, float]:
@@ -495,23 +483,21 @@ def _scalar_earth_run(traj, cfg: ScenarioConfig) -> np.ndarray:
 
 # Runs of 2 * POSE_SLICE_ROWS + 37 steps, so that two slices carry their
 # last row into the next: the circle with the steering held for 10 steps,
-# and the straight road from the path, where every turn is 0.
-@pytest.mark.parametrize("frame", ["earth", "both"])
+# and the straight road from the path, where every turn is 0. Frame "both",
+# the one that keeps the earth run.
 @pytest.mark.parametrize("road, control_dt, initial", [
     (PathSpec.circular(CIRCLE_RADIUS), 1e-2, PathState(0.0, -10.0, 0.0)),
     (PathSpec.straight(), None, PathState(0.0, 0.0, 0.0)),
-], ids=["circular-hold-10", "straight-from-the-path"])
-def test_earth_pass_equals_the_scalar_steps_bit_for_bit(road, control_dt, initial, frame):
+], ids=["circular-hold-10-both", "straight-from-the-path-both"])
+def test_earth_pass_equals_the_scalar_steps_bit_for_bit(road, control_dt, initial):
     steps = 2 * sim.POSE_SLICE_ROWS + 37
-    cfg = replace(make_scenario(road, t_end=steps * 1e-3, control_dt=control_dt,
-                                initial=initial), frame=frame)
+    cfg = make_scenario(road, t_end=steps * 1e-3, control_dt=control_dt, initial=initial)
     traj, _ = run_scenario(cfg)
     assert traj.t.size == steps + 1
     if road.kind == "straight":
         assert not traj.gamma_des.any()
     expected = _scalar_earth_run(traj, cfg)
-    names = ("x_a", "y_a", "psi") if frame == "earth" else ("earth_x", "earth_y", "earth_psi")
-    for name, values in zip(names, expected):
+    for name, values in zip(("earth_x", "earth_y", "earth_psi"), expected):
         assert np.array_equal(getattr(traj, name), values), name
 
 
@@ -526,8 +512,9 @@ def test_numpy_sin_and_cos_equal_math_over_wide_headings():
 
 
 def _drawn_scenario(rng) -> ScenarioConfig:
-    """One accepted config: a straight, circular or cosine road, any
-    variant, dt from 0.3 ms to 0.1 s and at most 2,000 steps."""
+    """One config: a straight, circular or cosine road, any variant, dt from
+    0.3 ms to 0.1 s, a control period of 1 to 10 steps and at most 2,000
+    steps. A control period at or past h_max raises ConfigError."""
     kind = rng.choice(("straight", "circular", "cosine"))
     if kind == "straight":
         road = PathSpec.straight()
@@ -563,7 +550,7 @@ def test_accepted_configs_fail_with_an_offsetsteer_error_or_stay_finite(record_p
     outcomes = Counter()
     for k in range(200):
         try:
-            # dt at or past h_max is refused; such a draw is not accepted.
+            # A control period at or past h_max is refused; such a draw is not accepted.
             cfg = _drawn_scenario(rng)
         except ConfigError:
             outcomes["refused"] += 1
@@ -583,9 +570,9 @@ def test_accepted_configs_fail_with_an_offsetsteer_error_or_stay_finite(record_p
     record_property("outcomes", dict(outcomes))
 
 
-# The record is 13 columns (7.8 MB) wide for "path" and "earth" and 16
-# (9.6 MB) for "both", which alone appends the earth run.
-@pytest.mark.parametrize("frame", ["path", "both", "earth"])
+# The record is 13 columns (7.8 MB) wide for "path" and 16 (9.6 MB) for
+# "both", which alone appends the earth run.
+@pytest.mark.parametrize("frame", ["path", "both"])
 def test_long_run_maps_its_pose_in_slices(frame):
     # 60,000 steps on the cosine road: the pose columns equal one array
     # mapping of the recorded rows bit for bit, and building them slice by
@@ -598,9 +585,7 @@ def test_long_run_maps_its_pose_in_slices(frame):
     finally:
         tracemalloc.stop()
     assert traj.t.size == 60_001
-    assert peak <= {"path": 11.0e6, "both": 12e6, "earth": 11.0e6}[frame], peak
-    if frame == "earth":
-        return
+    assert peak <= {"path": 11.0e6, "both": 12e6}[frame], peak
     whole = build_path(cfg.path_spec).to_earth(PathState(traj.s_d, traj.e_d, traj.theta_d))
     for name, values in zip(("x_a", "y_a", "psi"), whole):
         assert np.array_equal(getattr(traj, name), values), name
